@@ -9,6 +9,8 @@ giving a worst-case quantile error of ``1 / subbuckets``.
 
 from __future__ import annotations
 
+from collections import Counter
+from operator import mul
 from typing import Dict, Iterable, List, Tuple
 
 
@@ -49,8 +51,31 @@ class LatencyHistogram:
             self.max_value = value
 
     def record_many(self, values: Iterable[int]) -> None:
-        for value in values:
-            self.record(value)
+        """Record every value; the same state as :meth:`record` on each.
+
+        Folds the chunk in one pass: a ``Counter`` over the values, one
+        bucket lookup per *distinct* value (ns latencies repeat heavily
+        within a chunk), and one min/max/sum per chunk.
+        """
+        tally = Counter(values)
+        if not tally:
+            return
+        low = min(tally)
+        if low < 0:
+            for value in [value for value in tally if value < 0]:
+                tally[0] += tally.pop(value)
+            low = 0
+        counts = self._counts
+        index = self._index
+        for value, count in tally.items():
+            counts[index(value)] += count
+        if self.min_value < 0 or low < self.min_value:
+            self.min_value = low
+        high = max(tally)
+        if high > self.max_value:
+            self.max_value = high
+        self.total += sum(tally.values())
+        self.sum_values += sum(map(mul, tally.keys(), tally.values()))
 
     # -- reading ------------------------------------------------------------
 

@@ -25,12 +25,14 @@ import gc
 import threading
 import time
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Union
 from zlib import crc32
 
 from ..kvstores.connectors import StoreConnector
 from ..obs import tracing as _tracing
 from ..trace import AccessTrace, OpType, OPS_BY_CODE
+from .histogram import LatencyHistogram
 
 
 @dataclass
@@ -43,7 +45,7 @@ class ReplayResult:
     #: latencies in nanoseconds, per op type (exact mode)
     latencies_ns: Dict[OpType, List[int]] = field(default_factory=dict)
     #: bounded-memory histograms per op type (histogram mode)
-    histograms: Dict[OpType, "LatencyHistogram"] = field(default_factory=dict)
+    histograms: Dict[OpType, LatencyHistogram] = field(default_factory=dict)
     # -- robustness accounting (populated by faulted replays) --------------
     #: operations that still failed after retries were exhausted
     failed_ops: int = 0
@@ -66,10 +68,10 @@ class ReplayResult:
             merged.extend(values)
         return merged
 
-    def _merged_histogram(self) -> "LatencyHistogram":
-        from .histogram import LatencyHistogram
-
-        merged = LatencyHistogram()
+    def _merged_histogram(self) -> LatencyHistogram:
+        # the histograms' own geometry: merge() rejects any other
+        first = next(iter(self.histograms.values()), LatencyHistogram())
+        merged = LatencyHistogram(first.subbuckets, first.max_exponent)
         for histogram in self.histograms.values():
             merged.merge(histogram)
         return merged
@@ -177,6 +179,45 @@ def _tee(sink, record):
     return tuple(wrap(base) for base in sink)
 
 
+#: histogram-mode samples are staged raw and folded into the histograms
+#: once per this many ops (see :attr:`TraceReplayer.use_histograms`)
+_FOLD_OPS = 8192
+
+
+def _latency_sinks(use_histograms: bool, measure: bool, progress):
+    """One replay's ``(latencies, histograms, sink, fold)``.
+
+    ``sink`` is opcode-indexed, mirroring the dispatch table.  Exact
+    mode appends to the latency lists; histogram mode stages raw
+    samples that ``fold`` drains through one ``record_many`` per op
+    type, except under a telemetry session, which records per op.
+    """
+    latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
+    histograms = {op: LatencyHistogram() for op in OpType} if use_histograms else {}
+    tee = progress is not None and measure
+    stages: Sequence = ()
+    if not use_histograms:
+        sink = tuple(latencies[op].append for op in OPS_BY_CODE)
+    elif tee:
+        sink = tuple(histograms[op].record for op in OPS_BY_CODE)
+    else:
+        stages = tuple((histograms[op], []) for op in OPS_BY_CODE)
+        sink = tuple(stage.append for _, stage in stages)
+
+    def fold() -> None:
+        for histogram, stage in stages:
+            if stage:
+                histogram.record_many(stage)
+                stage.clear()
+
+    if tee:
+        # tee client-observed latencies into the sampler's shared
+        # progress; the sinks already see every loop variant's honest
+        # per-op latency, so the telemetry hook lives here
+        sink = _tee(sink, progress.record)
+    return latencies, histograms, sink, fold
+
+
 def _dispatch_table(connector: StoreConnector):
     """Opcode-indexed operations with a uniform ``(key, size)`` shape."""
     get = connector.get
@@ -237,7 +278,11 @@ class TraceReplayer:
         #: ``None``/1 replays synchronously.
         self.pipeline_depth = pipeline_depth
         #: record latencies into O(1)-memory histograms instead of
-        #: per-sample lists -- for multi-million-op replays
+        #: per-sample lists -- for multi-million-op replays.  Samples
+        #: are staged raw and folded in every 8,192 ops (at most 8,192
+        #: + ``pipeline_depth`` staged) and on every exit, crash or
+        #: exception included, before the clock stops; a telemetry
+        #: session keeps per-op recording.
         self.use_histograms = use_histograms
         #: CPython's cyclic GC pauses otherwise dominate tail latency
         #: identically for every store; disabled during replay by
@@ -305,30 +350,15 @@ class TraceReplayer:
                 gc.enable()
 
     def _replay(self, trace: AccessTrace) -> ReplayResult:
-        from .histogram import LatencyHistogram
-
         connector = self.connector
         dispatch = _dispatch_table(connector)
         take_background = connector.take_background_ns
-        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
-        histograms: Dict[OpType, LatencyHistogram] = (
-            {op: LatencyHistogram() for op in OpType}
-            if self.use_histograms
-            else {}
-        )
-        # opcode-indexed sinks mirroring the dispatch table
-        if self.use_histograms:
-            sink = tuple(histograms[op].record for op in OPS_BY_CODE)
-        else:
-            sink = tuple(latencies[op].append for op in OPS_BY_CODE)
-        interval = 1.0 / self.service_rate if self.service_rate else 0.0
         measure = self.measure_latency
         progress = self._progress
-        if progress is not None and measure:
-            # tee client-observed latencies into the sampler's shared
-            # progress; the sinks already see every loop variant's
-            # honest per-op latency, so the telemetry hook lives here
-            sink = _tee(sink, progress.record)
+        latencies, histograms, sink, fold = _latency_sinks(
+            self.use_histograms, measure, progress
+        )
+        interval = 1.0 / self.service_rate if self.service_rate else 0.0
         count = progress.count if progress is not None and not measure else None
         stop = self.stop_check
         timer = time.perf_counter_ns
@@ -345,74 +375,80 @@ class TraceReplayer:
         keys = trace.unique_keys()
         columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
         started = time.perf_counter()
-        if interval:
-            next_dispatch = started
-            for code, kid, size in columns:
-                if stop is not None and stop():
-                    raise ReplayStopped
-                if time.perf_counter() < next_dispatch:
-                    _throttle(next_dispatch)
-                next_dispatch += interval
-                key = keys[kid]
-                if measure:
-                    begin = timer()
-                    dispatch[code](key, size)
-                    elapsed_ns = timer() - begin - take_background()
-                    sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                else:
-                    dispatch[code](key, size)
-                    if count is not None:
+        next_dispatch = started
+        try:
+            for _ in range(0, len(trace), _FOLD_OPS):
+                chunk = islice(columns, _FOLD_OPS)
+                if interval:
+                    for code, kid, size in chunk:
+                        if stop is not None and stop():
+                            raise ReplayStopped
+                        if time.perf_counter() < next_dispatch:
+                            _throttle(next_dispatch)
+                        next_dispatch += interval
+                        key = keys[kid]
+                        if measure:
+                            begin = timer()
+                            dispatch[code](key, size)
+                            elapsed_ns = timer() - begin - take_background()
+                            sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                        else:
+                            dispatch[code](key, size)
+                            if count is not None:
+                                count()
+                elif measure:
+                    for code, kid, size in chunk:
+                        if stop is not None and stop():
+                            raise ReplayStopped
+                        key = keys[kid]
+                        begin = timer()
+                        if code == 0:
+                            get(key)
+                        elif code == 1:
+                            put(key, synth(size))
+                        elif code == 2:
+                            merge(key, synth(size))
+                        else:
+                            delete(key)
+                        # Flushes/compactions/write-backs run on background
+                        # threads in the real stores; exclude their inline cost
+                        # from the client-observed latency (throughput still
+                        # includes it).  Stores running true background workers
+                        # report their write-*stall* time through the same
+                        # channel -- worker busy time is concurrent and never
+                        # charged here.
+                        elapsed_ns = timer() - begin - take_background()
+                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                elif count is not None:
+                    for code, kid, size in chunk:
+                        if stop is not None and stop():
+                            raise ReplayStopped
+                        key = keys[kid]
+                        if code == 0:
+                            get(key)
+                        elif code == 1:
+                            put(key, synth(size))
+                        elif code == 2:
+                            merge(key, synth(size))
+                        else:
+                            delete(key)
                         count()
-        elif measure:
-            for code, kid, size in columns:
-                if stop is not None and stop():
-                    raise ReplayStopped
-                key = keys[kid]
-                begin = timer()
-                if code == 0:
-                    get(key)
-                elif code == 1:
-                    put(key, synth(size))
-                elif code == 2:
-                    merge(key, synth(size))
                 else:
-                    delete(key)
-                # Flushes/compactions/write-backs run on background
-                # threads in the real stores; exclude their inline cost
-                # from the client-observed latency (throughput still
-                # includes it).  Stores running true background workers
-                # report their write-*stall* time through the same
-                # channel -- worker busy time is concurrent and never
-                # charged here.
-                elapsed_ns = timer() - begin - take_background()
-                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-        elif count is not None:
-            for code, kid, size in columns:
-                if stop is not None and stop():
-                    raise ReplayStopped
-                key = keys[kid]
-                if code == 0:
-                    get(key)
-                elif code == 1:
-                    put(key, synth(size))
-                elif code == 2:
-                    merge(key, synth(size))
-                else:
-                    delete(key)
-                count()
-        else:
-            for code, kid, size in columns:
-                if stop is not None and stop():
-                    raise ReplayStopped
-                key = keys[kid]
-                if code == 0:
-                    get(key)
-                elif code == 1:
-                    put(key, synth(size))
-                elif code == 2:
-                    merge(key, synth(size))
-                else:
-                    delete(key)
+                    for code, kid, size in chunk:
+                        if stop is not None and stop():
+                            raise ReplayStopped
+                        key = keys[kid]
+                        if code == 0:
+                            get(key)
+                        elif code == 1:
+                            put(key, synth(size))
+                        elif code == 2:
+                            merge(key, synth(size))
+                        else:
+                            delete(key)
+                fold()
+        finally:
+            fold()
         elapsed = time.perf_counter() - started
         return ReplayResult(
             store=connector.name,
@@ -439,27 +475,16 @@ class TraceReplayer:
         batch to fill thus pay their queueing delay -- percentiles are
         measured, not fabricated from a divided mean.
         """
-        from .histogram import LatencyHistogram
-
         connector = self.connector
         multi_get = connector.multi_get
         apply_batch = connector.apply_batch
         take_background = connector.take_background_ns
         batch_size = self.batch_size
-        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
-        histograms: Dict[OpType, LatencyHistogram] = (
-            {op: LatencyHistogram() for op in OpType}
-            if self.use_histograms
-            else {}
-        )
-        if self.use_histograms:
-            sink = tuple(histograms[op].record for op in OPS_BY_CODE)
-        else:
-            sink = tuple(latencies[op].append for op in OPS_BY_CODE)
         progress = self._progress
         measure = self.measure_latency
-        if progress is not None and measure:
-            sink = _tee(sink, progress.record)
+        latencies, histograms, sink, fold = _latency_sinks(
+            self.use_histograms, measure, progress
+        )
         interval = 1.0 / self.service_rate if self.service_rate else 0.0
         trace_on = _tracing.active() is not None
         timer = time.perf_counter_ns
@@ -472,59 +497,66 @@ class TraceReplayer:
         stop = self.stop_check
         started = time.perf_counter()
         next_dispatch = started
+        next_fold = _FOLD_OPS
         index = 0
-        while index < total:
-            if stop is not None and stop():
-                raise ReplayStopped
-            is_read = op_codes[index] == 0
-            limit = index + batch_size
-            if limit > total:
-                limit = total
-            batch_keys: List[bytes] = []
-            ops: List[tuple] = []
-            codes: List[int] = []
-            arrivals: List[int] = []
-            j = index
-            while j < limit:
-                code = op_codes[j]
-                if (code == 0) != is_read:
-                    break
-                if interval:
-                    if time.perf_counter() < next_dispatch:
-                        _throttle(next_dispatch)
-                    next_dispatch += interval
-                if measure:
-                    arrivals.append(timer())
-                key = keys[key_ids[j]]
+        try:
+            while index < total:
+                if stop is not None and stop():
+                    raise ReplayStopped
+                is_read = op_codes[index] == 0
+                limit = index + batch_size
+                if limit > total:
+                    limit = total
+                batch_keys: List[bytes] = []
+                ops: List[tuple] = []
+                codes: List[int] = []
+                arrivals: List[int] = []
+                j = index
+                while j < limit:
+                    code = op_codes[j]
+                    if (code == 0) != is_read:
+                        break
+                    if interval:
+                        if time.perf_counter() < next_dispatch:
+                            _throttle(next_dispatch)
+                        next_dispatch += interval
+                    if measure:
+                        arrivals.append(timer())
+                    key = keys[key_ids[j]]
+                    if is_read:
+                        batch_keys.append(key)
+                    elif code == 3:
+                        ops.append((code, key, b""))
+                    else:
+                        ops.append((code, key, synth(value_sizes[j])))
+                    codes.append(code)
+                    j += 1
                 if is_read:
-                    batch_keys.append(key)
-                elif code == 3:
-                    ops.append((code, key, b""))
-                else:
-                    ops.append((code, key, synth(value_sizes[j])))
-                codes.append(code)
-                j += 1
-            if is_read:
-                if trace_on:
-                    with _tracing.span("replay.multi_get", n=len(batch_keys)):
+                    if trace_on:
+                        with _tracing.span("replay.multi_get", n=len(batch_keys)):
+                            multi_get(batch_keys)
+                    else:
                         multi_get(batch_keys)
                 else:
-                    multi_get(batch_keys)
-            else:
-                if trace_on:
-                    with _tracing.span("replay.apply_batch", n=len(ops)):
+                    if trace_on:
+                        with _tracing.span("replay.apply_batch", n=len(ops)):
+                            apply_batch(ops)
+                    else:
                         apply_batch(ops)
-                else:
-                    apply_batch(ops)
-            if measure:
-                completion = timer()
-                share = take_background() // (j - index)
-                for code, arrival in zip(codes, arrivals):
-                    elapsed_ns = completion - arrival - share
-                    sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-            elif progress is not None:
-                progress.count(j - index)
-            index = j
+                if measure:
+                    completion = timer()
+                    share = take_background() // (j - index)
+                    for code, arrival in zip(codes, arrivals):
+                        elapsed_ns = completion - arrival - share
+                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                elif progress is not None:
+                    progress.count(j - index)
+                index = j
+                if index >= next_fold:
+                    fold()
+                    next_fold = index + _FOLD_OPS
+        finally:
+            fold()
         elapsed = time.perf_counter() - started
         return ReplayResult(
             store=connector.name,
@@ -533,6 +565,22 @@ class TraceReplayer:
             latencies_ns=latencies,
             histograms=histograms,
         )
+
+    def _guarded_target(self):
+        """``(retry(faults(connector)), injector, retrier)``, either
+        layer ``None`` when unset, reported to the session's progress."""
+        from ..faults.injector import FaultInjectingConnector
+        from ..faults.retry import RetryingConnector
+
+        target = self.connector
+        injector = retrier = None
+        if self.fault_plan is not None:
+            target = injector = FaultInjectingConnector(target, self.fault_plan)
+        if self.retry_policy is not None:
+            target = retrier = RetryingConnector(target, self.retry_policy)
+        if self._progress is not None:
+            self._progress.attach_fault_sources(injector, retrier)
+        return target, injector, retrier
 
     def _make_completion_sink(self, sink, count):
         """Completion callback for pipelined replay: latency is
@@ -564,23 +612,12 @@ class TraceReplayer:
         the window -- deeper pipelines honestly trade per-op latency
         for throughput.
         """
-        from .histogram import LatencyHistogram
-
         connector = self.connector
-        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
-        histograms: Dict[OpType, LatencyHistogram] = (
-            {op: LatencyHistogram() for op in OpType}
-            if self.use_histograms
-            else {}
-        )
-        if self.use_histograms:
-            sink = tuple(histograms[op].record for op in OPS_BY_CODE)
-        else:
-            sink = tuple(latencies[op].append for op in OPS_BY_CODE)
         measure = self.measure_latency
         progress = self._progress
-        if progress is not None and measure:
-            sink = _tee(sink, progress.record)
+        latencies, histograms, sink, fold = _latency_sinks(
+            self.use_histograms, measure, progress
+        )
         count = progress.count if progress is not None and not measure else None
         session = connector.pipeline(
             self.pipeline_depth, self._make_completion_sink(sink, count)
@@ -594,17 +631,22 @@ class TraceReplayer:
         columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
         started = time.perf_counter()
         next_dispatch = started
-        for code, kid, size in columns:
-            if stop is not None and stop():
-                raise ReplayStopped
-            if interval:
-                if time.perf_counter() < next_dispatch:
-                    _throttle(next_dispatch)
-                next_dispatch += interval
-            key = keys[kid]
-            value = b"" if code == 0 or code == 3 else synth(size)
-            submit(code, key, value, timer() if measure else 0)
-        session.drain()
+        try:
+            for _ in range(0, len(trace), _FOLD_OPS):
+                for code, kid, size in islice(columns, _FOLD_OPS):
+                    if stop is not None and stop():
+                        raise ReplayStopped
+                    if interval:
+                        if time.perf_counter() < next_dispatch:
+                            _throttle(next_dispatch)
+                        next_dispatch += interval
+                    key = keys[kid]
+                    value = b"" if code == 0 or code == 3 else synth(size)
+                    submit(code, key, value, timer() if measure else 0)
+                fold()
+            session.drain()
+        finally:
+            fold()
         elapsed = time.perf_counter() - started
         return ReplayResult(
             store=connector.name,
@@ -629,35 +671,13 @@ class TraceReplayer:
         after reconnecting), never here.
         """
         from ..faults.errors import InjectedCrash, TransientStoreError
-        from ..faults.injector import FaultInjectingConnector
-        from ..faults.retry import RetryingConnector
-        from .histogram import LatencyHistogram
 
-        target = self.connector
-        injector = None
-        if self.fault_plan is not None:
-            injector = FaultInjectingConnector(target, self.fault_plan)
-            target = injector
-        retrier = None
-        if self.retry_policy is not None:
-            retrier = RetryingConnector(target, self.retry_policy)
-            target = retrier
+        target, injector, retrier = self._guarded_target()
         progress = self._progress
-        if progress is not None:
-            progress.attach_fault_sources(injector, retrier)
-        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
-        histograms: Dict[OpType, LatencyHistogram] = (
-            {op: LatencyHistogram() for op in OpType}
-            if self.use_histograms
-            else {}
-        )
-        if self.use_histograms:
-            sink = tuple(histograms[op].record for op in OPS_BY_CODE)
-        else:
-            sink = tuple(latencies[op].append for op in OPS_BY_CODE)
         measure = self.measure_latency
-        if progress is not None and measure:
-            sink = _tee(sink, progress.record)
+        latencies, histograms, sink, fold = _latency_sinks(
+            self.use_histograms, measure, progress
+        )
         count = progress.count if progress is not None and not measure else None
         session = target.pipeline(
             self.pipeline_depth, self._make_completion_sink(sink, count)
@@ -668,33 +688,40 @@ class TraceReplayer:
         synth = synthesize_value
         stop = self.stop_check
         keys = trace.unique_keys()
-        columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
+        rows = enumerate(zip(trace.op_codes, trace.key_ids, trace.value_sizes))
         operations = len(trace)
         failed_ops = 0
         crashed_at: Optional[int] = None
         started = time.perf_counter()
         next_dispatch = started
-        for index, (code, kid, size) in enumerate(columns):
-            if stop is not None and stop():
-                raise ReplayStopped
-            if interval:
-                if time.perf_counter() < next_dispatch:
-                    _throttle(next_dispatch)
-                next_dispatch += interval
-            key = keys[kid]
-            value = b"" if code == 0 or code == 3 else synth(size)
-            try:
-                submit(code, key, value, timer() if measure else 0)
-            except InjectedCrash:
-                crashed_at = index
-                operations = index
-                break
-            except TransientStoreError:
-                failed_ops += 1
-                if injector is not None:
-                    injector.abandon_op()
-                continue
-        session.drain()
+        try:
+            for _ in range(0, len(trace), _FOLD_OPS):
+                for index, (code, kid, size) in islice(rows, _FOLD_OPS):
+                    if stop is not None and stop():
+                        raise ReplayStopped
+                    if interval:
+                        if time.perf_counter() < next_dispatch:
+                            _throttle(next_dispatch)
+                        next_dispatch += interval
+                    key = keys[kid]
+                    value = b"" if code == 0 or code == 3 else synth(size)
+                    try:
+                        submit(code, key, value, timer() if measure else 0)
+                    except InjectedCrash:
+                        crashed_at = index
+                        operations = index
+                        break
+                    except TransientStoreError:
+                        failed_ops += 1
+                        if injector is not None:
+                            injector.abandon_op()
+                        continue
+                if crashed_at is not None:
+                    break
+                fold()
+            session.drain()
+        finally:
+            fold()
         elapsed = time.perf_counter() - started
         return ReplayResult(
             store=self.connector.name,
@@ -722,39 +749,17 @@ class TraceReplayer:
         before ``k``.
         """
         from ..faults.errors import InjectedCrash, TransientStoreError
-        from ..faults.injector import FaultInjectingConnector
-        from ..faults.retry import RetryingConnector
-        from .histogram import LatencyHistogram
 
-        target = self.connector
-        injector = None
-        if self.fault_plan is not None:
-            injector = FaultInjectingConnector(target, self.fault_plan)
-            target = injector
-        retrier = None
-        if self.retry_policy is not None:
-            retrier = RetryingConnector(target, self.retry_policy)
-            target = retrier
+        target, injector, retrier = self._guarded_target()
         progress = self._progress
-        if progress is not None:
-            progress.attach_fault_sources(injector, retrier)
         multi_get = target.multi_get
         apply_batch = target.apply_batch
         take_background = target.take_background_ns
         batch_size = self.batch_size
-        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
-        histograms: Dict[OpType, LatencyHistogram] = (
-            {op: LatencyHistogram() for op in OpType}
-            if self.use_histograms
-            else {}
-        )
-        if self.use_histograms:
-            sink = tuple(histograms[op].record for op in OPS_BY_CODE)
-        else:
-            sink = tuple(latencies[op].append for op in OPS_BY_CODE)
         measure = self.measure_latency
-        if progress is not None and measure:
-            sink = _tee(sink, progress.record)
+        latencies, histograms, sink, fold = _latency_sinks(
+            self.use_histograms, measure, progress
+        )
         interval = 1.0 / self.service_rate if self.service_rate else 0.0
         timer = time.perf_counter_ns
         synth = synthesize_value
@@ -769,75 +774,85 @@ class TraceReplayer:
         stop = self.stop_check
         started = time.perf_counter()
         next_dispatch = started
+        next_fold = _FOLD_OPS
         index = 0
-        while index < total:
-            if stop is not None and stop():
-                raise ReplayStopped
-            is_read = op_codes[index] == 0
-            limit = index + batch_size
-            if limit > total:
-                limit = total
-            batch_keys: List[bytes] = []
-            ops: List[tuple] = []
-            codes: List[int] = []
-            arrivals: List[int] = []
-            j = index
-            while j < limit:
-                code = op_codes[j]
-                if (code == 0) != is_read:
-                    break
-                if interval:
-                    if time.perf_counter() < next_dispatch:
-                        _throttle(next_dispatch)
-                    next_dispatch += interval
-                if measure:
-                    arrivals.append(timer())
-                key = keys[key_ids[j]]
-                if is_read:
-                    batch_keys.append(key)
-                elif code == 3:
-                    ops.append((code, key, b""))
-                else:
-                    ops.append((code, key, synth(value_sizes[j])))
-                codes.append(code)
-                j += 1
-            failed_members: set = set()
-            while True:
-                try:
+        try:
+            while index < total:
+                if stop is not None and stop():
+                    raise ReplayStopped
+                is_read = op_codes[index] == 0
+                limit = index + batch_size
+                if limit > total:
+                    limit = total
+                batch_keys: List[bytes] = []
+                ops: List[tuple] = []
+                codes: List[int] = []
+                arrivals: List[int] = []
+                j = index
+                while j < limit:
+                    code = op_codes[j]
+                    if (code == 0) != is_read:
+                        break
+                    if interval:
+                        if time.perf_counter() < next_dispatch:
+                            _throttle(next_dispatch)
+                        next_dispatch += interval
+                    if measure:
+                        arrivals.append(timer())
+                    key = keys[key_ids[j]]
                     if is_read:
-                        with _tracing.span("replay.multi_get", n=len(batch_keys)):
-                            multi_get(batch_keys)
+                        batch_keys.append(key)
+                    elif code == 3:
+                        ops.append((code, key, b""))
                     else:
-                        with _tracing.span("replay.apply_batch", n=len(ops)):
-                            apply_batch(ops)
-                    break
-                except InjectedCrash as crash:
-                    crashed_at = crash.op_index
-                    operations = crash.op_index
-                    break
-                except TransientStoreError:
-                    failed_ops += 1
-                    if injector is None:
-                        raise
-                    member = injector.abandon_op()
-                    if member is not None:
-                        failed_members.add(member)
-                    # Re-call the same batch: already-executed members
-                    # are not re-run, the abandoned member is skipped.
-                    continue
-            if crashed_at is not None:
-                break
-            if measure:
-                completion = timer()
-                share = take_background() // (j - index)
-                for member, (code, arrival) in enumerate(zip(codes, arrivals)):
-                    if member in failed_members:
+                        ops.append((code, key, synth(value_sizes[j])))
+                    codes.append(code)
+                    j += 1
+                failed_members: set = set()
+                while True:
+                    try:
+                        if is_read:
+                            with _tracing.span("replay.multi_get", n=len(batch_keys)):
+                                multi_get(batch_keys)
+                        else:
+                            with _tracing.span("replay.apply_batch", n=len(ops)):
+                                apply_batch(ops)
+                        break
+                    except InjectedCrash as crash:
+                        crashed_at = crash.op_index
+                        operations = crash.op_index
+                        # members before the crash were applied: keep their samples
+                        j = crashed_at
+                        del codes[j - index:]
+                        break
+                    except TransientStoreError:
+                        failed_ops += 1
+                        if injector is None:
+                            raise
+                        member = injector.abandon_op()
+                        if member is not None:
+                            failed_members.add(member)
+                        # Re-call the same batch: already-executed members
+                        # are not re-run, the abandoned member is skipped.
                         continue
-                    elapsed_ns = completion - arrival - share
-                    sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-            elif progress is not None:
-                progress.count(j - index)
-            index = j
+                if measure:
+                    completion = timer()
+                    share = take_background() // max(j - index, 1)
+                    for member, (code, arrival) in enumerate(zip(codes, arrivals)):
+                        if member in failed_members:
+                            continue
+                        elapsed_ns = completion - arrival - share
+                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                elif progress is not None:
+                    progress.count(j - index)
+                if crashed_at is not None:
+                    break
+                index = j
+                if index >= next_fold:
+                    fold()
+                    next_fold = index + _FOLD_OPS
+        finally:
+            fold()
         elapsed = time.perf_counter() - started
         return ReplayResult(
             store=self.connector.name,
@@ -866,72 +881,57 @@ class TraceReplayer:
         fail the run, not burn the remaining trace on timeouts.
         """
         from ..faults.errors import InjectedCrash, TransientStoreError
-        from ..faults.injector import FaultInjectingConnector
-        from ..faults.retry import RetryingConnector
-        from .histogram import LatencyHistogram
 
-        target = self.connector
-        injector = None
-        if self.fault_plan is not None:
-            injector = FaultInjectingConnector(target, self.fault_plan)
-            target = injector
-        retrier = None
-        if self.retry_policy is not None:
-            retrier = RetryingConnector(target, self.retry_policy)
-            target = retrier
+        target, injector, retrier = self._guarded_target()
         progress = self._progress
-        if progress is not None:
-            progress.attach_fault_sources(injector, retrier)
         dispatch = _dispatch_table(target)
         take_background = target.take_background_ns
-        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
-        histograms: Dict[OpType, LatencyHistogram] = (
-            {op: LatencyHistogram() for op in OpType}
-            if self.use_histograms
-            else {}
-        )
-        if self.use_histograms:
-            sink = tuple(histograms[op].record for op in OPS_BY_CODE)
-        else:
-            sink = tuple(latencies[op].append for op in OPS_BY_CODE)
         measure = self.measure_latency
-        if progress is not None and measure:
-            sink = _tee(sink, progress.record)
+        latencies, histograms, sink, fold = _latency_sinks(
+            self.use_histograms, measure, progress
+        )
         interval = 1.0 / self.service_rate if self.service_rate else 0.0
         timer = time.perf_counter_ns
         keys = trace.unique_keys()
-        columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
+        rows = enumerate(zip(trace.op_codes, trace.key_ids, trace.value_sizes))
         operations = len(trace)
         failed_ops = 0
         crashed_at: Optional[int] = None
         stop = self.stop_check
         started = time.perf_counter()
         next_dispatch = started
-        for index, (code, kid, size) in enumerate(columns):
-            if stop is not None and stop():
-                raise ReplayStopped
-            if interval:
-                if time.perf_counter() < next_dispatch:
-                    _throttle(next_dispatch)
-                next_dispatch += interval
-            key = keys[kid]
-            begin = timer()
-            try:
-                dispatch[code](key, size)
-            except InjectedCrash:
-                crashed_at = index
-                operations = index
-                break
-            except TransientStoreError:
-                failed_ops += 1
-                if injector is not None:
-                    injector.abandon_op()
-                continue
-            if measure:
-                elapsed_ns = timer() - begin - take_background()
-                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-            elif progress is not None:
-                progress.count()
+        try:
+            for _ in range(0, len(trace), _FOLD_OPS):
+                for index, (code, kid, size) in islice(rows, _FOLD_OPS):
+                    if stop is not None and stop():
+                        raise ReplayStopped
+                    if interval:
+                        if time.perf_counter() < next_dispatch:
+                            _throttle(next_dispatch)
+                        next_dispatch += interval
+                    key = keys[kid]
+                    begin = timer()
+                    try:
+                        dispatch[code](key, size)
+                    except InjectedCrash:
+                        crashed_at = index
+                        operations = index
+                        break
+                    except TransientStoreError:
+                        failed_ops += 1
+                        if injector is not None:
+                            injector.abandon_op()
+                        continue
+                    if measure:
+                        elapsed_ns = timer() - begin - take_background()
+                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                    elif progress is not None:
+                        progress.count()
+                if crashed_at is not None:
+                    break
+                fold()
+        finally:
+            fold()
         elapsed = time.perf_counter() - started
         return ReplayResult(
             store=self.connector.name,
@@ -1035,8 +1035,6 @@ class ShardedReplayResult:
         Throughput reflects the sharded wall-clock, not the sum of
         per-worker elapsed times.
         """
-        from .histogram import LatencyHistogram
-
         latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
         histograms: Dict[OpType, LatencyHistogram] = {}
         for result in self.shard_results:

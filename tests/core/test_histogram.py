@@ -1,10 +1,21 @@
 """Tests for the log-bucketed latency histogram."""
 
+import os
 import random
+import subprocess
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro
+from repro.core import ReplayResult, ReplayStopped, TraceReplayer
 from repro.core.histogram import LatencyHistogram
+from repro.core.replayer import _FOLD_OPS
+from repro.faults import FaultPlan
+from repro.kvstores import create_connector
+from repro.trace import AccessTrace, OpType
 
 
 class TestRecording:
@@ -41,6 +52,53 @@ class TestRecording:
     def test_invalid_subbuckets(self):
         with pytest.raises(ValueError):
             LatencyHistogram(subbuckets=3)
+
+
+#: negatives, 0 and values below every tested ``subbuckets``; ordinary
+#: latencies; around 2**53, where a float would round; and past the
+#: last bucket of every tested geometry
+SAMPLES = st.one_of(
+    st.integers(min_value=-(2**20), max_value=70),
+    st.integers(min_value=0, max_value=10**9),
+    st.integers(min_value=2**53 - 64, max_value=2**53 + 64),
+    st.integers(min_value=2**60, max_value=2**80),
+)
+GEOMETRIES = [{}, {"subbuckets": 2}, {"subbuckets": 16}, {"subbuckets": 64}]
+
+
+class TestRecordMany:
+    """``record_many`` folds a chunk at once; the result must be the
+    one per-value ``record`` gives, bucket for bucket."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        geometry=st.sampled_from(GEOMETRIES),
+        prior=st.lists(SAMPLES, max_size=5),
+        values=st.lists(SAMPLES, max_size=200),
+        as_generator=st.booleans(),
+    )
+    def test_equals_sequential_record(self, geometry, prior, values, as_generator):
+        folded = LatencyHistogram(**geometry)
+        sequential = LatencyHistogram(**geometry)
+        for value in prior:
+            folded.record(value)
+            sequential.record(value)
+        folded.record_many((value for value in values) if as_generator else values)
+        for value in values:
+            sequential.record(value)
+        assert folded.to_dict() == sequential.to_dict()
+
+    @pytest.mark.parametrize("empty", [[], iter(())], ids=["list", "generator"])
+    def test_empty_input_changes_nothing(self, empty):
+        histogram = LatencyHistogram()
+        histogram.record_many(empty)
+        assert histogram.to_dict() == LatencyHistogram().to_dict()
+
+    def test_import_repro_does_not_load_numpy(self):
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        code = "import sys, repro, repro.core; sys.exit('numpy' in sys.modules)"
+        env = {**os.environ, "PYTHONPATH": src}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestAccuracy:
@@ -156,6 +214,100 @@ class TestReplayerIntegration:
         assert sum(count for _, count in buckets) == 3
         summary = histogram.summary()
         assert summary["max"] == pytest.approx(1000.0)
+
+    def test_percentile_with_non_default_geometry(self):
+        """Regression: the merged histogram took the default geometry,
+        so any other raised ``histograms have different geometry``."""
+        histogram = LatencyHistogram(subbuckets=16)
+        histogram.record_many([1_000, 2_000, 3_000])
+        result = ReplayResult("memory", 3, 1.0, histograms={OpType.GET: histogram})
+        assert result.latency_percentile(50.0) == histogram.percentile(50.0) / 1000.0
+
+
+def mixed_trace(n, seed=7):
+    """``n`` ops of random types over 300 keys, so that batches vary in
+    length."""
+    rng = random.Random(seed)
+    ops = list(OpType)
+    trace = AccessTrace()
+    for i in range(n):
+        trace.record(rng.choice(ops), f"key-{rng.randrange(300)}".encode(), 16, i)
+    return trace
+
+
+@pytest.fixture(scope="module")
+def fold_trace():
+    trace = mixed_trace(20_003)
+    assert len(trace) % _FOLD_OPS
+    return trace
+
+
+#: options reaching each replay loop; with a fault plan set, the same
+#: options reach the loop's ``_guarded`` form
+LOOPS = {
+    "per-op": {},
+    "per-op-paced": {"service_rate": 1e7},
+    "batched": {"batch_size": 16},
+    "pipelined": {"pipeline_depth": 8},
+}
+
+
+class TestFoldOnEveryExit:
+    """Histogram mode stages samples and folds them every ``_FOLD_OPS``
+    ops; every way out of every loop must fold what is staged."""
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_every_sample_folded(self, fold_trace, loop, guarded):
+        options = dict(LOOPS[loop])
+        if guarded:
+            options["fault_plan"] = FaultPlan()
+        replayer = TraceReplayer(create_connector("memory"), use_histograms=True, **options)
+        result = replayer.replay(fold_trace)
+        totals = {op: histogram.total for op, histogram in result.histograms.items()}
+        assert totals == fold_trace.op_counts()
+
+    @pytest.mark.parametrize("crash_at", [_FOLD_OPS - 1, _FOLD_OPS, _FOLD_OPS + 1])
+    @pytest.mark.parametrize("loop", ["per-op", "batched", "pipelined"])
+    def test_crash_folds_the_applied_prefix(self, fold_trace, loop, crash_at):
+        plan = FaultPlan(seed=5, transient_error_rate=0.01, crash_at=crash_at)
+        connector = create_connector("memory")
+        replayer = TraceReplayer(
+            connector, use_histograms=True, fault_plan=plan, **LOOPS[loop]
+        )
+        result = replayer.replay(fold_trace)
+        assert result.crashed_at == crash_at
+        assert result.failed_ops > 0
+        samples = sum(histogram.total for histogram in result.histograms.values())
+        assert samples == crash_at - result.failed_ops
+        assert samples == connector.store.stats.total_ops
+
+    @pytest.mark.parametrize("guarded", [False, True], ids=["plain", "guarded"])
+    @pytest.mark.parametrize("loop", LOOPS)
+    def test_stop_folds_then_propagates(self, fold_trace, loop, guarded, monkeypatch):
+        folded = []
+        record_many = LatencyHistogram.record_many
+
+        def spy(histogram, values):
+            folded.append(len(values))
+            record_many(histogram, values)
+
+        monkeypatch.setattr(LatencyHistogram, "record_many", spy)
+        connector = create_connector("memory")
+        stats = connector.store.stats
+        options = dict(LOOPS[loop])
+        if guarded:
+            options["fault_plan"] = FaultPlan()
+        replayer = TraceReplayer(
+            connector,
+            use_histograms=True,
+            stop_check=lambda: stats.total_ops >= 10_000,
+            **options,
+        )
+        with pytest.raises(ReplayStopped):
+            replayer.replay(fold_trace)
+        # the partial chunk past the first fold was folded on the way out
+        assert sum(folded) == stats.total_ops > _FOLD_OPS
 
 
 class TestFromDictValidation:

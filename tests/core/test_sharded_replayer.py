@@ -160,7 +160,11 @@ class TestThrottleHybridSleep:
         """At low service rates most of the wait must be blocking sleep,
         not a busy loop: process CPU time stays far below wall time."""
         trace = make_trace(30)
-        replayer = TraceReplayer(create_connector("memory"), service_rate=150.0)
+        # keep the pre-replay gc.collect() (a walk of the whole test
+        # heap) out of the CPU time billed to the throttle
+        replayer = TraceReplayer(
+            create_connector("memory"), service_rate=150.0, disable_gc=False
+        )
         cpu_before = time.process_time()
         result = replayer.replay(trace)
         cpu_used = time.process_time() - cpu_before
