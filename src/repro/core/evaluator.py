@@ -24,8 +24,6 @@ from .replayer import (
     ShardedReplayResult,
     TraceReplayer,
 )
-# Imported after .replayer on purpose: repro.faults reaches back into
-# repro.core lazily, and this ordering keeps the cycle unwound.
 from ..faults import (
     RECOVERABLE_STORES,
     CrashRecoveryResult,
@@ -194,11 +192,11 @@ class EvaluationRow:
         the whole experiment including the recovery pause, so a slow
         ``recover()`` shows up in the row exactly like a slow store.
         """
-        merged = _merge_phase_results(result)
+        pre, post = result.pre_crash, result.resumed
+        merged = ReplayResult.merged(
+            [pre, post], pre.elapsed_s + result.recovery_s + post.elapsed_s
+        )
         row = cls.from_result(workload, merged)
-        row.injected_faults += result.pre_crash.injected_faults
-        row.retries += result.pre_crash.retries
-        row.failed_ops += result.pre_crash.failed_ops
         row.recovery_ms = result.recovery_ms
         row.wal_replayed = result.wal_records_replayed
         row.recovered_ok = result.recovered_ok
@@ -235,37 +233,6 @@ def _stall_columns(connector) -> tuple:
     stalls = getattr(store, "write_stall_count", 0) or 0
     stall_ns = getattr(store, "write_stall_ns", 0) or 0
     return stalls, round(stall_ns / 1e6, 3) if stalls else None
-
-
-def _merge_phase_results(result: CrashRecoveryResult) -> ReplayResult:
-    """Fold pre-crash and resumed phases into one :class:`ReplayResult`
-    whose elapsed time includes the recovery pause."""
-    pre, post = result.pre_crash, result.resumed
-    latencies = {
-        op: pre.latencies_ns.get(op, []) + post.latencies_ns.get(op, [])
-        for op in set(pre.latencies_ns) | set(post.latencies_ns)
-    }
-    histograms = dict(post.histograms)
-    if pre.histograms:
-        from .histogram import LatencyHistogram
-
-        histograms = {}
-        for source in (pre, post):
-            for op, histogram in source.histograms.items():
-                merged = histograms.get(op)
-                if merged is None:
-                    merged = LatencyHistogram(
-                        histogram.subbuckets, histogram.max_exponent
-                    )
-                    histograms[op] = merged
-                merged.merge(histogram)
-    return ReplayResult(
-        store=result.store,
-        operations=result.operations,
-        elapsed_s=pre.elapsed_s + result.recovery_s + post.elapsed_s,
-        latencies_ns=latencies,
-        histograms=histograms,
-    )
 
 
 class PerformanceEvaluator:
@@ -448,15 +415,6 @@ class PerformanceEvaluator:
         self._record_rows(rows, None)
         return rows
 
-    def evaluate_matrix(
-        self, traces: Dict[str, AccessTrace]
-    ) -> List[EvaluationRow]:
-        """Replay a set of named traces against every store."""
-        rows: List[EvaluationRow] = []
-        for workload_name, trace in traces.items():
-            rows.extend(self.evaluate(workload_name, trace))
-        return rows
-
     def evaluate_concurrent(
         self,
         store_name: str,
@@ -475,35 +433,6 @@ class PerformanceEvaluator:
         result = replayer.replay(merged)
         connector.close()
         return result
-
-    def evaluate_concurrent_threads(
-        self, store_name: str, traces: Sequence[AccessTrace]
-    ) -> List[ReplayResult]:
-        """Thread-per-operator variant of the concurrent experiment.
-
-        Python's GIL serializes execution, but the arrival interleaving
-        is scheduler-driven like the paper's concurrent Gadget
-        instances.  Each thread gets its own replayer over the shared
-        connector.
-        """
-        connector = self._connector(store_name)
-        results: List[Optional[ReplayResult]] = [None] * len(traces)
-        locked = LockedConnector(connector)
-
-        def worker(index: int, trace: AccessTrace) -> None:
-            replayer = TraceReplayer(locked, service_rate=self.service_rate)  # type: ignore[arg-type]
-            results[index] = replayer.replay(trace)
-
-        threads = [
-            threading.Thread(target=worker, args=(i, t))
-            for i, t in enumerate(traces)
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        connector.close()
-        return [r for r in results if r is not None]
 
     def evaluate_crash_recovery(
         self,

@@ -8,10 +8,13 @@ throttle to a target ``service_rate``.
 Two replay engines live here:
 
 * :class:`TraceReplayer` -- single-threaded; consumes the trace's raw
-  columns (:meth:`~repro.trace.AccessTrace.iter_raw`) through a
-  dispatch table indexed by opcode, so the hot loop allocates no
+  columns (:meth:`~repro.trace.AccessTrace.iter_raw`) and branches on
+  the small-int opcode, so the hot loop allocates no
   :class:`~repro.trace.StateAccess` objects and performs no enum
-  comparisons.
+  comparisons.  Three loops -- per-op, batched, pipelined, chosen by
+  batch size and pipeline depth alone -- serve faulted and un-faulted
+  replays alike: fault plans and retry policies wrap the connector, and
+  the fault handlers sit outside the per-op loop.
 * :class:`ShardedReplayer` -- hash-partitions a trace by key across N
   worker threads, each driving its own store connector (or all sharing
   one, the paper's section 6.4 concurrent-operator deployment), and
@@ -29,6 +32,9 @@ from itertools import islice
 from typing import Callable, Dict, List, Optional, Sequence, Union
 from zlib import crc32
 
+from ..faults.errors import InjectedCrash, TransientStoreError
+from ..faults.injector import FaultInjectingConnector
+from ..faults.retry import RetryingConnector
 from ..kvstores.connectors import StoreConnector
 from ..obs import tracing as _tracing
 from ..trace import AccessTrace, OpType, OPS_BY_CODE
@@ -100,6 +106,40 @@ class ReplayResult:
             "p99_us": self.latency_percentile(99.0),
             "p99.9_us": self.latency_percentile(99.9),
         }
+
+    @classmethod
+    def merged(
+        cls, results: Sequence["ReplayResult"], elapsed_s: float
+    ) -> "ReplayResult":
+        """Several results (shards, or the phases of one run) as one.
+
+        Exact-mode latency lists concatenate, histograms merge per op
+        type in their own geometry, and the operation and fault counters
+        sum.  ``elapsed_s`` is the caller's wall-clock for the whole run.
+        """
+        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
+        histograms: Dict[OpType, LatencyHistogram] = {}
+        for result in results:
+            for op, values in result.latencies_ns.items():
+                latencies[op].extend(values)
+            for op, histogram in result.histograms.items():
+                merged = histograms.get(op)
+                if merged is None:
+                    merged = histograms[op] = LatencyHistogram(
+                        histogram.subbuckets, histogram.max_exponent
+                    )
+                merged.merge(histogram)
+        return cls(
+            store=results[0].store,
+            operations=sum(r.operations for r in results),
+            elapsed_s=elapsed_s,
+            latencies_ns=latencies,
+            histograms=histograms,
+            failed_ops=sum(r.failed_ops for r in results),
+            retries=sum(r.retries for r in results),
+            injected_faults=sum(r.injected_faults for r in results),
+            injected_delay_s=sum(r.injected_delay_s for r in results),
+        )
 
 
 class ReplayStopped(Exception):
@@ -290,8 +330,12 @@ class TraceReplayer:
         #: stores allocate).
         self.disable_gc = disable_gc
         #: :class:`~repro.faults.FaultPlan` applied to every operation
-        #: (a fresh schedule per replay); routes through the guarded
-        #: loop, leaving the happy-path fast loop untouched.
+        #: (a fresh schedule per replay) by an injector inside the retry
+        #: layer.  An op still failing after retries counts in
+        #: ``failed_ops`` and is abandoned; an injected crash stops the
+        #: replay with the ops before it applied (``crashed_at``).  Only
+        #: this injector's faults count: without a plan they propagate
+        #: like any other error -- a dead store should fail the run.
         self.fault_plan = fault_plan
         #: :class:`~repro.faults.RetryPolicy` absorbing transient
         #: (injected or remote) failures, with retries counted in the
@@ -330,29 +374,63 @@ class TraceReplayer:
             gc.collect()
             gc.disable()
         try:
-            batched = self.batch_size is not None and self.batch_size > 1
-            pipelined = (
-                self.pipeline_depth is not None and self.pipeline_depth > 1
-            )
-            if self.fault_plan is not None or self.retry_policy is not None:
-                if batched:
-                    return self._replay_batched_guarded(trace)
-                if pipelined:
-                    return self._replay_pipelined_guarded(trace)
-                return self._replay_guarded(trace)
-            if batched:
+            if self.batch_size is not None and self.batch_size > 1:
                 return self._replay_batched(trace)
-            if pipelined:
+            if self.pipeline_depth is not None and self.pipeline_depth > 1:
                 return self._replay_pipelined(trace)
             return self._replay(trace)
         finally:
             if self.disable_gc and gc_was_enabled:
                 gc.enable()
 
+    def _guarded_target(self):
+        """``(retry(faults(connector)), injector, retrier)``, either
+        layer ``None`` when unset (both unset: the bare connector),
+        reported to the session's progress."""
+        target = self.connector
+        injector = retrier = None
+        if self.fault_plan is not None:
+            target = injector = FaultInjectingConnector(target, self.fault_plan)
+        if self.retry_policy is not None:
+            target = retrier = RetryingConnector(target, self.retry_policy)
+        if self._progress is not None:
+            self._progress.attach_fault_sources(injector, retrier)
+        return target, injector, retrier
+
+    def _result(
+        self, operations, elapsed, latencies, histograms, injector, retrier,
+        failed_ops, crashed_at,
+    ) -> ReplayResult:
+        return ReplayResult(
+            store=self.connector.name,
+            operations=operations,
+            elapsed_s=elapsed,
+            latencies_ns=latencies,
+            histograms=histograms,
+            failed_ops=failed_ops,
+            retries=retrier.retries if retrier is not None else 0,
+            injected_faults=injector.injected.total_faults if injector is not None else 0,
+            injected_delay_s=injector.injected.injected_delay_s if injector is not None else 0.0,
+            crashed_at=crashed_at,
+        )
+
     def _replay(self, trace: AccessTrace) -> ReplayResult:
-        connector = self.connector
-        dispatch = _dispatch_table(connector)
-        take_background = connector.take_background_ns
+        """Per-op replay: one synchronous call per op.
+
+        Faults are handled outside the per-op ``for`` loops (see
+        :attr:`fault_plan`): a failed op leaves its loop, is counted
+        and abandoned, and the loop resumes on the same column iterator
+        at the next op; a crash ends the whole chunk walk.
+        """
+        target, injector, retrier = self._guarded_target()
+        dispatch = _dispatch_table(target)
+        # Flushes/compactions/write-backs run on background threads in
+        # the real stores; exclude their inline cost from the
+        # client-observed latency (throughput still includes it).
+        # Stores running true background workers report their
+        # write-*stall* time through the same channel -- worker busy
+        # time is concurrent and never charged here.
+        take_background = target.take_background_ns
         measure = self.measure_latency
         progress = self._progress
         latencies, histograms, sink, fold = _latency_sinks(
@@ -367,95 +445,100 @@ class TraceReplayer:
         # the small-int opcode with hoisted bound methods -- the
         # open-coded specialization of the dispatch table above, worth
         # ~30% on in-memory stores where per-op overhead dominates.
-        get = connector.get
-        put = connector.put
-        merge = connector.merge
-        delete = connector.delete
+        get = target.get
+        put = target.put
+        merge = target.merge
+        delete = target.delete
         synth = synthesize_value
         keys = trace.unique_keys()
         columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
+        operations = len(trace)
+        failed_ops = 0
+        crashed_at: Optional[int] = None
         started = time.perf_counter()
         next_dispatch = started
         try:
             for _ in range(0, len(trace), _FOLD_OPS):
                 chunk = islice(columns, _FOLD_OPS)
-                if interval:
-                    for code, kid, size in chunk:
-                        if stop is not None and stop():
-                            raise ReplayStopped
-                        if time.perf_counter() < next_dispatch:
-                            _throttle(next_dispatch)
-                        next_dispatch += interval
-                        key = keys[kid]
-                        if measure:
-                            begin = timer()
-                            dispatch[code](key, size)
-                            elapsed_ns = timer() - begin - take_background()
-                            sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                        else:
-                            dispatch[code](key, size)
-                            if count is not None:
+                while True:
+                    try:
+                        if interval:
+                            for code, kid, size in chunk:
+                                if stop is not None and stop():
+                                    raise ReplayStopped
+                                if time.perf_counter() < next_dispatch:
+                                    _throttle(next_dispatch)
+                                next_dispatch += interval
+                                key = keys[kid]
+                                if measure:
+                                    begin = timer()
+                                    dispatch[code](key, size)
+                                    elapsed_ns = timer() - begin - take_background()
+                                    sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                                else:
+                                    dispatch[code](key, size)
+                                    if count is not None:
+                                        count()
+                        elif measure:
+                            for code, kid, size in chunk:
+                                if stop is not None and stop():
+                                    raise ReplayStopped
+                                key = keys[kid]
+                                begin = timer()
+                                if code == 0:
+                                    get(key)
+                                elif code == 1:
+                                    put(key, synth(size))
+                                elif code == 2:
+                                    merge(key, synth(size))
+                                else:
+                                    delete(key)
+                                elapsed_ns = timer() - begin - take_background()
+                                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                        elif count is not None:
+                            for code, kid, size in chunk:
+                                if stop is not None and stop():
+                                    raise ReplayStopped
+                                key = keys[kid]
+                                if code == 0:
+                                    get(key)
+                                elif code == 1:
+                                    put(key, synth(size))
+                                elif code == 2:
+                                    merge(key, synth(size))
+                                else:
+                                    delete(key)
                                 count()
-                elif measure:
-                    for code, kid, size in chunk:
-                        if stop is not None and stop():
-                            raise ReplayStopped
-                        key = keys[kid]
-                        begin = timer()
-                        if code == 0:
-                            get(key)
-                        elif code == 1:
-                            put(key, synth(size))
-                        elif code == 2:
-                            merge(key, synth(size))
                         else:
-                            delete(key)
-                        # Flushes/compactions/write-backs run on background
-                        # threads in the real stores; exclude their inline cost
-                        # from the client-observed latency (throughput still
-                        # includes it).  Stores running true background workers
-                        # report their write-*stall* time through the same
-                        # channel -- worker busy time is concurrent and never
-                        # charged here.
-                        elapsed_ns = timer() - begin - take_background()
-                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                elif count is not None:
-                    for code, kid, size in chunk:
-                        if stop is not None and stop():
-                            raise ReplayStopped
-                        key = keys[kid]
-                        if code == 0:
-                            get(key)
-                        elif code == 1:
-                            put(key, synth(size))
-                        elif code == 2:
-                            merge(key, synth(size))
-                        else:
-                            delete(key)
-                        count()
-                else:
-                    for code, kid, size in chunk:
-                        if stop is not None and stop():
-                            raise ReplayStopped
-                        key = keys[kid]
-                        if code == 0:
-                            get(key)
-                        elif code == 1:
-                            put(key, synth(size))
-                        elif code == 2:
-                            merge(key, synth(size))
-                        else:
-                            delete(key)
+                            for code, kid, size in chunk:
+                                if stop is not None and stop():
+                                    raise ReplayStopped
+                                key = keys[kid]
+                                if code == 0:
+                                    get(key)
+                                elif code == 1:
+                                    put(key, synth(size))
+                                elif code == 2:
+                                    merge(key, synth(size))
+                                else:
+                                    delete(key)
+                        break
+                    except TransientStoreError:
+                        if injector is None:
+                            raise
+                        failed_ops += 1
+                        injector.abandon_op()
                 fold()
+        except InjectedCrash as crash:
+            if injector is None:
+                raise
+            crashed_at = operations = crash.op_index
         finally:
             fold()
         elapsed = time.perf_counter() - started
-        return ReplayResult(
-            store=connector.name,
-            operations=len(trace),
-            elapsed_s=elapsed,
-            latencies_ns=latencies,
-            histograms=histograms,
+        return self._result(
+            operations, elapsed, latencies, histograms, injector, retrier,
+            failed_ops, crashed_at,
         )
 
     def _replay_batched(self, trace: AccessTrace) -> ReplayResult:
@@ -474,11 +557,18 @@ class TraceReplayer:
         background work the batch triggered.  Members that wait for the
         batch to fill thus pay their queueing delay -- percentiles are
         measured, not fabricated from a divided mean.
+
+        Under a fault plan the gate draws one schedule entry per batch
+        *member*, so fault timelines line up with per-op replay: a
+        transient failure costs exactly its member (abandoned, skipped
+        on the in-place batch retry, and given no latency sample), and
+        an injected crash at member ``k`` stops the run having applied
+        exactly the ops before ``k``.
         """
-        connector = self.connector
-        multi_get = connector.multi_get
-        apply_batch = connector.apply_batch
-        take_background = connector.take_background_ns
+        target, injector, retrier = self._guarded_target()
+        multi_get = target.multi_get
+        apply_batch = target.apply_batch
+        take_background = target.take_background_ns
         batch_size = self.batch_size
         progress = self._progress
         measure = self.measure_latency
@@ -487,280 +577,6 @@ class TraceReplayer:
         )
         interval = 1.0 / self.service_rate if self.service_rate else 0.0
         trace_on = _tracing.active() is not None
-        timer = time.perf_counter_ns
-        synth = synthesize_value
-        keys = trace.unique_keys()
-        op_codes = trace.op_codes
-        key_ids = trace.key_ids
-        value_sizes = trace.value_sizes
-        total = len(trace)
-        stop = self.stop_check
-        started = time.perf_counter()
-        next_dispatch = started
-        next_fold = _FOLD_OPS
-        index = 0
-        try:
-            while index < total:
-                if stop is not None and stop():
-                    raise ReplayStopped
-                is_read = op_codes[index] == 0
-                limit = index + batch_size
-                if limit > total:
-                    limit = total
-                batch_keys: List[bytes] = []
-                ops: List[tuple] = []
-                codes: List[int] = []
-                arrivals: List[int] = []
-                j = index
-                while j < limit:
-                    code = op_codes[j]
-                    if (code == 0) != is_read:
-                        break
-                    if interval:
-                        if time.perf_counter() < next_dispatch:
-                            _throttle(next_dispatch)
-                        next_dispatch += interval
-                    if measure:
-                        arrivals.append(timer())
-                    key = keys[key_ids[j]]
-                    if is_read:
-                        batch_keys.append(key)
-                    elif code == 3:
-                        ops.append((code, key, b""))
-                    else:
-                        ops.append((code, key, synth(value_sizes[j])))
-                    codes.append(code)
-                    j += 1
-                if is_read:
-                    if trace_on:
-                        with _tracing.span("replay.multi_get", n=len(batch_keys)):
-                            multi_get(batch_keys)
-                    else:
-                        multi_get(batch_keys)
-                else:
-                    if trace_on:
-                        with _tracing.span("replay.apply_batch", n=len(ops)):
-                            apply_batch(ops)
-                    else:
-                        apply_batch(ops)
-                if measure:
-                    completion = timer()
-                    share = take_background() // (j - index)
-                    for code, arrival in zip(codes, arrivals):
-                        elapsed_ns = completion - arrival - share
-                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                elif progress is not None:
-                    progress.count(j - index)
-                index = j
-                if index >= next_fold:
-                    fold()
-                    next_fold = index + _FOLD_OPS
-        finally:
-            fold()
-        elapsed = time.perf_counter() - started
-        return ReplayResult(
-            store=connector.name,
-            operations=total,
-            elapsed_s=elapsed,
-            latencies_ns=latencies,
-            histograms=histograms,
-        )
-
-    def _guarded_target(self):
-        """``(retry(faults(connector)), injector, retrier)``, either
-        layer ``None`` when unset, reported to the session's progress."""
-        from ..faults.injector import FaultInjectingConnector
-        from ..faults.retry import RetryingConnector
-
-        target = self.connector
-        injector = retrier = None
-        if self.fault_plan is not None:
-            target = injector = FaultInjectingConnector(target, self.fault_plan)
-        if self.retry_policy is not None:
-            target = retrier = RetryingConnector(target, self.retry_policy)
-        if self._progress is not None:
-            self._progress.attach_fault_sources(injector, retrier)
-        return target, injector, retrier
-
-    def _make_completion_sink(self, sink, count):
-        """Completion callback for pipelined replay: latency is
-        ``completion - arrival`` (deferred stamping -- the arrival was
-        taken at submit, the completion when the reply frame landed, so
-        window queueing is measured, not hidden)."""
-        if self.measure_latency:
-            def on_complete(code, arrival_ns, complete_ns, value):
-                elapsed_ns = complete_ns - arrival_ns
-                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-            return on_complete
-        if count is not None:
-            def on_complete(code, arrival_ns, complete_ns, value):
-                count()
-            return on_complete
-        return lambda code, arrival_ns, complete_ns, value: None
-
-    def _replay_pipelined(self, trace: AccessTrace) -> ReplayResult:
-        """Pipelined replay: every op is submitted into a bounded
-        in-flight window (``pipeline_depth``) instead of blocking on
-        its own round trip.
-
-        The connector decides what the window buys: remote/cluster
-        sessions coalesce frames into burst ``sendall`` calls and
-        correlate replies FIFO, embedded stores degrade to synchronous
-        execution.  Latency accounting is deferred: each op carries its
-        arrival timestamp into the window and is stamped when its reply
-        completes, so percentiles include the queueing an op did inside
-        the window -- deeper pipelines honestly trade per-op latency
-        for throughput.
-        """
-        connector = self.connector
-        measure = self.measure_latency
-        progress = self._progress
-        latencies, histograms, sink, fold = _latency_sinks(
-            self.use_histograms, measure, progress
-        )
-        count = progress.count if progress is not None and not measure else None
-        session = connector.pipeline(
-            self.pipeline_depth, self._make_completion_sink(sink, count)
-        )
-        submit = session.submit
-        interval = 1.0 / self.service_rate if self.service_rate else 0.0
-        timer = time.perf_counter_ns
-        synth = synthesize_value
-        stop = self.stop_check
-        keys = trace.unique_keys()
-        columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
-        started = time.perf_counter()
-        next_dispatch = started
-        try:
-            for _ in range(0, len(trace), _FOLD_OPS):
-                for code, kid, size in islice(columns, _FOLD_OPS):
-                    if stop is not None and stop():
-                        raise ReplayStopped
-                    if interval:
-                        if time.perf_counter() < next_dispatch:
-                            _throttle(next_dispatch)
-                        next_dispatch += interval
-                    key = keys[kid]
-                    value = b"" if code == 0 or code == 3 else synth(size)
-                    submit(code, key, value, timer() if measure else 0)
-                fold()
-            session.drain()
-        finally:
-            fold()
-        elapsed = time.perf_counter() - started
-        return ReplayResult(
-            store=connector.name,
-            operations=len(trace),
-            elapsed_s=elapsed,
-            latencies_ns=latencies,
-            histograms=histograms,
-        )
-
-    def _replay_pipelined_guarded(self, trace: AccessTrace) -> ReplayResult:
-        """Pipelined replay under a fault plan and/or retry policy.
-
-        Composition is retry(faults(connector)) exactly as in the
-        synchronous guarded loop: injected faults fire at submit time
-        (one schedule draw per logical op, before the op enters the
-        window), so fault timelines line up op-for-op with synchronous
-        replay.  An injected crash at op ``k`` stops submission; the
-        window is still drained -- the ops before ``k`` were already
-        on the wire, the same prefix a synchronous crash leaves
-        applied.  Remote transport recovery happens *inside* the
-        window (the client's own retry budget re-sends un-acked ops
-        after reconnecting), never here.
-        """
-        from ..faults.errors import InjectedCrash, TransientStoreError
-
-        target, injector, retrier = self._guarded_target()
-        progress = self._progress
-        measure = self.measure_latency
-        latencies, histograms, sink, fold = _latency_sinks(
-            self.use_histograms, measure, progress
-        )
-        count = progress.count if progress is not None and not measure else None
-        session = target.pipeline(
-            self.pipeline_depth, self._make_completion_sink(sink, count)
-        )
-        submit = session.submit
-        interval = 1.0 / self.service_rate if self.service_rate else 0.0
-        timer = time.perf_counter_ns
-        synth = synthesize_value
-        stop = self.stop_check
-        keys = trace.unique_keys()
-        rows = enumerate(zip(trace.op_codes, trace.key_ids, trace.value_sizes))
-        operations = len(trace)
-        failed_ops = 0
-        crashed_at: Optional[int] = None
-        started = time.perf_counter()
-        next_dispatch = started
-        try:
-            for _ in range(0, len(trace), _FOLD_OPS):
-                for index, (code, kid, size) in islice(rows, _FOLD_OPS):
-                    if stop is not None and stop():
-                        raise ReplayStopped
-                    if interval:
-                        if time.perf_counter() < next_dispatch:
-                            _throttle(next_dispatch)
-                        next_dispatch += interval
-                    key = keys[kid]
-                    value = b"" if code == 0 or code == 3 else synth(size)
-                    try:
-                        submit(code, key, value, timer() if measure else 0)
-                    except InjectedCrash:
-                        crashed_at = index
-                        operations = index
-                        break
-                    except TransientStoreError:
-                        failed_ops += 1
-                        if injector is not None:
-                            injector.abandon_op()
-                        continue
-                if crashed_at is not None:
-                    break
-                fold()
-            session.drain()
-        finally:
-            fold()
-        elapsed = time.perf_counter() - started
-        return ReplayResult(
-            store=self.connector.name,
-            operations=operations,
-            elapsed_s=elapsed,
-            latencies_ns=latencies,
-            histograms=histograms,
-            failed_ops=failed_ops,
-            retries=retrier.retries if retrier is not None else 0,
-            injected_faults=injector.injected.total_faults if injector is not None else 0,
-            injected_delay_s=injector.injected.injected_delay_s if injector is not None else 0.0,
-            crashed_at=crashed_at,
-        )
-
-    def _replay_batched_guarded(self, trace: AccessTrace) -> ReplayResult:
-        """Micro-batched replay under a fault plan and/or retry policy.
-
-        Same batching and latency rules as :meth:`_replay_batched`;
-        composition is retry(faults(connector)), as in the per-op
-        guarded loop.  The fault gate draws one schedule entry per
-        batch *member*, so fault timelines line up with per-op replay:
-        a transient failure costs exactly its member (abandoned and
-        skipped on the in-place batch retry), and an injected crash at
-        member ``k`` stops the run having applied exactly the ops
-        before ``k``.
-        """
-        from ..faults.errors import InjectedCrash, TransientStoreError
-
-        target, injector, retrier = self._guarded_target()
-        progress = self._progress
-        multi_get = target.multi_get
-        apply_batch = target.apply_batch
-        take_background = target.take_background_ns
-        batch_size = self.batch_size
-        measure = self.measure_latency
-        latencies, histograms, sink, fold = _latency_sinks(
-            self.use_histograms, measure, progress
-        )
-        interval = 1.0 / self.service_rate if self.service_rate else 0.0
         timer = time.perf_counter_ns
         synth = synthesize_value
         keys = trace.unique_keys()
@@ -808,39 +624,50 @@ class TraceReplayer:
                         ops.append((code, key, synth(value_sizes[j])))
                     codes.append(code)
                     j += 1
-                failed_members: set = set()
+                # abandoned members, ascending; None until a batch's first
+                # failure (a container per batch costs ~15% at batch 16)
+                abandoned: Optional[List[int]] = None
                 while True:
                     try:
                         if is_read:
-                            with _tracing.span("replay.multi_get", n=len(batch_keys)):
+                            if trace_on:
+                                with _tracing.span("replay.multi_get", n=len(batch_keys)):
+                                    multi_get(batch_keys)
+                            else:
                                 multi_get(batch_keys)
-                        else:
+                        elif trace_on:
                             with _tracing.span("replay.apply_batch", n=len(ops)):
                                 apply_batch(ops)
+                        else:
+                            apply_batch(ops)
                         break
                     except InjectedCrash as crash:
-                        crashed_at = crash.op_index
-                        operations = crash.op_index
+                        if injector is None:
+                            raise
+                        crashed_at = operations = j = crash.op_index
                         # members before the crash were applied: keep their samples
-                        j = crashed_at
                         del codes[j - index:]
                         break
                     except TransientStoreError:
-                        failed_ops += 1
                         if injector is None:
                             raise
+                        failed_ops += 1
                         member = injector.abandon_op()
                         if member is not None:
-                            failed_members.add(member)
+                            if abandoned is None:
+                                abandoned = []
+                            abandoned.append(member)
                         # Re-call the same batch: already-executed members
                         # are not re-run, the abandoned member is skipped.
-                        continue
                 if measure:
+                    if abandoned is not None:
+                        for member in reversed(abandoned):
+                            del codes[member]
+                            del arrivals[member]
                     completion = timer()
+                    # a crash at the batch's first member leaves j == index
                     share = take_background() // max(j - index, 1)
-                    for member, (code, arrival) in enumerate(zip(codes, arrivals)):
-                        if member in failed_members:
-                            continue
+                    for code, arrival in zip(codes, arrivals):
                         elapsed_ns = completion - arrival - share
                         sink[code](elapsed_ns if elapsed_ns > 0 else 0)
                 elif progress is not None:
@@ -854,96 +681,108 @@ class TraceReplayer:
         finally:
             fold()
         elapsed = time.perf_counter() - started
-        return ReplayResult(
-            store=self.connector.name,
-            operations=operations,
-            elapsed_s=elapsed,
-            latencies_ns=latencies,
-            histograms=histograms,
-            failed_ops=failed_ops,
-            retries=retrier.retries if retrier is not None else 0,
-            injected_faults=injector.injected.total_faults if injector is not None else 0,
-            injected_delay_s=injector.injected.injected_delay_s if injector is not None else 0.0,
-            crashed_at=crashed_at,
+        return self._result(
+            operations, elapsed, latencies, histograms, injector, retrier,
+            failed_ops, crashed_at,
         )
 
-    def _replay_guarded(self, trace: AccessTrace) -> ReplayResult:
-        """Fault-aware replay loop (used when a plan or policy is set).
+    def _make_completion_sink(self, sink, count):
+        """Completion callback for pipelined replay: latency is
+        ``completion - arrival`` (deferred stamping -- the arrival was
+        taken at submit, the completion when the reply frame landed, so
+        window queueing is measured, not hidden)."""
+        if self.measure_latency:
+            def on_complete(code, arrival_ns, complete_ns, value):
+                elapsed_ns = complete_ns - arrival_ns
+                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+            return on_complete
+        if count is not None:
+            def on_complete(code, arrival_ns, complete_ns, value):
+                count()
+            return on_complete
+        return lambda code, arrival_ns, complete_ns, value: None
 
-        Composition order is retry(faults(connector)): retries
-        re-execute the faulted logical operation without re-rolling
-        the schedule.  An :class:`~repro.faults.InjectedCrash` stops
-        the replay at its op index (partial result, ``crashed_at``
-        set); operations whose retries are exhausted count as
-        ``failed_ops`` and the replay moves on.  Non-injected errors
-        (e.g. a :class:`~repro.kvstores.remote.RemoteStoreError` after
-        reconnect attempts run out) propagate -- a dead store should
-        fail the run, not burn the remaining trace on timeouts.
+    def _replay_pipelined(self, trace: AccessTrace) -> ReplayResult:
+        """Pipelined replay: every op is submitted into a bounded
+        in-flight window (``pipeline_depth``) instead of blocking on
+        its own round trip.
+
+        The connector decides what the window buys: remote/cluster
+        sessions coalesce frames into burst ``sendall`` calls and
+        correlate replies FIFO, embedded stores degrade to synchronous
+        execution.  Latency accounting is deferred: each op carries its
+        arrival timestamp into the window and is stamped when its reply
+        completes, so percentiles include the queueing an op did inside
+        the window -- deeper pipelines honestly trade per-op latency
+        for throughput.
+
+        Under a fault plan, injected faults fire at submit time (one
+        schedule draw per logical op, before the op enters the window),
+        so fault timelines line up op-for-op with per-op replay, and
+        faults are handled outside the submit loop as in
+        :meth:`_replay`.  An injected crash at op ``k`` stops
+        submission; the window is still drained -- the ops before ``k``
+        were already on the wire, the same prefix a synchronous crash
+        leaves applied.  Remote transport recovery happens *inside* the
+        window (the client's own retry budget re-sends un-acked ops
+        after reconnecting), never here.
         """
-        from ..faults.errors import InjectedCrash, TransientStoreError
-
         target, injector, retrier = self._guarded_target()
-        progress = self._progress
-        dispatch = _dispatch_table(target)
-        take_background = target.take_background_ns
         measure = self.measure_latency
+        progress = self._progress
         latencies, histograms, sink, fold = _latency_sinks(
             self.use_histograms, measure, progress
         )
+        count = progress.count if progress is not None and not measure else None
+        session = target.pipeline(
+            self.pipeline_depth, self._make_completion_sink(sink, count)
+        )
+        submit = session.submit
         interval = 1.0 / self.service_rate if self.service_rate else 0.0
         timer = time.perf_counter_ns
+        synth = synthesize_value
+        stop = self.stop_check
         keys = trace.unique_keys()
-        rows = enumerate(zip(trace.op_codes, trace.key_ids, trace.value_sizes))
+        columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
         operations = len(trace)
         failed_ops = 0
         crashed_at: Optional[int] = None
-        stop = self.stop_check
         started = time.perf_counter()
         next_dispatch = started
         try:
-            for _ in range(0, len(trace), _FOLD_OPS):
-                for index, (code, kid, size) in islice(rows, _FOLD_OPS):
-                    if stop is not None and stop():
-                        raise ReplayStopped
-                    if interval:
-                        if time.perf_counter() < next_dispatch:
-                            _throttle(next_dispatch)
-                        next_dispatch += interval
-                    key = keys[kid]
-                    begin = timer()
-                    try:
-                        dispatch[code](key, size)
-                    except InjectedCrash:
-                        crashed_at = index
-                        operations = index
-                        break
-                    except TransientStoreError:
-                        failed_ops += 1
-                        if injector is not None:
+            try:
+                for _ in range(0, len(trace), _FOLD_OPS):
+                    chunk = islice(columns, _FOLD_OPS)
+                    while True:
+                        try:
+                            for code, kid, size in chunk:
+                                if stop is not None and stop():
+                                    raise ReplayStopped
+                                if interval:
+                                    if time.perf_counter() < next_dispatch:
+                                        _throttle(next_dispatch)
+                                    next_dispatch += interval
+                                key = keys[kid]
+                                value = b"" if code == 0 or code == 3 else synth(size)
+                                submit(code, key, value, timer() if measure else 0)
+                            break
+                        except TransientStoreError:
+                            if injector is None:
+                                raise
+                            failed_ops += 1
                             injector.abandon_op()
-                        continue
-                    if measure:
-                        elapsed_ns = timer() - begin - take_background()
-                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                    elif progress is not None:
-                        progress.count()
-                if crashed_at is not None:
-                    break
-                fold()
+                    fold()
+            except InjectedCrash as crash:
+                if injector is None:
+                    raise
+                crashed_at = operations = crash.op_index
+            session.drain()
         finally:
             fold()
         elapsed = time.perf_counter() - started
-        return ReplayResult(
-            store=self.connector.name,
-            operations=operations,
-            elapsed_s=elapsed,
-            latencies_ns=latencies,
-            histograms=histograms,
-            failed_ops=failed_ops,
-            retries=retrier.retries if retrier is not None else 0,
-            injected_faults=injector.injected.total_faults if injector is not None else 0,
-            injected_delay_s=injector.injected.injected_delay_s if injector is not None else 0.0,
-            crashed_at=crashed_at,
+        return self._result(
+            operations, elapsed, latencies, histograms, injector, retrier,
+            failed_ops, crashed_at,
         )
 
 
@@ -1031,34 +870,10 @@ class ShardedReplayResult:
     def merged_result(self) -> ReplayResult:
         """Shard measurements folded into one :class:`ReplayResult`.
 
-        Histograms merge exactly; exact-mode latency lists concatenate.
         Throughput reflects the sharded wall-clock, not the sum of
         per-worker elapsed times.
         """
-        latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
-        histograms: Dict[OpType, LatencyHistogram] = {}
-        for result in self.shard_results:
-            for op, values in result.latencies_ns.items():
-                latencies[op].extend(values)
-            for op, histogram in result.histograms.items():
-                merged = histograms.get(op)
-                if merged is None:
-                    merged = LatencyHistogram(
-                        histogram.subbuckets, histogram.max_exponent
-                    )
-                    histograms[op] = merged
-                merged.merge(histogram)
-        return ReplayResult(
-            store=self.store,
-            operations=self.operations,
-            elapsed_s=self.elapsed_s,
-            latencies_ns=latencies,
-            histograms=histograms,
-            failed_ops=sum(r.failed_ops for r in self.shard_results),
-            retries=sum(r.retries for r in self.shard_results),
-            injected_faults=sum(r.injected_faults for r in self.shard_results),
-            injected_delay_s=sum(r.injected_delay_s for r in self.shard_results),
-        )
+        return ReplayResult.merged(self.shard_results, self.elapsed_s)
 
     def latency_percentile(self, percentile: float, op: Optional[OpType] = None) -> float:
         return self.merged_result().latency_percentile(percentile, op)

@@ -1,5 +1,7 @@
 """Tests for the performance evaluator."""
 
+import pytest
+
 from repro.core import (
     DEFAULT_STORES,
     GadgetConfig,
@@ -7,6 +9,11 @@ from repro.core import (
     SourceConfig,
     generate_workload_trace,
 )
+from repro.core.evaluator import EvaluationRow
+from repro.core.histogram import LatencyHistogram
+from repro.core.replayer import ReplayResult
+from repro.faults import FaultPlan, RetryPolicy
+from repro.faults.recovery import CrashRecoveryResult
 from repro.trace import AccessTrace, OpType
 
 
@@ -35,13 +42,6 @@ class TestEvaluate:
         connector = evaluator._connector("rocksdb")
         assert connector.store.config.write_buffer_size == 2048
 
-    def test_evaluate_matrix(self):
-        traces = {"a": small_trace(100), "b": small_trace(100)}
-        rows = PerformanceEvaluator(stores=("memory",)).evaluate_matrix(traces)
-        assert {(r.workload, r.store) for r in rows} == {
-            ("a", "memory"), ("b", "memory"),
-        }
-
     def test_row_fields(self):
         row = PerformanceEvaluator(stores=("memory",)).evaluate("w", small_trace())[0]
         assert row.workload == "w"
@@ -67,10 +67,60 @@ class TestConcurrent:
         a_keys = [x.key for x in merged if x.key.startswith(b"a")]
         assert a_keys == [x.key for x in a]
 
-    def test_threaded_concurrent(self):
-        traces = [small_trace(150), small_trace(150)]
-        results = PerformanceEvaluator().evaluate_concurrent_threads(
-            "rocksdb", traces
+
+def phase(operations, elapsed_s, samples, histograms, **counters):
+    """A replay phase holding ``samples`` (op -> latencies in ns)."""
+    if not histograms:
+        return ReplayResult("rocksdb", operations, elapsed_s, latencies_ns=samples, **counters)
+    recorded = {}
+    for op, values in samples.items():
+        recorded[op] = LatencyHistogram()
+        recorded[op].record_many(values)
+    return ReplayResult("rocksdb", operations, elapsed_s, histograms=recorded, **counters)
+
+
+class TestCrashRecoveryRow:
+    """A kill-recover-verify row covers both replay phases: the fault
+    counters of the faulted pre-crash phase, percentiles over the
+    samples of both phases, throughput over the whole experiment."""
+
+    @pytest.mark.parametrize("histograms", [False, True], ids=["exact", "hist"])
+    def test_row_merges_both_phases(self, histograms):
+        pre = phase(
+            5, 0.5, {OpType.GET: [1000, 2000], OpType.PUT: [3000]}, histograms,
+            injected_faults=4, retries=3, failed_ops=2,
         )
-        assert len(results) == 2
-        assert all(r.operations == len(t) for r, t in zip(results, traces))
+        post = phase(
+            4, 0.4, {OpType.GET: [4000], OpType.PUT: [5000, 6000, 7000]}, histograms
+        )
+        result = CrashRecoveryResult(
+            store="rocksdb", crash_at=5, operations=9, recovery_s=0.1,
+            wal_records_replayed=3, recovered_ok=True, keys_checked=4,
+            mismatches=0, pre_crash=pre, resumed=post,
+        )
+        row = EvaluationRow.from_recovery("w", result)
+        assert (row.injected_faults, row.retries, row.failed_ops) == (4, 3, 2)
+        assert row.throughput_kops == pytest.approx(9 / 1.0 / 1000.0)
+        both = phase(
+            9, 1.0,
+            {OpType.GET: [1000, 2000, 4000], OpType.PUT: [3000, 5000, 6000, 7000]},
+            histograms,
+        )
+        expected = [both.latency_percentile(p) for p in (50.0, 99.0, 99.9)]
+        assert [row.p50_us, row.p99_us, row.p999_us] == expected
+        if not histograms:
+            assert expected == [4.0, 7.0, 7.0]
+        assert row.recovery_ms == pytest.approx(100.0)
+        assert (row.wal_replayed, row.recovered_ok) == (3, True)
+
+    def test_transient_faults_before_the_crash(self):
+        trace = small_trace(300)
+        plan = FaultPlan(seed=4, transient_error_rate=0.05, error_burst=3)
+        policy = RetryPolicy(max_attempts=3, base_delay_s=0, jitter=0)
+        evaluator = PerformanceEvaluator(stores=("rocksdb",))
+        row = evaluator.evaluate_crash_recovery(
+            "w", trace, crash_at=len(trace) // 2, fault_plan=plan, retry_policy=policy
+        )[0]
+        assert row.injected_faults > 0
+        assert row.retries == 2 * row.failed_ops > 0
+        assert row.injected_faults == 3 * row.failed_ops + 1  # + the crash

@@ -242,8 +242,8 @@ def fold_trace():
     return trace
 
 
-#: options reaching each replay loop; with a fault plan set, the same
-#: options reach the loop's ``_guarded`` form
+#: options reaching each replay loop; the "guarded" cases add a fault
+#: plan, which the same loop replays through its fault injector
 LOOPS = {
     "per-op": {},
     "per-op-paced": {"service_rate": 1e7},
