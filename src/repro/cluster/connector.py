@@ -41,7 +41,7 @@ from ..kvstores.remote import (
     REPLY_VALUE,
     RemoteStoreClient,
     RemoteStoreError,
-    _BatchUnsupportedError,
+    _require_writes,
 )
 from ..obs import tracing
 from .manager import StoreCluster
@@ -460,17 +460,13 @@ class ClusterConnector:
         """Issue every touched partition's :data:`OP_BATCH` frame before
         any reply is read: the partitions' servers then process their
         sub-batches concurrently and a k-partition batch costs ~1 RTT
-        instead of k.  A partition whose send fails (or whose client is
-        already downgraded to v1) maps to None -- its gather falls back
-        to the sequential :meth:`_on_primary` replay, which repairs the
-        chain and retries only that sub-batch."""
+        instead of k.  A partition whose send fails maps to None -- its
+        gather falls back to the sequential :meth:`_on_primary` replay,
+        which repairs the chain and retries only that sub-batch."""
         sent: Dict[int, Optional[RemoteStoreClient]] = {}
         for partition, items in frames.items():
             try:
                 client = self._client(self._chains[partition][0])
-                if not client._batch_supported:
-                    sent[partition] = None  # v1 peer: per-op replay
-                    continue
                 client.batch_send(items)
             except RemoteStoreError:
                 sent[partition] = None
@@ -488,13 +484,13 @@ class ClusterConnector:
         subset: List[bytes],
     ) -> List[Optional[bytes]]:
         """Collect one scattered partition's get replies; any failure
-        (transport death, v1 downgrade, store error) replays only this
-        partition's sub-batch under the repair loop."""
+        (transport death, store error) replays only this partition's
+        sub-batch under the repair loop."""
         client = scattered.get(partition)
         if client is not None:
             try:
                 replies = client.batch_recv(len(subset))
-            except (_BatchUnsupportedError, RemoteStoreError):
+            except RemoteStoreError:
                 pass  # replay below: _on_primary repairs and retries
             else:
                 tracing.instant(
@@ -526,7 +522,7 @@ class ClusterConnector:
         if client is not None:
             try:
                 replies = client.batch_recv(len(group))
-            except (_BatchUnsupportedError, RemoteStoreError):
+            except RemoteStoreError:
                 pass
             else:
                 tracing.instant(
@@ -570,6 +566,7 @@ class ClusterConnector:
     def apply_batch(self, ops: Sequence[BatchOp]) -> None:
         if not ops:
             return
+        _require_writes(ops)
         groups: Dict[int, List[BatchOp]] = {}
         for op in ops:
             groups.setdefault(self._partition(op[1]), []).append(op)
@@ -639,7 +636,7 @@ class _ClusterPipeline(PipelineSession):
     def submit(self, opcode: int, key: bytes, value: bytes,
                arrival_ns: int) -> None:
         self._staged.append((opcode, key, value, arrival_ns))
-        if len(self._staged) >= self.requested_depth:
+        if len(self._staged) >= self.depth:
             self.flush()
 
     def flush(self) -> None:
@@ -685,7 +682,7 @@ class _ClusterPipeline(PipelineSession):
         if client is not None:
             try:
                 replies = client.batch_recv(len(items))
-            except (_BatchUnsupportedError, RemoteStoreError):
+            except RemoteStoreError:
                 replies = None
             else:
                 tracing.instant(
@@ -706,7 +703,7 @@ class _ClusterPipeline(PipelineSession):
                     self._on_complete(opcode, arrival, now, value)
                 completed = True
         if not completed:
-            # transport death, v1 peer, or a store-level rejection:
+            # transport death or a store-level rejection:
             # repair + per-op replay of ONLY this partition's sub-batch
             self._replay_members(partition, items)
         writes = [

@@ -57,16 +57,11 @@ class PipelineSession:
         if depth < 1:
             raise ValueError(f"pipeline depth must be >= 1, got {depth}")
         self._connector = connector
-        self.requested_depth = depth
+        #: the window bound: at most this many ops un-acked at once
+        self.depth = depth
         self._on_complete = on_complete
         self.flushes = 0
         self.coalesced_ops = 0
-
-    @property
-    def depth(self) -> int:
-        """The effective window bound (may be < requested after a
-        capability downgrade, e.g. a v1 remote peer)."""
-        return self.requested_depth
 
     @property
     def pending(self) -> int:

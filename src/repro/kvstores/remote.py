@@ -18,6 +18,12 @@ thread per connection, and store access is serialized naturally by the
 single loop (single-writer semantics per key are preserved by the
 dataflow model itself -- one task writes any given key).
 
+There is one wire protocol, strictly ordered per connection.  A request
+is a :data:`_HEADER` (opcode, key length, value length) followed by the
+key and the value; an :data:`OP_BATCH` request carries N such frames as
+its payload and :data:`OP_ADMIN` a control command.  A reply is a
+:data:`_REPLY_HEAD` (status, body length) followed by the body.
+
 Failure semantics (the robustness axis):
 
 * every client socket operation runs under a configurable timeout; a
@@ -53,22 +59,25 @@ from .connectors import PipelineSession, StoreConnector, connect
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from ..faults.retry import RetryPolicy
 
-_HEADER = struct.Struct("<BII")  # opcode, key length, value length
+#: request frame, and each op inside a batch: opcode, key length, value length
+_HEADER = struct.Struct("<BII")
+#: reply frame, and each op's reply inside a batch reply: status, data length
+_REPLY_HEAD = struct.Struct("<BI")
 
 OP_GET = 0
 OP_PUT = 1
 OP_MERGE = 2
 OP_DELETE = 3
 OP_CLOSE = 4
-#: protocol v2: N ops in one request, vectored replies in one response.
-#: The header's ``key_len`` field carries the op count and ``value_len``
-#: the total payload length; the payload is ``count`` back-to-back
-#: :data:`_BATCH_ITEM`-framed ops.
+#: N ops in one request, vectored replies in one response.  The
+#: header's ``key_len`` field carries the op count and ``value_len`` the
+#: total payload length; the payload is ``count`` back-to-back
+#: :data:`_HEADER`-framed ops.
 OP_BATCH = 5
 #: control plane: key = command name (``ping``, ``configure``, ``stats``,
 #: ``scan``), value = JSON arguments; the reply is a ``REPLY_VALUE``
 #: frame whose payload is command-specific (JSON, except ``scan`` which
-#: returns :data:`_BATCH_ITEM`-framed key/value pairs).  The cluster
+#: returns :data:`_HEADER`-framed key/value pairs).  The cluster
 #: layer drives replication chains, failover probes, and partition
 #: migration entirely through this opcode, so reconfiguration is
 #: serialized on the server's event loop like any other request.
@@ -76,11 +85,6 @@ OP_ADMIN = 6
 
 _KNOWN_OPS = frozenset((OP_GET, OP_PUT, OP_MERGE, OP_DELETE))
 _WRITE_OPS = frozenset((OP_PUT, OP_MERGE, OP_DELETE))
-
-#: one batched op on the wire: opcode, key length, value length
-_BATCH_ITEM = struct.Struct("<BII")
-_REPLY_ITEM = struct.Struct("<BI")  # per-op status, data length
-_REPLY_HEAD = struct.Struct("<BI")  # reply frame header: status, body length
 
 #: sentinel returned by the client's batch request when every op in the
 #: reply is ``REPLY_OK`` with no data (the common all-writes-succeeded
@@ -91,16 +95,13 @@ REPLY_MISSING = 0
 REPLY_VALUE = 1
 REPLY_OK = 2
 REPLY_ERROR = 3
-#: reply frame carrying one :data:`_REPLY_ITEM` per batched op
+#: reply frame carrying one :data:`_REPLY_HEAD`-framed reply per batched op
 REPLY_BATCH = 4
 
 #: the encoded ``(REPLY_OK, 0)`` reply item; an all-writes-succeeded
 #: batch reply body is just this item repeated ``count`` times, which
 #: both ends exploit to avoid per-item framing work
-_OK_ITEM = _REPLY_ITEM.pack(REPLY_OK, 0)
-
-#: wire protocol generation spoken by this build of the code
-PROTOCOL_VERSION = 2
+_OK_ITEM = _REPLY_HEAD.pack(REPLY_OK, 0)
 
 #: default per-operation socket timeout for clients, in seconds
 DEFAULT_TIMEOUT_S = 5.0
@@ -111,11 +112,14 @@ class RemoteStoreError(KVStoreError):
     error reply from the protocol)."""
 
 
-class _BatchUnsupportedError(Exception):
-    """The server answered :data:`OP_BATCH` with ``unknown opcode``:
-    it speaks protocol v1.  Internal signal for the client's permanent
-    per-op fallback; deliberately NOT a :class:`RemoteStoreError` so
-    retry policies never retry it."""
+def _require_writes(ops: Sequence[BatchOp]) -> None:
+    """``apply_batch`` is write-only, remote or local: refuse a read
+    opcode before any byte of the batch is sent."""
+    for opcode, _key, _value in ops:
+        if opcode not in _WRITE_OPS:
+            raise ValueError(
+                f"apply_batch is write-only; cannot apply opcode {opcode}"
+            )
 
 
 def _recv_into_exact(sock: socket.socket, buf: bytearray, length: int) -> int:
@@ -177,32 +181,25 @@ def _frame_batch_into(
     """Frame one :data:`OP_BATCH` request into a reusable buffer;
     returns the frame length."""
     payload_len = sum(
-        _BATCH_ITEM.size + len(key) + len(value) for _, key, value in items
+        _HEADER.size + len(key) + len(value) for _, key, value in items
     )
     need = _HEADER.size + payload_len
     _grow(buf, need)
     _HEADER.pack_into(buf, 0, OP_BATCH, len(items), payload_len)
     pos = _HEADER.size
     for opcode, key, value in items:
-        key_len = len(key)
-        value_len = len(value)
-        _BATCH_ITEM.pack_into(buf, pos, opcode, key_len, value_len)
-        pos += _BATCH_ITEM.size
-        buf[pos : pos + key_len] = key
-        pos += key_len
-        buf[pos : pos + value_len] = value
-        pos += value_len
+        pos = _frame_op_into(buf, pos, opcode, key, value)
     return need
 
 
 def _decode_batch_items(payload: bytes, count: int) -> List[Tuple[int, bytes, bytes]]:
-    """Decode ``count`` :data:`_BATCH_ITEM`-framed ops; raises
+    """Decode ``count`` :data:`_HEADER`-framed ops; raises
     ``ValueError``/``struct.error`` on malformed payloads."""
     items: List[Tuple[int, bytes, bytes]] = []
     offset = 0
     for _ in range(count):
-        opcode, key_len, value_len = _BATCH_ITEM.unpack_from(payload, offset)
-        offset += _BATCH_ITEM.size
+        opcode, key_len, value_len = _HEADER.unpack_from(payload, offset)
+        offset += _HEADER.size
         if offset + key_len + value_len > len(payload):
             raise ValueError("batch item exceeds payload")
         key = payload[offset : offset + key_len]
@@ -235,7 +232,7 @@ def _execute_batch(
             return _OK_ITEM * count
         except Exception as exc:
             message = f"{type(exc).__name__}: {exc}".encode("utf-8", "replace")
-            item = _REPLY_ITEM.pack(REPLY_ERROR, len(message)) + message
+            item = _REPLY_HEAD.pack(REPLY_ERROR, len(message)) + message
             return item * count
     statuses: List[Tuple[int, bytes]] = [(REPLY_ERROR, b"unhandled")] * count
     i = 0
@@ -273,7 +270,7 @@ def _execute_batch(
             i += 1
     body = bytearray()
     for status, data in statuses:
-        body += _REPLY_ITEM.pack(status, len(data))
+        body += _REPLY_HEAD.pack(status, len(data))
         body += data
     return bytes(body)
 
@@ -415,8 +412,8 @@ class _ReplicationLink:
                 return
             offset = 0
             for _ in range(ops):
-                item_status, item_len = _REPLY_ITEM.unpack_from(body, offset)
-                offset += _REPLY_ITEM.size
+                item_status, item_len = _REPLY_HEAD.unpack_from(body, offset)
+                offset += _REPLY_HEAD.size
                 if item_status == REPLY_ERROR:
                     message = body[offset : offset + item_len]
                     raise _ReplicationError(
@@ -462,11 +459,12 @@ class _ReplicationLink:
             return
         buf = self._inbuf
         buf += chunk
-        while len(buf) >= 5:
-            status, length = struct.unpack_from("<BI", buf, 0)
-            if len(buf) < 5 + length:
+        head_size = _REPLY_HEAD.size
+        while len(buf) >= head_size:
+            status, length = _REPLY_HEAD.unpack_from(buf, 0)
+            if len(buf) < head_size + length:
                 break
-            del buf[: 5 + length]
+            del buf[: head_size + length]
             if not self._pending:
                 continue  # stray frame; nothing to attribute it to
             sent, ops = self._pending.popleft()
@@ -530,17 +528,14 @@ class StoreServer:
     arrival order, and one op executes at a time globally (the same
     serialization the old lock provided).
 
-    ``protocol_version=1`` makes the server behave like a pre-batching
-    build: :data:`OP_BATCH` is answered with an ``unknown opcode`` error
-    (the historical behaviour), which new clients use to fall back to
-    per-op requests.  Version 2 (the default) accepts batch frames.
+    It serves per-op frames, :data:`OP_BATCH` and :data:`OP_ADMIN`.  An
+    unknown top-level opcode is answered with ``REPLY_ERROR`` and the
+    connection is then closed: the rest of its byte stream cannot be
+    framed.  An unknown opcode inside a batch fails only that member.
     """
 
-    def __init__(
-        self, store: KVStore, port: int = 0, protocol_version: int = PROTOCOL_VERSION
-    ) -> None:
+    def __init__(self, store: KVStore, port: int = 0) -> None:
         self.store = store
-        self.protocol_version = protocol_version
         self._connector = connect(store)
         self._listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
         self._listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -655,7 +650,7 @@ class StoreServer:
             if len(buf) < header_size:
                 break
             opcode, key_len, value_len = _HEADER.unpack_from(buf, 0)
-            if opcode == OP_BATCH and self.protocol_version >= 2:
+            if opcode == OP_BATCH:
                 frame_len = header_size + value_len
                 if len(buf) < frame_len:
                     break
@@ -689,7 +684,7 @@ class StoreServer:
                 body = _execute_batch(connector, items)
                 if repl is not None and writes and not repl.sync:
                     repl.forward_batch(writes)
-                conn.outbuf += struct.pack("<BI", REPLY_BATCH, len(body))
+                conn.outbuf += _REPLY_HEAD.pack(REPLY_BATCH, len(body))
                 conn.outbuf += body
                 continue
             if opcode == OP_ADMIN:
@@ -710,7 +705,7 @@ class StoreServer:
                 except Exception as exc:
                     self._queue_error(conn, f"{type(exc).__name__}: {exc}")
                     continue
-                conn.outbuf += struct.pack("<BI", REPLY_VALUE, len(response))
+                conn.outbuf += _REPLY_HEAD.pack(REPLY_VALUE, len(response))
                 conn.outbuf += response
                 continue
             if opcode == OP_CLOSE:
@@ -737,9 +732,9 @@ class StoreServer:
                 if opcode == OP_GET:
                     result = connector.get(key)
                     if result is None:
-                        conn.outbuf += struct.pack("<BI", REPLY_MISSING, 0)
+                        conn.outbuf += _REPLY_HEAD.pack(REPLY_MISSING, 0)
                     else:
-                        conn.outbuf += struct.pack("<BI", REPLY_VALUE, len(result))
+                        conn.outbuf += _REPLY_HEAD.pack(REPLY_VALUE, len(result))
                         conn.outbuf += result
                     continue
                 # Downstream-first for sync links (see the batch path).
@@ -759,7 +754,7 @@ class StoreServer:
             except Exception as exc:  # store failure: report, keep serving
                 self._queue_error(conn, f"{type(exc).__name__}: {exc}")
                 continue
-            conn.outbuf += struct.pack("<BI", REPLY_OK, 0)
+            conn.outbuf += _REPLY_HEAD.pack(REPLY_OK, 0)
         return True
 
     # -- control plane -------------------------------------------------------
@@ -781,7 +776,7 @@ class StoreServer:
         if command == "scan":
             items = list(self._connector.scan(b"", _SCAN_END))
             body = b"".join(
-                _BATCH_ITEM.pack(OP_PUT, len(key), len(value)) + key + value
+                _HEADER.pack(OP_PUT, len(key), len(value)) + key + value
                 for key, value in items
             )
             return struct.pack("<I", len(items)) + body
@@ -821,7 +816,7 @@ class StoreServer:
 
     def _queue_error(self, conn: _Connection, message: str) -> None:
         payload = message.encode("utf-8", errors="replace")
-        conn.outbuf += struct.pack("<BI", REPLY_ERROR, len(payload))
+        conn.outbuf += _REPLY_HEAD.pack(REPLY_ERROR, len(payload))
         conn.outbuf += payload
 
     def _flush(self, conn: _Connection) -> None:
@@ -1025,9 +1020,6 @@ class RemoteStoreClient:
         self._retry_policy = retry_policy
         self._sock: Optional[socket.socket] = None
         self.reconnects = 0
-        #: False once the server proved to be v1; batch calls then fall
-        #: back to per-op requests for the life of this client
-        self._batch_supported = True
         #: syscalls-per-op accounting: data-path ``sendall`` bursts and
         #: ``recv``/``recv_into`` calls (the pipeline benchmark's
         #: coalescing evidence)
@@ -1070,6 +1062,25 @@ class RemoteStoreClient:
                 pass
             self._sock = None
 
+    def _not_connected(self) -> RemoteStoreError:
+        return RemoteStoreError(
+            f"{self.name} client is not connected to {self._peer}"
+        )
+
+    def _transport_error(self, exc: OSError) -> RemoteStoreError:
+        """Drop the socket after a send/receive failure and type it: a
+        timeout means a hung or dead server, anything else a lost
+        connection."""
+        self._drop_socket()
+        if isinstance(exc, socket.timeout):
+            return RemoteStoreError(
+                f"{self.name} operation against {self._peer} timed out "
+                f"after {self._timeout}s (server hung or dead)"
+            )
+        return RemoteStoreError(
+            f"lost connection to {self.name} server at {self._peer}: {exc}"
+        )
+
     # -- protocol ----------------------------------------------------------
 
     def _request_once(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
@@ -1081,9 +1092,7 @@ class RemoteStoreClient:
     def _request_raw(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
         sock = self._sock
         if sock is None:
-            raise RemoteStoreError(
-                f"{self.name} client is not connected to {self._peer}"
-            )
+            raise self._not_connected()
         need = _HEADER.size + len(key) + len(value)
         _grow(self._framebuf, need)
         _frame_op_into(self._framebuf, 0, opcode, key, value)
@@ -1111,17 +1120,8 @@ class RemoteStoreClient:
             if status == REPLY_MISSING:
                 return None
             return None  # REPLY_OK
-        except socket.timeout as exc:
-            self._drop_socket()
-            raise RemoteStoreError(
-                f"{self.name} operation against {self._peer} timed out "
-                f"after {self._timeout}s (server hung or dead)"
-            ) from exc
-        except (ConnectionError, OSError) as exc:
-            self._drop_socket()
-            raise RemoteStoreError(
-                f"lost connection to {self.name} server at {self._peer}: {exc}"
-            ) from exc
+        except OSError as exc:
+            raise self._transport_error(exc) from exc
 
     def _attempt(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
         if self._sock is None:
@@ -1137,15 +1137,13 @@ class RemoteStoreClient:
             self._attempt, opcode, key, value, retry_on=(RemoteStoreError,)
         )
 
-    # -- batch protocol (v2) -------------------------------------------------
+    # -- batch frames --------------------------------------------------------
 
     def _batch_request_once(
         self, items: Sequence[Tuple[int, bytes, bytes]]
     ) -> List[Tuple[int, bytes]]:
         """Send one :data:`OP_BATCH` frame; return ``(status, data)``
-        per op.  Raises :class:`_BatchUnsupportedError` against a v1
-        server (which also closes the connection, so the socket is
-        dropped for the reconnecting per-op fallback)."""
+        per op."""
         if tracing.active() is None:
             return self._batch_request_raw(items)
         with tracing.span("remote.batch_rpc", n=len(items)):
@@ -1165,38 +1163,21 @@ class RemoteStoreClient:
         is strictly ordered, so replies correlate positionally)."""
         sock = self._sock
         if sock is None:
-            raise RemoteStoreError(
-                f"{self.name} client is not connected to {self._peer}"
-            )
+            raise self._not_connected()
         need = _frame_batch_into(self._framebuf, items)
         try:
             with memoryview(self._framebuf)[:need] as frame:
                 sock.sendall(frame)
             self.send_calls += 1
-        except socket.timeout as exc:
-            self._drop_socket()
-            raise RemoteStoreError(
-                f"{self.name} operation against {self._peer} timed out "
-                f"after {self._timeout}s (server hung or dead)"
-            ) from exc
-        except (ConnectionError, OSError) as exc:
-            self._drop_socket()
-            raise RemoteStoreError(
-                f"lost connection to {self.name} server at {self._peer}: {exc}"
-            ) from exc
+        except OSError as exc:
+            raise self._transport_error(exc) from exc
 
     def batch_recv(self, count: int) -> List[Tuple[int, bytes]]:
         """Read one batch reply for a ``count``-op :meth:`batch_send` --
-        the gather half.  Against a v1 server this marks the client
-        permanently downgraded, reconnects (the v1 server closes the
-        connection after its error), and raises
-        :class:`_BatchUnsupportedError` for the caller's per-op
-        fallback."""
+        the gather half."""
         sock = self._sock
         if sock is None:
-            raise RemoteStoreError(
-                f"{self.name} client is not connected to {self._peer}"
-            )
+            raise self._not_connected()
         try:
             self.recv_calls += _recv_into_exact(
                 sock, self._replyhead, _REPLY_HEAD.size
@@ -1208,13 +1189,6 @@ class RemoteStoreClient:
                     if length
                     else "unspecified server error"
                 )
-                if "unknown opcode" in message:
-                    # v1 server: it closes the connection after the
-                    # error, so discard the socket before falling back.
-                    self._drop_socket()
-                    self._batch_supported = False
-                    self._reconnect_for_fallback()
-                    raise _BatchUnsupportedError(message)
                 raise RemoteStoreError(
                     f"{self.name} server at {self._peer} error: {message}"
                 )
@@ -1233,8 +1207,8 @@ class RemoteStoreClient:
             replies: List[Tuple[int, bytes]] = []
             offset = 0
             for _ in range(count):
-                item_status, item_len = _REPLY_ITEM.unpack_from(body, offset)
-                offset += _REPLY_ITEM.size
+                item_status, item_len = _REPLY_HEAD.unpack_from(body, offset)
+                offset += _REPLY_HEAD.size
                 replies.append(
                     (item_status, bytes(body[offset : offset + item_len]))
                 )
@@ -1246,25 +1220,8 @@ class RemoteStoreClient:
                 f"{self.name} server at {self._peer} sent a malformed "
                 f"batch reply: {exc}"
             ) from exc
-        except socket.timeout as exc:
-            self._drop_socket()
-            raise RemoteStoreError(
-                f"{self.name} operation against {self._peer} timed out "
-                f"after {self._timeout}s (server hung or dead)"
-            ) from exc
-        except (ConnectionError, OSError) as exc:
-            self._drop_socket()
-            raise RemoteStoreError(
-                f"lost connection to {self.name} server at {self._peer}: {exc}"
-            ) from exc
-
-    def _reconnect_for_fallback(self) -> None:
-        """A v1 server closes the connection after rejecting
-        :data:`OP_BATCH`; re-establish it so the per-op fallback can
-        proceed even without a retry policy."""
-        if self._sock is None:
-            self._connect()
-            self.reconnects += 1
+        except OSError as exc:
+            raise self._transport_error(exc) from exc
 
     def _batch_attempt(
         self, items: Sequence[Tuple[int, bytes, bytes]]
@@ -1329,59 +1286,36 @@ class RemoteStoreClient:
         self._request(OP_DELETE, key)
 
     def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        """Vectored get in ONE round-trip (protocol v2); transparently
-        degrades to per-key requests against a v1 server."""
-        if self._batch_supported and keys:
-            try:
-                replies = self._batch_request([(OP_GET, key, b"") for key in keys])
-            except _BatchUnsupportedError:
-                self._batch_supported = False
-                self._reconnect_for_fallback()
+        """Vectored get in ONE round trip (one :data:`OP_BATCH` frame)."""
+        if not keys:
+            return []
+        out: List[Optional[bytes]] = []
+        for status, data in self._batch_request([(OP_GET, key, b"") for key in keys]):
+            if status == REPLY_VALUE:
+                out.append(data)
+            elif status == REPLY_MISSING:
+                out.append(None)
             else:
-                out: List[Optional[bytes]] = []
-                for status, data in replies:
-                    if status == REPLY_VALUE:
-                        out.append(data)
-                    elif status == REPLY_MISSING:
-                        out.append(None)
-                    else:
-                        raise RemoteStoreError(
-                            f"{self.name} server at {self._peer} error: "
-                            f"{data.decode('utf-8', errors='replace')}"
-                        )
-                return out
-        get = self.get
-        return [get(key) for key in keys]
+                raise RemoteStoreError(
+                    f"{self.name} server at {self._peer} error: "
+                    f"{data.decode('utf-8', errors='replace')}"
+                )
+        return out
 
     def apply_batch(self, ops: Sequence[BatchOp]) -> None:
-        """Write batch in ONE round-trip (protocol v2); transparently
-        degrades to per-op requests against a v1 server."""
-        if self._batch_supported and ops:
-            try:
-                replies = self._batch_request(list(ops))
-            except _BatchUnsupportedError:
-                self._batch_supported = False
-                self._reconnect_for_fallback()
-            else:
-                if replies is _BATCH_ALL_OK:
-                    return
-                for status, data in replies:
-                    if status == REPLY_ERROR:
-                        raise RemoteStoreError(
-                            f"{self.name} server at {self._peer} error: "
-                            f"{data.decode('utf-8', errors='replace')}"
-                        )
-                return
-        for opcode, key, value in ops:
-            if opcode == OP_PUT:
-                self.put(key, value)
-            elif opcode == OP_MERGE:
-                self.merge(key, value)
-            elif opcode == OP_DELETE:
-                self.delete(key)
-            else:
-                raise ValueError(
-                    f"apply_batch is write-only; cannot apply opcode {opcode}"
+        """Write batch in ONE round trip (one :data:`OP_BATCH` frame);
+        a read opcode raises ``ValueError`` before anything is sent."""
+        if not ops:
+            return
+        _require_writes(ops)
+        replies = self._batch_request(list(ops))
+        if replies is _BATCH_ALL_OK:
+            return
+        for status, data in replies:
+            if status == REPLY_ERROR:
+                raise RemoteStoreError(
+                    f"{self.name} server at {self._peer} error: "
+                    f"{data.decode('utf-8', errors='replace')}"
                 )
 
     def take_background_ns(self) -> int:
@@ -1416,10 +1350,11 @@ class _RemotePipeline(PipelineSession):
 
     The protocol is strictly ordered per connection, so correlation is
     positional: op k's reply is the k-th reply frame, no IDs on the
-    wire, v1/v2 frames unchanged.  Submitted ops are staged (framed
-    into one reusable buffer) and flushed in coalesced ``sendall``
-    bursts; replies drain through a chunked ``recv_into`` loop that
-    completes ops FIFO.  The window never exceeds ``depth`` un-acked
+    wire, the same per-op frames a synchronous request sends.
+    Submitted ops are staged (framed into one reusable buffer) and
+    flushed in coalesced ``sendall`` bursts; replies drain through a
+    chunked ``recv_into`` loop that completes ops FIFO.  The window
+    never exceeds ``depth`` un-acked
     ops; once full, the session flushes and drains down to ``depth//2``
     so reply reads overlap the next burst's framing (half-window
     hysteresis -- at depth 16 a steady-state burst carries 8 ops per
@@ -1433,9 +1368,7 @@ class _RemotePipeline(PipelineSession):
     acceptable merge).  A ``REPLY_ERROR`` frame is NOT a transport
     failure: the server processed and rejected that one op, so it is
     completed exceptionally (raised to the submitter) and never
-    re-sent.  Against a v1 peer (permanent batch downgrade) the window
-    collapses to 1: v1 answers unknown opcodes with error-then-close,
-    so there is no reply stream worth coalescing against.
+    re-sent.
     """
 
     def __init__(self, client: RemoteStoreClient, depth: int, on_complete) -> None:
@@ -1449,10 +1382,6 @@ class _RemotePipeline(PipelineSession):
         self._chunkbuf = bytearray(1 << 16)
         self._sendbuf = bytearray(4096)
         self.aborted_windows = 0
-
-    @property
-    def depth(self) -> int:
-        return self.requested_depth if self._client._batch_supported else 1
 
     @property
     def pending(self) -> int:
@@ -1493,9 +1422,7 @@ class _RemotePipeline(PipelineSession):
         staged = self._staged
         sock = client._sock
         if sock is None:
-            raise RemoteStoreError(
-                f"{client.name} client is not connected to {client._peer}"
-            )
+            raise client._not_connected()
         buf = self._sendbuf
         need = 0
         for _, key, value, _arrival in staged:
@@ -1507,18 +1434,8 @@ class _RemotePipeline(PipelineSession):
         try:
             with memoryview(buf)[:need] as frame:
                 sock.sendall(frame)
-        except socket.timeout as exc:
-            client._drop_socket()
-            raise RemoteStoreError(
-                f"{client.name} operation against {client._peer} timed out "
-                f"after {client._timeout}s (server hung or dead)"
-            ) from exc
-        except (ConnectionError, OSError) as exc:
-            client._drop_socket()
-            raise RemoteStoreError(
-                f"lost connection to {client.name} server at "
-                f"{client._peer}: {exc}"
-            ) from exc
+        except OSError as exc:
+            raise client._transport_error(exc) from exc
         n = len(staged)
         client.send_calls += 1
         self._inflight.extend(staged)
@@ -1543,31 +1460,16 @@ class _RemotePipeline(PipelineSession):
         client = self._client
         sock = client._sock
         if sock is None:
-            self._recover(RemoteStoreError(
-                f"{client.name} client is not connected to {client._peer}"
-            ))
+            self._recover(client._not_connected())
             return
         try:
             n = sock.recv_into(self._chunkbuf)
-        except socket.timeout as exc:
-            client._drop_socket()
-            self._recover(RemoteStoreError(
-                f"{client.name} operation against {client._peer} timed out "
-                f"after {client._timeout}s (server hung or dead)"
-            ), cause=exc)
-            return
-        except (ConnectionError, OSError) as exc:
-            client._drop_socket()
-            self._recover(RemoteStoreError(
-                f"lost connection to {client.name} server at "
-                f"{client._peer}: {exc}"
-            ), cause=exc)
+        except OSError as exc:
+            self._recover(client._transport_error(exc), cause=exc)
             return
         if n == 0:
-            client._drop_socket()
-            self._recover(RemoteStoreError(
-                f"lost connection to {client.name} server at "
-                f"{client._peer}: peer closed the connection"
+            self._recover(client._transport_error(
+                ConnectionError("peer closed the connection")
             ))
             return
         client.recv_calls += 1

@@ -58,7 +58,6 @@ _OP_CODES = {OpType.GET: 0, OpType.PUT: 1, OpType.MERGE: 2, OpType.DELETE: 3}
 _CODE_OPS = {code: op for op, code in _OP_CODES.items()}
 #: opcode -> OpType, indexable by the raw ``iter_raw`` codes
 OPS_BY_CODE = (OpType.GET, OpType.PUT, OpType.MERGE, OpType.DELETE)
-_ENTRY = struct.Struct("<BIIq")  # op, key len, value size, timestamp
 _HEADER = struct.Struct("<HQ")  # version, count
 _V2_HEADER = struct.Struct("<QQ")  # unique keys, key pool length
 
@@ -77,14 +76,6 @@ class StateAccess(NamedTuple):
     key: bytes
     value_size: int = 0
     timestamp: int = 0
-
-    def encode(self) -> bytes:
-        return (
-            _ENTRY.pack(
-                _OP_CODES[self.op], len(self.key), self.value_size, self.timestamp
-            )
-            + self.key
-        )
 
 
 def _le(arr: array) -> bytes:
@@ -336,33 +327,23 @@ class AccessTrace:
     MAGIC = b"GDGT"
     VERSION = 2
 
-    def save(self, path: str, version: Optional[int] = None) -> None:
-        """Write a trace file; format v2 (columnar) by default.
+    def save(self, path: str) -> None:
+        """Write a trace file in format v2 (columnar).
 
         v2 lays the columns out back to back after a fixed header, so
         saving is a handful of buffer-sized writes instead of one
-        ``struct.pack`` per record.  ``version=1`` writes the legacy
-        record-oriented format for tools that predate v2.
+        ``struct.pack`` per record.
         """
-        version = self.VERSION if version is None else version
         with open(path, "wb") as handle:
             handle.write(self.MAGIC)
-            handle.write(_HEADER.pack(version, len(self._ops)))
-            if version == 1:
-                buffer = bytearray()
-                for access in self:
-                    buffer += access.encode()
-                handle.write(buffer)
-            elif version == 2:
-                handle.write(_V2_HEADER.pack(len(self._koffs) - 1, len(self._kblob)))
-                handle.write(_le(self._koffs))
-                handle.write(self._kblob)
-                handle.write(_le(self._ops))
-                handle.write(_le(self._kids))
-                handle.write(_le(self._vsizes))
-                handle.write(_le(self._tstamps))
-            else:
-                raise ValueError(f"cannot write trace version: {version}")
+            handle.write(_HEADER.pack(self.VERSION, len(self._ops)))
+            handle.write(_V2_HEADER.pack(len(self._koffs) - 1, len(self._kblob)))
+            handle.write(_le(self._koffs))
+            handle.write(self._kblob)
+            handle.write(_le(self._ops))
+            handle.write(_le(self._kids))
+            handle.write(_le(self._vsizes))
+            handle.write(_le(self._tstamps))
 
     @classmethod
     def load(cls, path: str) -> "AccessTrace":
@@ -371,37 +352,9 @@ class AccessTrace:
         if data[:4] != cls.MAGIC:
             raise ValueError(f"{path} is not a Gadget trace file")
         version, count = _HEADER.unpack_from(data, 4)
-        offset = 4 + _HEADER.size
-        if version == 1:
-            return cls._load_v1(data, offset, count)
         if version == 2:
-            return cls._load_v2(data, offset, count)
+            return cls._load_v2(data, 4 + _HEADER.size, count)
         raise ValueError(f"unsupported trace version: {version}")
-
-    @classmethod
-    def _load_v1(cls, data: bytes, offset: int, count: int) -> "AccessTrace":
-        """Legacy record-oriented format: header + key per access.
-
-        Keys are sliced straight out of the read buffer (one copy) and
-        interned, so repeated keys share a single bytes object.
-        """
-        trace = cls()
-        ops = trace._ops
-        kids = trace._kids
-        vsizes = trace._vsizes
-        tstamps = trace._tstamps
-        intern = trace._intern
-        unpack_from = _ENTRY.unpack_from
-        entry_size = _ENTRY.size
-        for _ in range(count):
-            code, klen, vsize, timestamp = unpack_from(data, offset)
-            offset += entry_size
-            ops.append(code)
-            kids.append(intern(data[offset : offset + klen]))
-            vsizes.append(vsize)
-            tstamps.append(timestamp)
-            offset += klen
-        return trace
 
     # -- shared-memory images (multi-process replay) -------------------------
     #

@@ -8,7 +8,7 @@ from repro.cluster import ClusterConfig, ClusterConnector, StoreCluster
 from repro.core import SourceConfig, generate_workload_trace
 from repro.core.replayer import TraceReplayer, shard_indices
 from repro.kvstores import InMemoryStore, connect
-from repro.kvstores.api import OP_DELETE, OP_MERGE, OP_PUT
+from repro.kvstores.api import OP_DELETE, OP_GET, OP_MERGE, OP_PUT
 
 
 @pytest.fixture(autouse=True)
@@ -103,6 +103,34 @@ class TestBatchSplitting:
             assert connector.get(b"b001") is None
             for i in range(2, 30):
                 assert connector.get(b"b%03d" % i) == b"x%03d" % i
+
+    def test_apply_batch_is_write_only_before_sending(self):
+        """A read in ``apply_batch`` raises the stores' ``ValueError``
+        on the single-partition and the scatter-gather path alike, and
+        no partition is sent a byte of the batch."""
+        config = ClusterConfig(partitions=2, replicas=0)
+        with StoreCluster(config) as cluster:
+            with ClusterConnector(cluster) as connector:
+                keys = [b"w%03d" % i for i in range(16)]
+                by_partition = {}
+                for key in keys:
+                    by_partition.setdefault(connector._partition(key), key)
+                assert len(by_partition) == 2
+                one, other = by_partition[0], by_partition[1]
+                # connect both partitions' clients before counting sends
+                assert connector.multi_get([one, other]) == [None, None]
+                batches = [
+                    [(OP_PUT, one, b"v"), (OP_GET, one, b"")],
+                    [(OP_PUT, one, b"v"), (OP_PUT, other, b"v"), (OP_GET, other, b"")],
+                ]
+                for batch in batches:
+                    sent = sum(c.send_calls for c in connector._clients.values())
+                    with pytest.raises(ValueError, match="apply_batch is write-only"):
+                        connector.apply_batch(batch)
+                    assert sum(
+                        c.send_calls for c in connector._clients.values()
+                    ) == sent
+                assert connector.multi_get([one, other]) == [None, None]
 
 
 class TestSingleNodeEquivalence:

@@ -138,44 +138,6 @@ class TestWindow:
             )
 
 
-class TestDowngrade:
-    def test_downgraded_client_collapses_window_to_one(self):
-        """Once the client has proven its peer is v1 (permanent batch
-        downgrade), the window collapses to depth 1: every submit is a
-        synchronous round-trip, but the ops still land."""
-        with StoreServer(InMemoryStore(), protocol_version=1) as server:
-            with client_for(server) as client:
-                client.apply_batch([(OP_PUT, b"probe", b"1")])
-                assert not client._batch_supported  # downgrade happened
-                sink = Collector()
-                session = client.pipeline(16, sink)
-                assert session.requested_depth == 16
-                assert session.depth == 1
-                for i in range(10):
-                    session.submit(OP_PUT, b"k%d" % i, b"v%d" % i, 0)
-                session.drain()
-                # depth 1 means no coalescing: one flush per op
-                assert session.flushes == 10
-                assert len(sink.completions) == 10
-                for i in range(10):
-                    assert client.get(b"k%d" % i) == b"v%d" % i
-
-    def test_fresh_client_pipelines_per_op_frames_against_v1(self):
-        """Per-op frames predate batching, so a v1 server answers a
-        pipelined burst of them in order -- full-depth windows work
-        against old peers until a batch call proves the downgrade."""
-        with StoreServer(InMemoryStore(), protocol_version=1) as server:
-            with client_for(server) as client:
-                sink = Collector()
-                session = client.pipeline(8, sink)
-                for i in range(40):
-                    session.submit(OP_PUT, b"k%d" % i, b"v%d" % i, 0)
-                session.drain()
-                assert session.flushes < 20  # coalescing intact
-                for i in range(40):
-                    assert client.get(b"k%d" % i) == b"v%d" % i
-
-
 class TestRecovery:
     def test_killed_server_aborts_window_and_retry_resends(self):
         """A transport death mid-window re-queues every un-acked op;

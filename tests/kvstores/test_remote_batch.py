@@ -1,5 +1,5 @@
-"""Protocol v2 batch frames: OP_BATCH round-trips, vectored replies,
-and bidirectional compatibility with pre-batching (v1) peers."""
+"""Batch frames: OP_BATCH round-trips, vectored replies, and per-op
+frames interleaved with batches on one connection."""
 
 import hypothesis.strategies as st
 import pytest
@@ -30,13 +30,6 @@ def server():
         yield srv
 
 
-@pytest.fixture
-def v1_server():
-    """A pre-batching build: answers OP_BATCH with ``unknown opcode``."""
-    with StoreServer(InMemoryStore(), protocol_version=1) as srv:
-        yield srv
-
-
 def client_for(server):
     host, port = server.address
     return RemoteStoreClient(host, port)
@@ -60,7 +53,6 @@ class TestBatchRoundTrip:
                 None,
                 None,
             ]
-            assert client._batch_supported
 
     def test_multi_get_duplicate_keys_and_empty_values(self, server):
         with client_for(server) as client:
@@ -104,35 +96,19 @@ class TestBatchRoundTrip:
 
 
 class TestCompatibility:
-    def test_v2_client_falls_back_against_v1_server(self, v1_server):
-        with client_for(v1_server) as client:
-            assert client._batch_supported
-            client.apply_batch([(OP_PUT, b"a", b"1"), (OP_PUT, b"b", b"2")])
-            # Downgrade is permanent and invisible: the ops still landed.
-            assert not client._batch_supported
-            assert client.get(b"a") == b"1"
-            assert client.get(b"b") == b"2"
-
-    def test_v1_fallback_on_multi_get_first(self, v1_server):
-        with client_for(v1_server) as client:
-            client.put(b"k", b"v")
-            assert client.multi_get([b"k", b"nope"]) == [b"v", None]
-            assert not client._batch_supported
-            # Later batches go straight to the per-op path.
-            client.apply_batch([(OP_MERGE, b"k", b"2")])
-            assert client.get(b"k") == b"v2"
-
     def test_per_op_client_against_v2_server(self, server):
-        """An old client never sends OP_BATCH; the v2 server speaks the
-        per-op protocol unchanged."""
+        """Per-op frames and batch frames interleave freely on one
+        connection: each reply answers its own request, in order."""
         with client_for(server) as client:
-            client._batch_supported = False  # pre-batching client build
             client.put(b"k", b"v")
             client.merge(b"k", b"w")
-            assert client.get(b"k") == b"vw"
             assert client.multi_get([b"k", b"x"]) == [b"vw", None]
-            client.apply_batch([(OP_DELETE, b"k", b"")])
+            assert client.get(b"k") == b"vw"
+            client.apply_batch([(OP_DELETE, b"k", b""), (OP_PUT, b"x", b"1")])
             assert client.get(b"k") is None
+            assert client.get(b"x") == b"1"
+            assert client.reconnects == 0
+            assert client.send_calls == 7
 
 
 class _PoisonStore(InMemoryStore):
@@ -180,10 +156,13 @@ class TestBatchErrors:
                 assert b"poisoned" in replies[1][1]
 
     def test_batch_rejects_read_opcode_in_apply_batch(self, server):
+        """``apply_batch`` is write-only like every local store's: a read
+        member fails the call before any byte of the batch is sent."""
         with client_for(server) as client:
-            client._batch_supported = False
-            with pytest.raises(ValueError):
-                client.apply_batch([(OP_GET, b"k", b"")])
+            with pytest.raises(ValueError, match="apply_batch is write-only"):
+                client.apply_batch([(OP_PUT, b"k", b"v"), (OP_GET, b"k", b"")])
+            assert client.send_calls == 0
+            assert client.get(b"k") is None  # the put was not sent either
 
 
 KEYS = st.binary(min_size=1, max_size=4)
@@ -202,13 +181,13 @@ BATCHES = st.lists(
 )
 
 
-@given(batches=BATCHES, v1=st.booleans())
+@given(batches=BATCHES)
 @settings(
     max_examples=15, deadline=None, suppress_health_check=[HealthCheck.too_slow]
 )
-def test_remote_batches_match_local_per_op(batches, v1):
+def test_remote_batches_match_local_per_op(batches):
     """Any sequence of write batches lands identically through the wire
-    (v2 batch frames or the v1 per-op fallback) and locally per-op."""
+    (batch frames) and locally per-op."""
     local = connect(InMemoryStore())
     for batch in batches:
         for opcode, key, value in batch:
@@ -218,8 +197,7 @@ def test_remote_batches_match_local_per_op(batches, v1):
                 local.merge(key, value)
             else:
                 local.delete(key)
-    version = 1 if v1 else 2
-    with StoreServer(InMemoryStore(), protocol_version=version) as server:
+    with StoreServer(InMemoryStore()) as server:
         with client_for(server) as client:
             for batch in batches:
                 client.apply_batch(batch)
