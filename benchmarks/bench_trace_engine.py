@@ -1,18 +1,13 @@
-"""Trace-engine benchmark: columnar AccessTrace vs the seed layout.
+"""Trace-engine benchmark: the columnar AccessTrace pipeline.
 
 Times generate -> save -> load -> replay on a fixed Borg-derived
-workload for two trace representations:
+workload through the struct-of-arrays :class:`AccessTrace` (op /
+value-size / timestamp columns + interned key pool) and the replayer's
+dispatch fast path, then replays the same trace sharded.
 
-* **columnar** -- the current struct-of-arrays :class:`AccessTrace`
-  (op/value-size/timestamp columns + interned key pool) with the
-  dispatch-table replay fast path.
-* **seed** -- a faithful replica of the seed representation: a Python
-  list of frozen per-access dataclass objects, per-record
-  ``struct.pack`` file I/O, and an attribute-chasing replay loop.
-
-Writes ``BENCH_trace_engine.json`` (ops/s per stage, speedups, trace
-memory, peak RSS, sharded-replay throughput) next to the repo root so
-future PRs have a perf trajectory to regress against.
+Writes ``BENCH_trace_engine.json`` (seconds per stage, trace memory,
+peak RSS, sharded-replay throughput) next to the repo root so future
+PRs have a perf trajectory to regress against.
 
 Run:  PYTHONPATH=src python benchmarks/bench_trace_engine.py
 """
@@ -22,141 +17,38 @@ from __future__ import annotations
 import json
 import os
 import resource
-import struct
 import sys
 import time
-from dataclasses import dataclass
 
 from _harness import env_block, write_bench
 
 from repro.core import (  # noqa: E402
     Driver,
     GadgetConfig,
-    MachineContext,
     ShardedReplayer,
     TraceReplayer,
     sliding_window_model,
-    synthesize_value,
 )
 from repro.datasets import BorgConfig, generate_borg  # noqa: E402
 from repro.kvstores import create_connector  # noqa: E402
-from repro.trace import AccessTrace, OpType  # noqa: E402
+from repro.trace import AccessTrace  # noqa: E402
 
 #: fixed workload: Borg task events through an incremental sliding window
 BORG_EVENTS = 30_000
 SEED = 42
 SHARD_WORKERS = 4
 
-_ENTRY = struct.Struct("<BIIq")
-_OP_CODES = {OpType.GET: 0, OpType.PUT: 1, OpType.MERGE: 2, OpType.DELETE: 3}
-_CODE_OPS = {code: op for op, code in _OP_CODES.items()}
 
-
-# ---------------------------------------------------------------------------
-# Seed-representation replica (list of frozen dataclasses, record I/O)
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SeedAccess:
-    op: OpType
-    key: bytes
-    value_size: int = 0
-    timestamp: int = 0
-
-
-class SeedTrace:
-    """The seed's list-of-objects AccessTrace, for comparison."""
-
-    def __init__(self) -> None:
-        self.accesses = []
-
-    def record(self, op, key, value_size=0, timestamp=0):
-        self.accesses.append(SeedAccess(op, key, value_size, timestamp))
-
-    def __len__(self):
-        return len(self.accesses)
-
-    def __iter__(self):
-        return iter(self.accesses)
-
-    def save(self, path):
-        with open(path, "wb") as handle:
-            handle.write(b"GDGT")
-            handle.write(struct.pack("<HQ", 1, len(self.accesses)))
-            for a in self.accesses:
-                handle.write(
-                    _ENTRY.pack(_OP_CODES[a.op], len(a.key), a.value_size, a.timestamp)
-                    + a.key
-                )
-
-    @classmethod
-    def load(cls, path):
-        with open(path, "rb") as handle:
-            data = handle.read()
-        _, count = struct.unpack_from("<HQ", data, 4)
-        offset = 4 + struct.calcsize("<HQ")
-        trace = cls()
-        accesses = trace.accesses
-        for _ in range(count):
-            code, klen, vsize, timestamp = _ENTRY.unpack_from(data, offset)
-            offset += _ENTRY.size
-            key = bytes(data[offset : offset + klen])
-            offset += klen
-            accesses.append(SeedAccess(_CODE_OPS[code], key, vsize, timestamp))
-        return trace
-
-
-def seed_replay(trace, connector):
-    """The seed's attribute-chasing replay loop (latency measured)."""
-    latencies = {op: [] for op in OpType}
-    timer = time.perf_counter_ns
-    started = time.perf_counter()
-    for access in trace:
-        op = access.op
-        begin = timer()
-        if op is OpType.GET:
-            connector.get(access.key)
-        elif op is OpType.PUT:
-            connector.put(access.key, synthesize_value(access.value_size))
-        elif op is OpType.MERGE:
-            connector.merge(access.key, synthesize_value(access.value_size))
-        else:
-            connector.delete(access.key)
-        elapsed_ns = timer() - begin - connector.take_background_ns()
-        latencies[op].append(max(0, elapsed_ns))
-    return time.perf_counter() - started
-
-
-# ---------------------------------------------------------------------------
-
-
-def make_driver(workload_cls=None):
+def make_driver():
     tasks, _ = generate_borg(BorgConfig(target_events=BORG_EVENTS, seed=SEED))
     model = sliding_window_model(5000, 1000, value_size=64)
-    driver = Driver(model, [tasks], GadgetConfig(interleave="time"))
-    if workload_cls is not None:
-        driver.workload = workload_cls()
-        driver.ctx = MachineContext(driver.workload, model.value_size)
-    return driver
+    return Driver(model, [tasks], GadgetConfig(interleave="time"))
 
 
 def timed(fn):
     started = time.perf_counter()
     result = fn()
     return result, time.perf_counter() - started
-
-
-def seed_trace_bytes(trace):
-    """Deep-ish size of the seed representation (keys shared, excluded
-    the same way for both representations)."""
-    total = sys.getsizeof(trace.accesses)
-    for access in trace.accesses:
-        total += sys.getsizeof(access)
-        attrs = getattr(access, "__dict__", None)
-        if attrs is not None:
-            total += sys.getsizeof(attrs)
-    return total
 
 
 def peak_rss_bytes():
@@ -167,7 +59,6 @@ def peak_rss_bytes():
 def main():
     tmp_dir = os.environ.get("TMPDIR", "/tmp")
     columnar_path = os.path.join(tmp_dir, "bench_trace_engine_v2.gdgt")
-    seed_path = os.path.join(tmp_dir, "bench_trace_engine_v1.gdgt")
 
     results = {
         "workload": {
@@ -186,8 +77,8 @@ def main():
     loaded, load_s = timed(lambda: AccessTrace.load(columnar_path))
     assert len(loaded) == ops
     connector = create_connector("memory")
-    # exact-mode latency lists, like the seed loop below (histogram
-    # mode trades ~25% throughput for O(1) latency memory)
+    # exact-mode latency lists (histogram mode trades throughput for
+    # O(1) latency memory)
     replayer = TraceReplayer(connector, use_histograms=False)
     result, replay_s = timed(lambda: replayer.replay(loaded))
     connector.close()
@@ -225,49 +116,15 @@ def main():
         ),
     }
 
-    # -- seed-representation pipeline ---------------------------------------
-    seed_trace, seed_generate_s = timed(lambda: make_driver(SeedTrace).run())
-    assert len(seed_trace) == ops, "representations must generate identical traces"
-    _, seed_save_s = timed(lambda: seed_trace.save(seed_path))
-    seed_loaded, seed_load_s = timed(lambda: SeedTrace.load(seed_path))
-    connector = create_connector("memory")
-    seed_replay_s = seed_replay(seed_loaded, connector)
-    connector.close()
-    seed_total = seed_generate_s + seed_save_s + seed_load_s + seed_replay_s
-    seed_bytes = seed_trace_bytes(seed_loaded)
-    results["seed_representation"] = {
-        "operations": ops,
-        "generate_s": round(seed_generate_s, 4),
-        "save_s": round(seed_save_s, 4),
-        "load_s": round(seed_load_s, 4),
-        "replay_s": round(seed_replay_s, 4),
-        "total_s": round(seed_total, 4),
-        "replay_kops": round(ops / seed_replay_s / 1000.0, 1),
-        "trace_bytes": seed_bytes,
-        "bytes_per_op": round(seed_bytes / ops, 2),
-        "file_bytes": os.path.getsize(seed_path),
-    }
-
-    results["speedup"] = {
-        "generate": round(seed_generate_s / generate_s, 2),
-        "save": round(seed_save_s / save_s, 2),
-        "load": round(seed_load_s / load_s, 2),
-        "replay": round(seed_replay_s / replay_s, 2),
-        "end_to_end": round(seed_total / columnar_total, 2),
-        "memory_reduction": round(seed_bytes / trace.nbytes, 2),
-    }
     results["peak_rss_bytes"] = peak_rss_bytes()
 
-    for path in (columnar_path, seed_path):
-        try:
-            os.remove(path)
-        except OSError:
-            pass
+    try:
+        os.remove(columnar_path)
+    except OSError:
+        pass
 
     print(json.dumps(results, indent=2))
     write_bench("trace_engine", results)
-    speedup = results["speedup"]
-    assert speedup["end_to_end"] >= 1.0, "columnar engine slower than seed?"
     return results
 
 

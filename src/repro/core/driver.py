@@ -73,6 +73,8 @@ class Driver:
         self.hindex: Dict[bytes, Set[bytes]] = {}
         self.vindex: Dict[int, Set[bytes]] = {}
         self.machines: Dict[bytes, StateMachine] = {}
+        #: state key -> the event key its machine was created for
+        self._event_keys: Dict[bytes, bytes] = {}
         self.current_watermark = -1
         self.dropped_late_events = 0
         self.events_processed = 0
@@ -95,6 +97,7 @@ class Driver:
             self.machines[state_key] = machine
             if event_key is not None:
                 self.hindex.setdefault(event_key, set()).add(state_key)
+                self._event_keys[state_key] = event_key
             if expires_at is not None:
                 self.vindex.setdefault(expires_at, set()).add(state_key)
         return machine
@@ -109,15 +112,11 @@ class Driver:
 
     def terminate_machine(self, state_key: bytes, event_key: Optional[bytes] = None) -> None:
         machine = self.machines.pop(state_key, None)
-        if machine is None or machine.done:
+        if machine is None:
             return
-        machine.terminate(self.ctx)
-        if event_key is not None:
-            bucket = self.hindex.get(event_key)
-            if bucket is not None:
-                bucket.discard(state_key)
-                if not bucket:
-                    del self.hindex[event_key]
+        self._unindex(state_key, event_key)
+        if not machine.done:
+            machine.terminate(self.ctx)
 
     def drop_machine(self, state_key: bytes, event_key: Optional[bytes] = None) -> None:
         """Remove a machine without emitting its final requests.
@@ -126,12 +125,17 @@ class Driver:
         merges, continuous-join invalidation).
         """
         self.machines.pop(state_key, None)
-        if event_key is not None:
-            bucket = self.hindex.get(event_key)
-            if bucket is not None:
-                bucket.discard(state_key)
-                if not bucket:
-                    del self.hindex[event_key]
+        self._unindex(state_key, event_key)
+
+    def _unindex(self, state_key: bytes, event_key: Optional[bytes]) -> None:
+        """Remove ``state_key`` from the hIndex, under the event key
+        ``machine_for`` recorded for it (or ``event_key`` if none was)."""
+        event_key = self._event_keys.pop(state_key, event_key)
+        bucket = self.hindex.get(event_key)
+        if bucket is not None:
+            bucket.discard(state_key)
+            if not bucket:
+                del self.hindex[event_key]
 
     def unschedule(self, state_key: bytes, expiry: int) -> None:
         bucket = self.vindex.get(expiry)
@@ -156,17 +160,25 @@ class Driver:
         """
         streams = [src.generate() for src in self._source_objects]
         frequency = self._watermark_frequency()
+        lateness = self._allowed_lateness()
+        drops_late = self.model.drops_late_events
+        assign = self.model.assign_state_machines
+        ctx = self.ctx
         max_time: Optional[int] = None
         count = 0
         for batch in self._batches(self._merged(streams)):
             for event, index in batch:
                 count += 1
-                max_time = (
-                    event.timestamp
-                    if max_time is None
-                    else max(max_time, event.timestamp)
-                )
-                self._process_event(event, index)
+                timestamp = event.timestamp
+                if max_time is None or timestamp > max_time:
+                    max_time = timestamp
+                if drops_late and timestamp <= self.current_watermark - lateness:
+                    self.dropped_late_events += 1
+                else:
+                    ctx.current_time = timestamp
+                    self.events_processed += 1
+                    for machine in assign(event, index, self):
+                        machine.run(ctx, event)
                 if frequency and count % frequency == 0:
                     self.on_watermark(max_time)
         if max_time is not None:
@@ -182,18 +194,6 @@ class Driver:
                 batch = []
         if batch:
             yield batch
-
-    def _process_event(self, event: Event, input_index: int) -> None:
-        if self.model.drops_late_events and (
-            event.timestamp <= self.current_watermark - self._allowed_lateness()
-        ):
-            self.dropped_late_events += 1
-            return
-        self.ctx.current_time = event.timestamp
-        self.events_processed += 1
-        machines = self.model.assign_state_machines(event, input_index, self)
-        for machine in machines:
-            machine.run(self.ctx, event)
 
     def on_watermark(self, timestamp: int) -> None:
         if timestamp <= self.current_watermark:

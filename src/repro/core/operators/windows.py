@@ -38,19 +38,24 @@ class WindowModel(OperatorModel):
         self, event: Event, input_index: int, driver: Driver
     ) -> List[StateMachine]:
         machines: List[StateMachine] = []
+        live = driver.machines
+        watermark = driver.current_watermark
+        length = self.assigner.length_ms
+        key = event.key
         for start in self.assigner.assign(event.timestamp):
-            end = self.assigner.end_of(start)
-            if end <= driver.current_watermark:
+            end = start + length
+            if end <= watermark:
                 continue  # the window already fired
-            state_key = window_state_key(event.key, start)
-            machines.append(
-                driver.machine_for(
+            state_key = window_state_key(key, start)
+            machine = live.get(state_key)
+            if machine is None:
+                machine = driver.machine_for(
                     state_key,
                     self._machine_factory,
-                    event_key=event.key,
+                    event_key=key,
                     expires_at=end,
                 )
-            )
+            machines.append(machine)
         return machines
 
 

@@ -12,7 +12,12 @@ from __future__ import annotations
 
 from typing import Optional
 
-from ..trace import AccessTrace, OpType
+from ..trace import _OP_CODES, AccessTrace, OpType
+
+_GET = _OP_CODES[OpType.GET]
+_PUT = _OP_CODES[OpType.PUT]
+_MERGE = _OP_CODES[OpType.MERGE]
+_DELETE = _OP_CODES[OpType.DELETE]
 
 
 class MachineContext:
@@ -22,34 +27,78 @@ class MachineContext:
     request type and key come from the machine, the value size from the
     configured value distribution (or an explicit override), and the
     timestamp from the event being processed.
+
+    ``write`` and ``get_then`` append straight to the trace's columns
+    and take a key *handle* -- the key's id in the trace's key pool,
+    from ``handle(key)``.  ``emit`` is the key-based form that custom
+    machines use (paper section 5.4).
     """
 
     def __init__(self, workload: AccessTrace, value_size: int = 10) -> None:
         self.workload = workload
         self.default_value_size = value_size
         self.current_time = 0
+        (
+            self._op,
+            self._kid,
+            self._vsize,
+            self._tstamp,
+            self.handle,
+        ) = workload._appenders()
+
+    def write(self, code: int, handle: int, value_size: int) -> None:
+        """Append one request: opcode ``code`` on the key ``handle``."""
+        self._op(code)
+        self._kid(handle)
+        self._vsize(value_size)
+        self._tstamp(self.current_time)
+
+    def get_then(self, code: int, handle: int, value_size: int = 0) -> None:
+        """Append a get and then ``code`` on the same key (the get+put
+        and get+delete pairs)."""
+        op, kid, vsize, tstamp = self._op, self._kid, self._vsize, self._tstamp
+        now = self.current_time
+        op(_GET)
+        kid(handle)
+        vsize(0)
+        tstamp(now)
+        op(code)
+        kid(handle)
+        vsize(value_size)
+        tstamp(now)
 
     def emit(
         self, op: OpType, state_key: bytes, value_size: Optional[int] = None
     ) -> None:
+        code = _OP_CODES[op]
         if value_size is None:
-            value_size = (
-                self.default_value_size
-                if op in (OpType.PUT, OpType.MERGE)
-                else 0
-            )
-        self.workload.record(op, state_key, value_size, self.current_time)
+            value_size = self.default_value_size if code in (_PUT, _MERGE) else 0
+        self.write(code, self.handle(state_key), value_size)
 
 
 class StateMachine:
     """One per state key; lifecycle is run*...terminate."""
 
-    __slots__ = ("state_key", "elements", "done")
+    __slots__ = ("state_key", "elements", "done", "handle")
 
     def __init__(self, state_key: bytes) -> None:
         self.state_key = state_key
         self.elements = 0  # metadata only: how many updates it absorbed
         self.done = False
+        #: the state key's id in the trace's key pool, set at first emit
+        self.handle: Optional[int] = None
+
+    def key_handle(self, ctx: MachineContext) -> int:
+        """The state key's handle, interned on first use.
+
+        Interning when the machine first emits, not when the driver
+        creates it, keeps the key pool in first-emit order: a model may
+        create a machine and emit other keys before the machine runs.
+        """
+        handle = self.handle
+        if handle is None:
+            handle = self.handle = ctx.handle(self.state_key)
+        return handle
 
     def run(self, ctx: MachineContext, event) -> None:
         raise NotImplementedError
@@ -69,13 +118,11 @@ class IncrementalWindowMachine(StateMachine):
     __slots__ = ()
 
     def run(self, ctx: MachineContext, event) -> None:
-        ctx.emit(OpType.GET, self.state_key)
-        ctx.emit(OpType.PUT, self.state_key, event.value_size)
+        ctx.get_then(_PUT, self.key_handle(ctx), event.value_size)
         self.elements += 1
 
     def terminate(self, ctx: MachineContext) -> None:
-        ctx.emit(OpType.GET, self.state_key)  # FGet
-        ctx.emit(OpType.DELETE, self.state_key)
+        ctx.get_then(_DELETE, self.key_handle(ctx))  # FGet, then delete
         self.done = True
 
 
@@ -85,12 +132,11 @@ class HolisticWindowMachine(StateMachine):
     __slots__ = ()
 
     def run(self, ctx: MachineContext, event) -> None:
-        ctx.emit(OpType.MERGE, self.state_key, event.value_size)
+        ctx.write(_MERGE, self.key_handle(ctx), event.value_size)
         self.elements += 1
 
     def terminate(self, ctx: MachineContext) -> None:
-        ctx.emit(OpType.GET, self.state_key)
-        ctx.emit(OpType.DELETE, self.state_key)
+        ctx.get_then(_DELETE, self.key_handle(ctx))
         self.done = True
 
 
@@ -100,8 +146,7 @@ class AggregationMachine(StateMachine):
     __slots__ = ()
 
     def run(self, ctx: MachineContext, event) -> None:
-        ctx.emit(OpType.GET, self.state_key)
-        ctx.emit(OpType.PUT, self.state_key, event.value_size)
+        ctx.get_then(_PUT, self.key_handle(ctx), event.value_size)
         self.elements += 1
 
 
@@ -115,12 +160,11 @@ class BufferMachine(StateMachine):
     __slots__ = ()
 
     def run(self, ctx: MachineContext, event) -> None:
-        ctx.emit(OpType.GET, self.state_key)
-        ctx.emit(OpType.PUT, self.state_key, event.value_size)
+        ctx.get_then(_PUT, self.key_handle(ctx), event.value_size)
         self.elements += 1
 
     def terminate(self, ctx: MachineContext) -> None:
-        ctx.emit(OpType.DELETE, self.state_key)
+        ctx.write(_DELETE, self.key_handle(ctx), 0)
         self.done = True
 
 
@@ -130,10 +174,9 @@ class MergeBufferMachine(StateMachine):
     __slots__ = ()
 
     def run(self, ctx: MachineContext, event) -> None:
-        ctx.emit(OpType.MERGE, self.state_key, event.value_size)
+        ctx.write(_MERGE, self.key_handle(ctx), event.value_size)
         self.elements += 1
 
     def terminate(self, ctx: MachineContext) -> None:
-        ctx.emit(OpType.GET, self.state_key)
-        ctx.emit(OpType.DELETE, self.state_key)
+        ctx.get_then(_DELETE, self.key_handle(ctx))
         self.done = True

@@ -160,6 +160,21 @@ class AccessTrace:
                 self._klist.append(key)
         return kid
 
+    def _appenders(self) -> tuple:
+        """The bound ``append`` of the opcode, key-id, value-size and
+        timestamp columns, then the key interner (key -> key id).
+
+        The state-machine emission path writes through these directly;
+        a row written through them is the row :meth:`record` writes.
+        """
+        return (
+            self._ops.append,
+            self._kids.append,
+            self._vsizes.append,
+            self._tstamps.append,
+            self._intern,
+        )
+
     # -- raw column views --------------------------------------------------
 
     @property

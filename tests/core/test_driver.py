@@ -13,7 +13,7 @@ from repro.core import (
     OperatorModel,
     SourceConfig,
 )
-from repro.core.operators.windows import tumbling_window_model
+from repro.core.operators.windows import sliding_window_model, tumbling_window_model
 from repro.events import Event
 from repro.trace import AccessTrace, OpType
 
@@ -83,11 +83,17 @@ class TestDriver:
         ]
 
     def test_hindex_tracks_state_keys(self):
-        driver = self.make_driver()
+        events = [Event(k, t) for t in range(0, 20_000, 50) for k in (b"a", b"b")]
+        driver = self.make_driver(events=events, model=sliding_window_model(1000, 250))
         driver.run()
-        # after termination the hIndex entry is gone only if terminate
-        # passed the event key; vIndex expiry uses state-key only.
-        assert isinstance(driver.hindex, dict)
+        # vIndex expiry removed every fired window from the hIndex: what
+        # remains is exactly the still-open windows, under their keys.
+        assert driver.machines
+        indexed = {sk for state_keys in driver.hindex.values() for sk in state_keys}
+        assert indexed == set(driver.machines)
+        for event_key in (b"a", b"b"):
+            live = driver.live_state_keys(event_key)
+            assert live == {sk for sk in driver.machines if sk.startswith(event_key)}
 
     def test_vindex_cleared_after_expiry(self):
         driver = self.make_driver()
