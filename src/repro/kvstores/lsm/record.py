@@ -36,6 +36,10 @@ class RecordKind(IntEnum):
     MERGE = 2
 
 
+#: indexable by the wire kind byte; decoding returns these singletons,
+#: which the store's ``is`` checks rely on
+_KINDS = tuple(RecordKind)
+
 _HEADER = struct.Struct("<BQII")
 HEADER_SIZE = _HEADER.size
 
@@ -63,12 +67,18 @@ class Record(NamedTuple):
 
 
 def decode_record(buf: bytes, offset: int = 0) -> Tuple[Record, int]:
-    """Decode one record at ``offset``; return ``(record, next_offset)``."""
+    """Decode one record at ``offset``; return ``(record, next_offset)``.
+
+    Raises ``struct.error`` for a header cut short and ``ValueError``
+    for a kind byte that names no :class:`RecordKind`.
+    """
     kind, sequence, klen, vlen = _HEADER.unpack_from(buf, offset)
+    if kind > 2:
+        raise ValueError(f"{kind} is not a valid RecordKind")
     start = offset + HEADER_SIZE
     key = bytes(buf[start : start + klen])
     value = bytes(buf[start + klen : start + klen + vlen])
-    return Record(RecordKind(kind), sequence, key, value), start + klen + vlen
+    return Record(_KINDS[kind], sequence, key, value), start + klen + vlen
 
 
 def decode_all(buf: bytes) -> Iterator[Record]:
@@ -78,6 +88,30 @@ def decode_all(buf: bytes) -> Iterator[Record]:
     while offset < end:
         record, offset = decode_record(buf, offset)
         yield record
+
+
+def index_records(buf: bytes) -> Tuple[List[bytes], List[int]]:
+    """Key and offset of every back-to-back record in ``buf``.
+
+    One walk over the headers that decodes no record: feed an offset to
+    :func:`decode_record` to get its record.  Raises exactly where
+    :func:`decode_all` would, with the same exception types.  ``buf``
+    must be ``bytes`` so the keys are ``bytes`` slices that bisect.
+    """
+    keys: List[bytes] = []
+    offsets: List[int] = []
+    unpack = _HEADER.unpack_from
+    offset = 0
+    end = len(buf)
+    while offset < end:
+        kind, _, klen, vlen = unpack(buf, offset)
+        if kind > 2:
+            raise ValueError(f"{kind} is not a valid RecordKind")
+        start = offset + HEADER_SIZE
+        offsets.append(offset)
+        keys.append(buf[start : start + klen])
+        offset = start + klen + vlen
+    return keys, offsets
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +245,7 @@ def _decode_wal_v1(buf: bytes) -> WalDecodeResult:
             return result
         key = bytes(buf[start : start + klen])
         value = bytes(buf[start + klen : start + klen + vlen])
-        result.records.append(Record(RecordKind(kind), sequence, key, value))
+        result.records.append(Record(_KINDS[kind], sequence, key, value))
         offset = start + klen + vlen
         result.valid_bytes = offset
     return result

@@ -46,7 +46,7 @@ from ..integrity import (
 )
 from ..storage import Storage
 from .bloom import BloomFilter
-from .record import Record, RecordKind, decode_all, decode_record
+from .record import Record, RecordKind, decode_all, decode_record, index_records
 
 _FOOTER_V1 = struct.Struct("<QQQQ")  # bloom_off, bloom_len, index_off, index_len
 # v1 fields + bloom_crc, index_crc, checksum kind, pad, magic
@@ -80,24 +80,34 @@ class _Sections:
 
 
 class ParsedBlock:
-    """A decoded data block: parallel key/record arrays for binary search."""
+    """A verified data block indexed by key; records decode on demand.
 
-    __slots__ = ("keys", "records", "size_bytes")
+    Holds the raw bytes plus parallel key/offset arrays from one header
+    walk, so a point read decodes only the records it returns.  The
+    walk checks every header, so a structurally damaged block is
+    rejected here just as a full decode would reject it.  Its block
+    cache weight is the raw block length.
+    """
+
+    __slots__ = ("raw", "keys", "offsets", "size_bytes")
 
     def __init__(self, raw: bytes, blob_name: str = "?", offset: int = 0) -> None:
         try:
-            self.records: List[Record] = list(decode_all(raw))
+            self.keys, self.offsets = index_records(raw)
         except (struct.error, ValueError) as exc:
             raise CorruptionError(
                 blob_name, offset, f"undecodable block: {exc}"
             ) from None
-        self.keys: List[bytes] = [r.key for r in self.records]
+        self.raw = raw
         self.size_bytes = len(raw)
 
     def records_for(self, key: bytes) -> List[Record]:
-        lo = bisect.bisect_left(self.keys, key)
-        hi = bisect.bisect_right(self.keys, key)
-        return self.records[lo:hi]
+        """Records stored for ``key`` in this block, oldest first."""
+        keys = self.keys
+        lo = bisect.bisect_left(keys, key)
+        hi = bisect.bisect_right(keys, key, lo)
+        raw, offsets = self.raw, self.offsets
+        return [decode_record(raw, offsets[i])[0] for i in range(lo, hi)]
 
 
 class SSTable:

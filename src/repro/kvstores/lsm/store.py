@@ -612,10 +612,10 @@ class RocksLSMStore(KVStore):
         """Vectored get: probe keys in sorted order.
 
         Sorting means keys that land in the same SSTable block hit the
-        block cache back-to-back (one decode serves the whole cluster)
-        and per-table bloom/index probes run with warm lookup state --
-        the MultiGet locality trick.  Results come back in input order;
-        duplicate keys are resolved once.
+        block cache back-to-back (one block read and key index serve
+        the whole cluster) and per-table bloom/index probes run with
+        warm lookup state -- the MultiGet locality trick.  Results come
+        back in input order; duplicate keys are resolved once.
         """
         self._check_open()
         self.stats.gets += len(keys)

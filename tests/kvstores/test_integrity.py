@@ -1,5 +1,6 @@
 """Storage-integrity subsystem: checksums, corruption detection, scrub."""
 
+import struct
 import warnings
 
 import pytest
@@ -36,6 +37,7 @@ from repro.kvstores.integrity import (
     _crc32c_py,
 )
 from repro.kvstores.lsm.record import (
+    HEADER_SIZE,
     Record,
     RecordKind,
     WAL_HEADER_SIZE,
@@ -344,6 +346,43 @@ class TestLSMCorruptionHandling:
         reader = RocksLSMStore(config, storage=storage)
         reader.recover()
         assert {k: reader.get(k) for k in keys} == expected
+
+
+class TestStructuralDamageWithoutChecksums:
+    """Under ``checksum="none"`` no CRC guards a data block, so only the
+    record walk can notice a kind byte out of range or a header cut
+    short."""
+
+    def _damaged_store(self):
+        storage = MemoryStorage()
+        store = RocksLSMStore(LSMConfig(checksum="none", block_size=256), storage=storage)
+        for i in range(120):
+            store.put(b"key-%04d" % i, b"x" * 32)
+        store.flush()
+        (table,) = store._levels[0]
+        bad_kind, cut_header = table._index[2], table._index[5]
+        raw = bytearray(storage.read(table.blob_name))
+        raw[bad_kind.offset] = 7  # the block's first record kind byte
+        # Stretch the block's first value (header: kind 1, seq 8, klen 4,
+        # vlen 4) so the bytes left after it hold five bytes of a header.
+        (klen,) = struct.unpack_from("<I", raw, cut_header.offset + 9)
+        vlen = cut_header.length - 5 - HEADER_SIZE - klen
+        struct.pack_into("<I", raw, cut_header.offset + 13, vlen)
+        storage.write(table.blob_name, bytes(raw))
+        return store, table, (bad_kind, cut_header)
+
+    def test_verify_reports_both_blocks(self):
+        _, table, damaged = self._damaged_store()
+        report = table.verify()
+        assert [f.offset for f in report.findings] == [h.offset for h in damaged]
+        assert all("undecodable block" in f.detail for f in report.findings)
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["bad-kind", "cut-header"])
+    def test_get_raises_and_quarantines(self, block):
+        store, table, damaged = self._damaged_store()
+        with pytest.raises(CorruptionError, match="undecodable block"):
+            store.get(damaged[block].first_key)
+        assert table in store.quarantined
 
 
 class TestBTreePageFraming:
