@@ -102,6 +102,8 @@ REPLY_BATCH = 4
 #: batch reply body is just this item repeated ``count`` times, which
 #: both ends exploit to avoid per-item framing work
 _OK_ITEM = _REPLY_HEAD.pack(REPLY_OK, 0)
+#: the encoded ``(REPLY_MISSING, 0)`` reply to a get of an absent key
+_MISSING_ITEM = _REPLY_HEAD.pack(REPLY_MISSING, 0)
 
 #: default per-operation socket timeout for clients, in seconds
 DEFAULT_TIMEOUT_S = 5.0
@@ -162,9 +164,8 @@ def _frame_op_into(
     buf: bytearray, pos: int, opcode: int, key: bytes, value: bytes
 ) -> int:
     """Frame one op at ``buf[pos:]`` (caller guarantees capacity);
-    returns the end offset.  ``pack_into`` + slice assignment replaces
-    the old ``pack(...) + key + value`` concatenation, so a framed op
-    costs zero allocations on a warm buffer."""
+    returns the end offset.  A framed op costs zero allocations on a
+    warm buffer."""
     key_len = len(key)
     value_len = len(value)
     _HEADER.pack_into(buf, pos, opcode, key_len, value_len)
@@ -278,7 +279,7 @@ def _execute_batch(
 class _Connection:
     """Per-client state on the event loop: staged input, pending output."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "close_after_flush")
+    __slots__ = ("sock", "inbuf", "outbuf", "close_after_flush", "writing")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
@@ -287,6 +288,10 @@ class _Connection:
         #: set when the last queued reply must be the connection's final
         #: word (unknown opcode, shutdown refusal): flush, then close
         self.close_after_flush = False
+        #: whether the selector watches this socket for ``EVENT_WRITE``
+        #: (replies left over from a short send); the interest set is
+        #: only touched when this flips
+        self.writing = False
 
 
 #: how long :meth:`StoreServer.stop` keeps trying to flush queued
@@ -460,11 +465,14 @@ class _ReplicationLink:
         buf = self._inbuf
         buf += chunk
         head_size = _REPLY_HEAD.size
-        while len(buf) >= head_size:
-            status, length = _REPLY_HEAD.unpack_from(buf, 0)
-            if len(buf) < head_size + length:
+        end = len(buf)
+        pos = 0
+        while end - pos >= head_size:
+            status, length = _REPLY_HEAD.unpack_from(buf, pos)
+            frame_end = pos + head_size + length
+            if frame_end > end:
                 break
-            del buf[: head_size + length]
+            pos = frame_end
             if not self._pending:
                 continue  # stray frame; nothing to attribute it to
             sent, ops = self._pending.popleft()
@@ -473,6 +481,7 @@ class _ReplicationLink:
                 self.errors += ops
             else:
                 self.ops_acked += ops
+        del buf[:pos]
 
     def _record_lag(self, lag_ms: float) -> None:
         self.lag_ms_last = lag_ms
@@ -642,20 +651,86 @@ class StoreServer:
 
         Returns False if the connection was closed (``conn`` must not
         be touched again); replies are queued on ``conn.outbuf``.
+
+        Nothing is parsed until the first staged frame is complete; then
+        the staged bytes are copied once, an offset walks them (each key
+        and value is one slice), and the consumed prefix is trimmed once.
+        A frame larger than one ``recv`` is thus copied once, not once
+        per ``recv``.
         """
         buf = conn.inbuf
-        connector = self._connector
         header_size = _HEADER.size
-        while not conn.close_after_flush:
-            if len(buf) < header_size:
-                break
-            opcode, key_len, value_len = _HEADER.unpack_from(buf, 0)
-            if opcode == OP_BATCH:
-                frame_len = header_size + value_len
-                if len(buf) < frame_len:
+        if conn.close_after_flush or len(buf) < header_size:
+            return True
+        unpack_from = _HEADER.unpack_from
+        opcode, key_len, value_len = unpack_from(buf, 0)
+        if opcode == OP_BATCH:
+            first_end = header_size + value_len
+        elif opcode in _KNOWN_OPS or opcode == OP_ADMIN:
+            first_end = header_size + key_len + value_len
+        else:  # OP_CLOSE and unknown opcodes act on the header alone
+            first_end = header_size
+        if len(buf) < first_end:
+            return True
+        data = bytes(buf)
+        end = len(data)
+        # Store calls go through the connector frame by frame: binding its
+        # four methods up front costs a one-frame request more than it
+        # saves a 16-frame burst.
+        connector = self._connector
+        out = conn.outbuf
+        pack_reply = _REPLY_HEAD.pack
+        pos = 0
+        while not conn.close_after_flush and end - pos >= header_size:
+            opcode, key_len, value_len = unpack_from(data, pos)
+            start = pos + header_size
+            if opcode in _KNOWN_OPS:
+                key_end = start + key_len
+                frame_end = key_end + value_len
+                if frame_end > end:
                     break
-                payload = bytes(buf[header_size:frame_len])
-                del buf[:frame_len]
+                key = data[start:key_end]
+                value = data[key_end:frame_end]
+                pos = frame_end
+                if self._closing:
+                    self._queue_error(conn, "server is shutting down")
+                    conn.close_after_flush = True
+                    break
+                try:
+                    if opcode == OP_GET:
+                        result = connector.get(key)
+                        if result is None:
+                            out += _MISSING_ITEM
+                        else:
+                            out += pack_reply(REPLY_VALUE, len(result))
+                            out += result
+                        continue
+                    repl = self._replication
+                    # Downstream-first for sync links (see the batch path).
+                    if repl is not None and repl.sync:
+                        repl.forward(opcode, key, value)
+                    if opcode == OP_PUT:
+                        connector.put(key, value)
+                    elif opcode == OP_MERGE:
+                        connector.merge(key, value)
+                    else:  # OP_DELETE
+                        connector.delete(key)
+                    if repl is not None and not repl.sync:
+                        repl.forward(opcode, key, value)
+                except _ReplicationError as exc:
+                    self._queue_error(conn, str(exc))
+                    continue
+                except Exception as exc:  # store failure: report, keep serving
+                    self._queue_error(conn, f"{type(exc).__name__}: {exc}")
+                    continue
+                out += _OK_ITEM
+                continue
+            if opcode == OP_BATCH:
+                frame_end = start + value_len
+                if frame_end > end:
+                    break
+                payload = data[start:frame_end]
+                pos = frame_end
                 if self._closing:
                     self._queue_error(conn, "server is shutting down")
                     conn.close_after_flush = True
@@ -684,16 +759,17 @@ class StoreServer:
                 body = _execute_batch(connector, items)
                 if repl is not None and writes and not repl.sync:
                     repl.forward_batch(writes)
-                conn.outbuf += _REPLY_HEAD.pack(REPLY_BATCH, len(body))
-                conn.outbuf += body
+                out += pack_reply(REPLY_BATCH, len(body))
+                out += body
                 continue
             if opcode == OP_ADMIN:
-                frame_len = header_size + key_len + value_len
-                if len(buf) < frame_len:
+                key_end = start + key_len
+                frame_end = key_end + value_len
+                if frame_end > end:
                     break
-                command = bytes(buf[header_size : header_size + key_len])
-                payload = bytes(buf[header_size + key_len : frame_len])
-                del buf[:frame_len]
+                command = data[start:key_end]
+                payload = data[key_end:frame_end]
+                pos = frame_end
                 if self._closing:
                     self._queue_error(conn, "server is shutting down")
                     conn.close_after_flush = True
@@ -705,56 +781,18 @@ class StoreServer:
                 except Exception as exc:
                     self._queue_error(conn, f"{type(exc).__name__}: {exc}")
                     continue
-                conn.outbuf += _REPLY_HEAD.pack(REPLY_VALUE, len(response))
-                conn.outbuf += response
+                out += pack_reply(REPLY_VALUE, len(response))
+                out += response
                 continue
             if opcode == OP_CLOSE:
                 self._close_connection(conn)
                 return False
-            if opcode not in _KNOWN_OPS:
-                # Always answer: dying without a reply leaves the
-                # client deadlocked on the socket.
-                self._queue_error(conn, f"unknown opcode {opcode}")
-                conn.close_after_flush = True
-                break
-            frame_len = header_size + key_len + value_len
-            if len(buf) < frame_len:
-                break
-            key = bytes(buf[header_size : header_size + key_len])
-            value = bytes(buf[header_size + key_len : frame_len])
-            del buf[:frame_len]
-            if self._closing:
-                self._queue_error(conn, "server is shutting down")
-                conn.close_after_flush = True
-                break
-            repl = self._replication
-            try:
-                if opcode == OP_GET:
-                    result = connector.get(key)
-                    if result is None:
-                        conn.outbuf += _REPLY_HEAD.pack(REPLY_MISSING, 0)
-                    else:
-                        conn.outbuf += _REPLY_HEAD.pack(REPLY_VALUE, len(result))
-                        conn.outbuf += result
-                    continue
-                # Downstream-first for sync links (see the batch path).
-                if repl is not None and repl.sync:
-                    repl.forward(opcode, key, value)
-                if opcode == OP_PUT:
-                    connector.put(key, value)
-                elif opcode == OP_MERGE:
-                    connector.merge(key, value)
-                else:  # OP_DELETE
-                    connector.delete(key)
-                if repl is not None and not repl.sync:
-                    repl.forward(opcode, key, value)
-            except _ReplicationError as exc:
-                self._queue_error(conn, str(exc))
-                continue
-            except Exception as exc:  # store failure: report, keep serving
-                self._queue_error(conn, f"{type(exc).__name__}: {exc}")
-                continue
-            conn.outbuf += _REPLY_HEAD.pack(REPLY_OK, 0)
+            # Always answer: dying without a reply leaves the client
+            # deadlocked on the socket.
+            self._queue_error(conn, f"unknown opcode {opcode}")
+            conn.close_after_flush = True
+            break
+        del buf[:pos]
         return True
 
     # -- control plane -------------------------------------------------------
@@ -821,9 +859,10 @@ class StoreServer:
 
     def _flush(self, conn: _Connection) -> None:
         sock = conn.sock
-        while conn.outbuf:
+        out = conn.outbuf
+        while out:
             try:
-                sent = sock.send(conn.outbuf)
+                sent = sock.send(out)
             except BlockingIOError:
                 break
             except OSError:
@@ -831,16 +870,20 @@ class StoreServer:
                 return
             if sent == 0:
                 break
-            del conn.outbuf[:sent]
-        if conn.outbuf:
-            self._selector.modify(
-                sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
-            )
+            del out[:sent]
+        if out:
+            if not conn.writing:
+                self._selector.modify(
+                    sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
+                )
+                conn.writing = True
         else:
             if conn.close_after_flush:
                 self._close_connection(conn)
                 return
-            self._selector.modify(sock, selectors.EVENT_READ, conn)
+            if conn.writing:
+                self._selector.modify(sock, selectors.EVENT_READ, conn)
+                conn.writing = False
 
     def _close_connection(self, conn: _Connection) -> None:
         if self._connections.pop(conn.sock, None) is None:
@@ -1351,14 +1394,15 @@ class _RemotePipeline(PipelineSession):
     The protocol is strictly ordered per connection, so correlation is
     positional: op k's reply is the k-th reply frame, no IDs on the
     wire, the same per-op frames a synchronous request sends.
-    Submitted ops are staged (framed into one reusable buffer) and
-    flushed in coalesced ``sendall`` bursts; replies drain through a
+    Submitted ops are staged and flushed in coalesced bursts: each
+    burst is its ops' header, key and value parts joined into one
+    ``bytes`` and sent with one ``sendall``.  Replies drain through a
     chunked ``recv_into`` loop that completes ops FIFO.  The window
-    never exceeds ``depth`` un-acked
-    ops; once full, the session flushes and drains down to ``depth//2``
-    so reply reads overlap the next burst's framing (half-window
-    hysteresis -- at depth 16 a steady-state burst carries 8 ops per
-    ``sendall``/``recv`` pair instead of 1 per round trip).
+    never exceeds ``depth`` un-acked ops; once full, the session
+    flushes and drains down to ``depth//2`` so reply reads overlap the
+    next burst's framing (half-window hysteresis -- at depth 16 a
+    steady-state burst carries 8 ops per ``sendall``/``recv`` pair
+    instead of 1 per round trip).
 
     Failure semantics: a transport failure (timeout, reset, dead
     server) aborts the whole window -- every un-acked op is re-queued
@@ -1374,13 +1418,12 @@ class _RemotePipeline(PipelineSession):
     def __init__(self, client: RemoteStoreClient, depth: int, on_complete) -> None:
         super().__init__(client, depth, on_complete)
         self._client = client
-        #: framed-not-yet-sent (opcode, key, value, arrival_ns)
+        #: submitted-not-yet-sent (opcode, key, value, arrival_ns)
         self._staged: deque = deque()
         #: on the wire awaiting replies, FIFO == reply order
         self._inflight: deque = deque()
         self._recvbuf = bytearray()
         self._chunkbuf = bytearray(1 << 16)
-        self._sendbuf = bytearray(4096)
         self.aborted_windows = 0
 
     @property
@@ -1423,17 +1466,12 @@ class _RemotePipeline(PipelineSession):
         sock = client._sock
         if sock is None:
             raise client._not_connected()
-        buf = self._sendbuf
-        need = 0
-        for _, key, value, _arrival in staged:
-            need += _HEADER.size + len(key) + len(value)
-        _grow(buf, need)
-        pos = 0
+        pack = _HEADER.pack
+        parts: List[bytes] = []
         for opcode, key, value, _arrival in staged:
-            pos = _frame_op_into(buf, pos, opcode, key, value)
+            parts += (pack(opcode, len(key), len(value)), key, value)
         try:
-            with memoryview(buf)[:need] as frame:
-                sock.sendall(frame)
+            sock.sendall(b"".join(parts))
         except OSError as exc:
             raise client._transport_error(exc) from exc
         n = len(staged)

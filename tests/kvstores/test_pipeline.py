@@ -221,11 +221,13 @@ class TestStoreErrors:
 
 
 class _ScriptedSocket:
-    """recv_into-only socket fed from a preset byte string."""
+    """Socket fed from a preset byte string; sends are counted and
+    dropped."""
 
     def __init__(self, payload):
         self._payload = payload
         self._pos = 0
+        self.sent_bytes = 0
 
     def rewind(self):
         self._pos = 0
@@ -235,6 +237,9 @@ class _ScriptedSocket:
         buf[:n] = self._payload[self._pos : self._pos + n]
         self._pos += n
         return n
+
+    def sendall(self, data):
+        self.sent_bytes += len(data)
 
 
 class TestAllocationFree:
@@ -274,6 +279,30 @@ class TestAllocationFree:
             _frame_op_into(buf, 0, OP_PUT, key, value)
 
         assert self._steady_state_blocks(step) < 50
+
+    def test_send_staged_bursts_leave_nothing_behind(self, server):
+        """A burst's joined ``bytes`` and its parts are freed once sent:
+        2,000 bursts grow the heap by no more than interpreter noise."""
+        with client_for(server) as client:
+            real = client._sock
+            sock = client._sock = _ScriptedSocket(b"")
+            try:
+                session = client.pipeline(16, Collector())
+                burst = [
+                    (OP_PUT if i % 2 else OP_MERGE, b"key%06d" % i, b"v" * 64, 0)
+                    for i in range(8)
+                ]
+
+                def step():
+                    session._staged.extend(burst)
+                    session._send_staged()
+                    session._inflight.clear()
+
+                assert self._steady_state_blocks(step) < 50
+                # warmup + measured bursts, each 8 x (header + key + value)
+                assert sock.sent_bytes == (50 + 2000) * 8 * (9 + 9 + 64)
+            finally:
+                client._sock = real
 
 
 class TestNoDelay:

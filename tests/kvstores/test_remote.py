@@ -1,11 +1,22 @@
 """Tests for external state management (store server + remote client)."""
 
+import selectors
+import socket
 import threading
+import time
 
 import pytest
 
 from repro.kvstores import InMemoryStore, create_store
-from repro.kvstores.remote import RemoteStoreClient, StoreServer
+from repro.kvstores.api import OP_GET
+from repro.kvstores.remote import (
+    _HEADER,
+    _REPLY_HEAD,
+    REPLY_VALUE,
+    RemoteStoreClient,
+    StoreServer,
+    _recv_exact,
+)
 
 
 @pytest.fixture(autouse=True)
@@ -125,3 +136,76 @@ class TestReplayerIntegration:
             with client_for(server) as client:
                 remote = TraceReplayer(client).replay(trace)
         assert remote.throughput_ops < embedded.throughput_ops
+
+
+class _ModifySpy:
+    """Records the event mask of every ``selector.modify`` the server
+    loop makes, then forwards the call."""
+
+    def __init__(self, server):
+        self.events = []
+        self._modify = server._selector.modify
+        server._selector.modify = self
+
+    def __call__(self, fileobj, events, data=None):
+        self.events.append(events)
+        return self._modify(fileobj, events, data)
+
+
+def _wait_until(predicate, timeout=5.0):
+    deadline = time.monotonic() + timeout
+    while not predicate():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
+class TestInterestSet:
+    """The server touches a connection's selector interest only when it
+    changes: a reply flushed in full never re-arms ``EVENT_WRITE``."""
+
+    def test_fully_flushed_replies_leave_the_selector_alone(self):
+        with StoreServer(InMemoryStore()) as server:
+            with client_for(server) as client:
+                client.put(b"k", b"v")
+                spy = _ModifySpy(server)
+                for _ in range(1000):
+                    assert client.get(b"k") == b"v"
+                assert spy.events == []
+
+    def test_backpressure_delivers_every_reply_in_order(self):
+        """A reader that stops reading forces ``EVENT_WRITE`` interest;
+        once it reads again every reply arrives, in request order, and
+        the connection is back to read-only interest."""
+        values = [bytes([i]) * (256 * 1024) for i in range(4)]
+        with StoreServer(InMemoryStore()) as server:
+            with client_for(server) as client:
+                for i, value in enumerate(values):
+                    client.put(b"big%d" % i, value)
+            spy = _ModifySpy(server)
+            with socket.socket() as raw:
+                raw.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 16 * 1024)
+                raw.connect(server.address)
+                raw.settimeout(5.0)
+                gets = 0
+                while not any(e & selectors.EVENT_WRITE for e in spy.events):
+                    assert gets < 200, "server never had to wait to write"
+                    raw.sendall(_HEADER.pack(OP_GET, 4, 0) + b"big%d" % (gets % 4))
+                    gets += 1
+                    time.sleep(0.002)
+                for i in range(gets):
+                    status, length = _REPLY_HEAD.unpack(
+                        _recv_exact(raw, _REPLY_HEAD.size)
+                    )
+                    assert (status, length) == (REPLY_VALUE, len(values[i % 4]))
+                    assert _recv_exact(raw, length) == values[i % 4]
+                (conn_sock,) = list(server._connections)
+                _wait_until(
+                    lambda: server._selector.get_key(conn_sock).events
+                    == selectors.EVENT_READ
+                )
+                assert spy.events[-1] == selectors.EVENT_READ
+                # the connection keeps serving
+                raw.sendall(_HEADER.pack(OP_GET, 4, 0) + b"big1")
+                head = _recv_exact(raw, _REPLY_HEAD.size)
+                assert _REPLY_HEAD.unpack(head) == (REPLY_VALUE, len(values[1]))
+                assert _recv_exact(raw, len(values[1])) == values[1]

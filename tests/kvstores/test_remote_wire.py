@@ -189,6 +189,21 @@ def reply_stream():
             return bytes(replies)
 
 
+def reply_stream_sent_as(send):
+    """The session's reply stream when ``send(sock, data)`` puts all of
+    its request bytes on the socket before any reply is read."""
+    with StoreServer(InMemoryStore()) as server:
+        with socket.create_connection(server.address, timeout=2.0) as sock:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            send(sock, b"".join(SESSION))
+            return b"".join(recv_reply(sock) for _ in SESSION)
+
+
+def one_byte_sends(sock, data):
+    for i in range(len(data)):
+        sock.sendall(data[i : i + 1])
+
+
 class TestClientFrames:
     def test_per_op_frame(self):
         assert per_op_frame().hex() == PER_OP_FRAME
@@ -209,6 +224,15 @@ class TestServerReplies:
         member and, after it, the ``stats`` reply on the same
         connection."""
         assert reply_stream().hex() == REPLY_STREAM
+
+    def test_reply_stream_for_one_coalesced_send(self):
+        """Every frame of the session arrives in one ``sendall``."""
+        stream = reply_stream_sent_as(lambda sock, data: sock.sendall(data))
+        assert stream.hex() == REPLY_STREAM
+
+    def test_reply_stream_for_one_byte_sends(self):
+        """Every frame, header included, arrives split across sends."""
+        assert reply_stream_sent_as(one_byte_sends).hex() == REPLY_STREAM
 
     def test_unknown_top_level_opcode_replies_then_closes(self):
         with StoreServer(InMemoryStore()) as server:
