@@ -9,20 +9,18 @@ performs on a cache miss):
 * **internal** -- sorted separator keys with ``len(keys) + 1`` children;
   child ``i`` holds keys < ``keys[i]``, the last child holds the rest
 
-Persisted pages come in two framings:
-
-* **v1 (legacy)** -- the raw node encoding; its first byte is the node
-  marker (0 or 1), so it never collides with the v2 magic.
-* **v2 (checksummed)** -- ``0xB7 | version | checksum-kind | crc:4``
-  followed by the v1 payload.  :func:`decode_page` verifies the CRC
-  before deserializing and raises
-  :class:`~repro.kvstores.integrity.CorruptionError` on damage.
+A persisted page is ``0xB7 | version | checksum-kind | crc:4``
+followed by the node encoding.  :func:`decode_page` verifies the CRC
+before deserializing and raises
+:class:`~repro.kvstores.integrity.CorruptionError` on damage.  Under
+``ChecksumKind.NONE`` the stored CRC is 0 and only the structural
+checks guard the page.
 """
 
 from __future__ import annotations
 
 import struct
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from ..integrity import ChecksumKind, CorruptionError, checksum
 
@@ -100,45 +98,36 @@ class InternalNode:
 
 
 def encode_page(node, kind: ChecksumKind = ChecksumKind.NONE) -> bytes:
-    """Serialize ``node`` for persistence.
-
-    With ``ChecksumKind.NONE`` this is the legacy v1 payload,
-    byte-identical to what older builds wrote; otherwise the payload is
-    wrapped in the v2 checksummed frame.
-    """
+    """Serialize ``node`` for persistence: the page header, carrying
+    ``kind`` and the payload's CRC under it, then the node encoding."""
     payload = node.encode()
-    if kind is ChecksumKind.NONE:
-        return payload
     return _PAGE_HEADER.pack(PAGE_MAGIC, PAGE_VERSION, int(kind), checksum(payload, kind)) + payload
 
 
 def decode_page(data: bytes, blob: str = "?"):
-    """Reconstruct a persisted page of either framing.
+    """Reconstruct a persisted page.
 
-    Raises :class:`CorruptionError` when the frame is damaged: bad CRC,
-    truncated header, unknown checksum kind, or a legacy payload whose
-    first byte is not a valid node marker.
+    Raises :class:`CorruptionError` when the frame is damaged: a first
+    byte that is not the page marker, truncated header, unknown version
+    or checksum kind, bad CRC, or an undecodable node.
     """
     if not data:
         raise CorruptionError(blob, 0, "empty page")
     first = data[0]
-    if first == PAGE_MAGIC:
-        if len(data) < _PAGE_HEADER.size:
-            raise CorruptionError(blob, 0, f"torn page header ({len(data)} bytes)")
-        _, version, kind_value, crc = _PAGE_HEADER.unpack_from(data, 0)
-        if version != PAGE_VERSION:
-            raise CorruptionError(blob, 1, f"unknown page version {version}")
-        try:
-            kind = ChecksumKind(kind_value)
-        except ValueError:
-            raise CorruptionError(blob, 2, f"unknown checksum kind {kind_value}") from None
-        payload = bytes(data[_PAGE_HEADER.size :])
-        if checksum(payload, kind) != crc:
-            raise CorruptionError(blob, _PAGE_HEADER.size, "page checksum mismatch")
-    elif first in (_LEAF_MARKER, _INTERNAL_MARKER):
-        payload = data
-    else:
+    if first != PAGE_MAGIC:
         raise CorruptionError(blob, 0, f"unrecognized page marker {first:#04x}")
+    if len(data) < _PAGE_HEADER.size:
+        raise CorruptionError(blob, 0, f"torn page header ({len(data)} bytes)")
+    _, version, kind_value, crc = _PAGE_HEADER.unpack_from(data, 0)
+    if version != PAGE_VERSION:
+        raise CorruptionError(blob, 1, f"unknown page version {version}")
+    try:
+        kind = ChecksumKind(kind_value)
+    except ValueError:
+        raise CorruptionError(blob, 2, f"unknown checksum kind {kind_value}") from None
+    payload = bytes(data[_PAGE_HEADER.size :])
+    if checksum(payload, kind) != crc:
+        raise CorruptionError(blob, _PAGE_HEADER.size, "page checksum mismatch")
     try:
         return decode_node(payload)
     except (struct.error, ValueError, IndexError) as exc:
@@ -148,6 +137,8 @@ def decode_page(data: bytes, blob: str = "?"):
 def decode_node(data: bytes):
     """Reconstruct a node evicted to storage."""
     marker, count, next_leaf = _HEADER.unpack_from(data, 0)
+    if marker not in (_LEAF_MARKER, _INTERNAL_MARKER):
+        raise ValueError(f"unknown node marker {marker}")
     offset = _HEADER.size
     keys: List[bytes] = []
 

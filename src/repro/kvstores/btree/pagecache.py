@@ -4,10 +4,9 @@ All live pages are reached through this cache.  Pages evicted by the
 byte budget are serialized into storage; a later access deserializes
 them back -- charging realistic miss work without real disk latency.
 
-Persisted pages carry the checksummed v2 framing from
-:mod:`repro.kvstores.btree.node` (unless the cache was configured with
-``ChecksumKind.NONE``), and every page-in verifies the frame before
-deserializing.  A damaged page raises
+Persisted pages carry the checksummed framing from
+:mod:`repro.kvstores.btree.node`, and every page-in verifies the frame
+before deserializing.  A damaged page raises
 :class:`~repro.kvstores.integrity.CorruptionError`; :meth:`scrub`
 repairs corrupt blobs whose page is still resident in the cache by
 rewriting them from the in-memory copy.

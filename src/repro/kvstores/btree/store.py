@@ -37,8 +37,9 @@ class BTreeConfig:
     #: BerkeleyDB reclaims lazily by default; enabling this keeps the
     #: tree compact under streaming's delete-heavy workloads.
     rebalance_on_delete: bool = True
-    #: checksum algorithm for persisted pages: "none", "crc32",
-    #: "crc32c", or None/"default" for the platform default
+    #: checksum algorithm for persisted pages: "none" (same framing,
+    #: CRC stored as 0), "crc32", "crc32c", or None/"default" for the
+    #: platform default
     checksum: Optional[str] = None
 
 

@@ -38,11 +38,9 @@ from ..storage import MemoryStorage, Storage, StorageError
 _RECORD_HEADER = struct.Struct("<BII")  # tombstone flag, key len, value len
 RECORD_OVERHEAD = 16  # models FASTER's RecordInfo header + alignment
 
-# Sealed segments come in two framings.  Legacy (v1) segments are
-# back-to-back raw records, whose first byte is a tombstone flag (0 or
-# 1) and so never collides with the v2 magic.  v2 segments start with
-# an 8-byte header (magic, version, checksum kind, pad) followed by
-# framed records: ``crc:4 | len:4 | record``.
+# A sealed segment is an 8-byte header (magic, version, checksum kind,
+# pad) followed by framed records: ``crc:4 | len:4 | record``.  Under
+# ChecksumKind.NONE every stored CRC is 0.
 SEGMENT_MAGIC = b"FSG2"
 SEGMENT_VERSION = 2
 _SEGMENT_HEADER = struct.Struct("<4sBBH")
@@ -78,6 +76,8 @@ class LogRecord:
     @classmethod
     def decode(cls, buf: bytes, offset: int = 0) -> Tuple["LogRecord", int]:
         tombstone, klen, vlen = _RECORD_HEADER.unpack_from(buf, offset)
+        if tombstone > 1:
+            raise ValueError(f"invalid tombstone flag {tombstone}")
         start = offset + _RECORD_HEADER.size
         key = bytes(buf[start : start + klen])
         value = bytes(buf[start + klen : start + klen + vlen])
@@ -85,25 +85,24 @@ class LogRecord:
 
 
 def segment_header(kind: ChecksumKind) -> bytes:
-    """The 8-byte header starting every v2 sealed segment."""
+    """The 8-byte header starting every sealed segment."""
     return _SEGMENT_HEADER.pack(SEGMENT_MAGIC, SEGMENT_VERSION, int(kind), 0)
 
 
 def frame_log_record(record: LogRecord, kind: ChecksumKind) -> bytes:
-    """Frame one record for a v2 segment."""
+    """Frame one record for a segment."""
     payload = record.encode()
     return _FRAME.pack(checksum(payload, kind), len(payload)) + payload
 
 
-def segment_checksum_kind(raw: bytes, blob: str = "?") -> Optional[ChecksumKind]:
-    """The checksum kind recorded in a segment header, or ``None`` for
-    a legacy (v1) segment.  Raises :class:`CorruptionError` when the
-    header is damaged."""
-    if raw[:4] != SEGMENT_MAGIC:
-        return None
+def segment_checksum_kind(raw: bytes, blob: str = "?") -> ChecksumKind:
+    """The checksum kind recorded in a segment header.  Raises
+    :class:`CorruptionError` when the header is missing or damaged."""
     if len(raw) < SEGMENT_HEADER_SIZE:
         raise CorruptionError(blob, 0, f"torn segment header ({len(raw)} bytes)")
-    _, version, kind_value, _ = _SEGMENT_HEADER.unpack_from(raw, 0)
+    magic, version, kind_value, _ = _SEGMENT_HEADER.unpack_from(raw, 0)
+    if magic != SEGMENT_MAGIC:
+        raise CorruptionError(blob, 0, f"bad segment magic {magic!r}")
     if version != SEGMENT_VERSION:
         raise CorruptionError(blob, 4, f"unknown segment version {version}")
     try:
@@ -113,23 +112,15 @@ def segment_checksum_kind(raw: bytes, blob: str = "?") -> Optional[ChecksumKind]
 
 
 def decode_segment_record(
-    raw: bytes, offset: int, kind: Optional[ChecksumKind], blob: str = "?"
+    raw: bytes, offset: int, kind: ChecksumKind, blob: str = "?"
 ) -> Tuple[LogRecord, int]:
-    """Decode one record at ``offset`` within a sealed segment.
+    """Decode the framed record at ``offset`` within a sealed segment.
 
-    ``kind`` is ``None`` for legacy segments (structural validation
-    only) and a :class:`ChecksumKind` for framed v2 segments (CRC
-    verified before deserializing).  Raises :class:`CorruptionError`
-    on damage; never returns garbage bytes.
+    The frame's CRC is verified under ``kind`` before deserializing.
+    Raises :class:`CorruptionError` on damage; never returns garbage
+    bytes.
     """
     end = len(raw)
-    if kind is None:
-        if offset + _RECORD_HEADER.size > end:
-            raise CorruptionError(blob, offset, "torn record header")
-        tombstone, klen, vlen = _RECORD_HEADER.unpack_from(raw, offset)
-        if tombstone not in (0, 1) or offset + _RECORD_HEADER.size + klen + vlen > end:
-            raise CorruptionError(blob, offset, "torn or invalid record")
-        return LogRecord.decode(raw, offset)
     if offset + _FRAME.size > end:
         raise CorruptionError(blob, offset, "torn frame header")
     crc, length = _FRAME.unpack_from(raw, offset)
@@ -318,19 +309,11 @@ class HybridLog:
         ):
             blob = f"faster-seg-{self._segment_count:08d}"
             self._segment_count += 1
-            checksummed = self.checksum_kind is not ChecksumKind.NONE
-            parts: List[bytes] = []
-            offset = 0
-            if checksummed:
-                header = segment_header(self.checksum_kind)
-                parts.append(header)
-                offset = len(header)
+            kind = self.checksum_kind
+            parts: List[bytes] = [segment_header(kind)]
+            offset = SEGMENT_HEADER_SIZE
             for address, record in self._pending_segment:
-                encoded = (
-                    frame_log_record(record, self.checksum_kind)
-                    if checksummed
-                    else record.encode()
-                )
+                encoded = frame_log_record(record, kind)
                 self._disk_index[address] = (blob, offset)
                 parts.append(encoded)
                 offset += len(encoded)
@@ -385,19 +368,9 @@ class HybridLog:
                     continue
                 try:
                     kind = segment_checksum_kind(raw, blob)
-                    if kind is None:
-                        # Legacy segment: validate each indexed record.
-                        for offset, _ in sorted(
-                            (off, addr)
-                            for addr, (name, off) in self._disk_index.items()
-                            if name == blob
-                        ):
-                            decode_segment_record(raw, offset, None, blob)
-                    else:
-                        # Framed segment: walk every frame sequentially.
-                        offset = SEGMENT_HEADER_SIZE
-                        while offset < len(raw):
-                            _, offset = decode_segment_record(raw, offset, kind, blob)
+                    offset = SEGMENT_HEADER_SIZE
+                    while offset < len(raw):
+                        _, offset = decode_segment_record(raw, offset, kind, blob)
                 except CorruptionError as exc:
                     report.add(ScrubFinding(blob, exc.offset, exc.detail))
         return report

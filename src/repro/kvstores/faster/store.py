@@ -38,8 +38,9 @@ class FasterConfig:
     memory_budget: int = 256 * 1024
     mutable_fraction: float = 0.9
     segment_size: int = 16 * 1024
-    #: checksum algorithm for sealed segments: "none", "crc32",
-    #: "crc32c", or None/"default" for the platform default
+    #: checksum algorithm for sealed segments: "none" (same framing,
+    #: every CRC stored as 0), "crc32", "crc32c", or None/"default" for
+    #: the platform default
     checksum: Optional[str] = None
 
 

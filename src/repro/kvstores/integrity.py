@@ -14,12 +14,14 @@ algorithm:
 * :attr:`ChecksumKind.CRC32` -- zlib's C-accelerated CRC-32.  The
   default writer kind when no native CRC32C is available, so checksums
   never dominate the write path of a pure-Python harness.
-* :attr:`ChecksumKind.NONE` -- writes the legacy v1 formats byte-for-
-  byte (used for the v1 compatibility tests and by users who want
-  checksums off).
+* :attr:`ChecksumKind.NONE` -- checksums off: the same framing, with
+  every stored checksum 0 (``checksum`` returns 0 under NONE, so it
+  verifies with no special case).  Only structural checks guard the
+  bytes; tests use it to reach damage a CRC would mask.
 
-Readers dispatch on the recorded kind, so files written under one
-configuration are always readable under another.
+Each engine writes exactly one framing, and readers dispatch on the
+recorded kind, so files written under one configuration are always
+readable under another.
 """
 
 from __future__ import annotations
@@ -120,7 +122,7 @@ def resolve_checksum_kind(name: Optional[str]) -> ChecksumKind:
     """Map a store-config string to a :class:`ChecksumKind`.
 
     ``None`` or ``"default"`` selects :data:`DEFAULT_CHECKSUM_KIND`;
-    ``"none"`` disables checksums (legacy v1 formats).
+    ``"none"`` disables checksums (same framing, checksums stored as 0).
     """
     if name is None or name == "default":
         return DEFAULT_CHECKSUM_KIND

@@ -7,17 +7,12 @@ Every record is ``(kind, sequence, key, value)``:
   order records for the same key during reads and compaction
 * wire format: ``kind:1 | seq:8 | klen:4 | vlen:4 | key | value``
 
-WAL files come in two formats:
-
-* **v1 (legacy)** -- back-to-back raw records, no header.  Truncation
-  mid-record is detectable structurally; bit flips are not.
-* **v2 (checksummed)** -- an 8-byte file header
-  (``"GWAL" | version | checksum-kind | pad``) followed by framed
-  records: ``crc:4 | len:4 | record``.  The CRC covers the record
-  payload, so replay can truncate at the first damaged frame instead
-  of deserializing garbage.  v1 files never start with ``"G"`` (the
-  first byte of a record is its kind, 0--2), so readers dispatch on
-  the magic.
+A WAL file is an 8-byte header (``"GWAL" | version | checksum-kind |
+pad``) followed by framed records: ``crc:4 | len:4 | record``.  The
+CRC covers the record payload, so replay can truncate at the first
+damaged frame instead of deserializing garbage.  Under
+``ChecksumKind.NONE`` every stored CRC is 0 and only the framing
+guards the bytes.
 """
 
 from __future__ import annotations
@@ -115,7 +110,7 @@ def index_records(buf: bytes) -> Tuple[List[bytes], List[int]]:
 
 
 # ---------------------------------------------------------------------------
-# WAL framing (v2, checksummed)
+# WAL framing
 # ---------------------------------------------------------------------------
 
 WAL_MAGIC = b"GWAL"
@@ -126,18 +121,18 @@ _FRAME = struct.Struct("<II")  # crc32 of payload, payload length
 
 
 def wal_header(kind: ChecksumKind) -> bytes:
-    """The file header starting every v2 WAL."""
+    """The file header starting every WAL."""
     return _WAL_HEADER.pack(WAL_MAGIC, WAL_VERSION, int(kind), 0)
 
 
 def frame_record(record: Record, kind: ChecksumKind) -> bytes:
-    """Frame one record for a v2 WAL append."""
+    """Frame one record for a WAL append."""
     payload = record.encode()
     return _FRAME.pack(checksum(payload, kind), len(payload)) + payload
 
 
 def frame_records(records: Sequence[Record], kind: ChecksumKind) -> bytes:
-    """Frame a whole write batch as ONE v2 WAL frame (group commit).
+    """Frame a whole write batch as ONE WAL frame (group commit).
 
     The frame payload is the back-to-back encoding of every record in
     the batch, covered by a single CRC.  Replay decodes all of them
@@ -155,38 +150,47 @@ class WalDecodeResult:
 
     ``valid_bytes`` is the prefix length (header included) holding only
     intact records; rewriting the file to that prefix repairs a torn or
-    bit-flipped tail.
+    bit-flipped tail.  It is 0 when the header itself is unusable.
     """
 
     records: List[Record] = field(default_factory=list)
     valid_bytes: int = 0
-    version: int = 1
+    version: int = 0
     truncated: bool = False
     #: human-readable reason the decode stopped early (None when clean)
     corruption: Optional[str] = None
 
+    def repaired(self, buf: bytes, kind: ChecksumKind) -> bytes:
+        """The bytes that repair ``buf``: its intact prefix, or a fresh
+        ``kind`` header when not even the header survived, so later
+        appends land under a header."""
+        return buf[: self.valid_bytes] if self.valid_bytes else wal_header(kind)
+
 
 def decode_wal(buf: bytes) -> WalDecodeResult:
-    """Decode a WAL of either format, stopping at the first damage.
+    """Decode a WAL, stopping at the first damage.
 
     Never raises for corrupt input: replay consumes ``records`` (the
-    recoverable prefix) and recovery truncates the file to
-    ``valid_bytes``.
+    recoverable prefix) and recovery rewrites the file with
+    :meth:`WalDecodeResult.repaired`.
     """
-    if buf[:4] == WAL_MAGIC:
-        return _decode_wal_v2(buf)
-    return _decode_wal_v1(buf)
-
-
-def _decode_wal_v2(buf: bytes) -> WalDecodeResult:
-    _, version, kind_value, _ = _WAL_HEADER.unpack_from(buf, 0)
-    result = WalDecodeResult(valid_bytes=WAL_HEADER_SIZE, version=version)
+    if len(buf) < WAL_HEADER_SIZE:
+        return WalDecodeResult(
+            truncated=True, corruption=f"torn WAL header ({len(buf)} bytes)"
+        )
+    magic, version, kind_value, _ = _WAL_HEADER.unpack_from(buf, 0)
+    if magic != WAL_MAGIC or version != WAL_VERSION:
+        return WalDecodeResult(
+            truncated=True,
+            corruption=f"bad WAL header (magic {magic!r}, version {version})",
+        )
     try:
         kind = ChecksumKind(kind_value)
     except ValueError:
-        result.truncated = True
-        result.corruption = f"unknown checksum kind {kind_value}"
-        return result
+        return WalDecodeResult(
+            truncated=True, corruption=f"unknown checksum kind {kind_value}"
+        )
+    result = WalDecodeResult(valid_bytes=WAL_HEADER_SIZE, version=version)
     offset = WAL_HEADER_SIZE
     end = len(buf)
     while offset < end:
@@ -223,29 +227,5 @@ def _decode_wal_v2(buf: bytes) -> WalDecodeResult:
             return result
         result.records.extend(frame_records_)
         offset = start + length
-        result.valid_bytes = offset
-    return result
-
-
-def _decode_wal_v1(buf: bytes) -> WalDecodeResult:
-    """Legacy WAL: structural validation only (no checksums)."""
-    result = WalDecodeResult(version=1)
-    offset = 0
-    end = len(buf)
-    while offset < end:
-        if offset + HEADER_SIZE > end:
-            result.truncated = True
-            result.corruption = f"torn record header at offset {offset}"
-            return result
-        kind, sequence, klen, vlen = _HEADER.unpack_from(buf, offset)
-        start = offset + HEADER_SIZE
-        if kind not in (0, 1, 2) or start + klen + vlen > end:
-            result.truncated = True
-            result.corruption = f"torn or invalid record at offset {offset}"
-            return result
-        key = bytes(buf[start : start + klen])
-        value = bytes(buf[start + klen : start + klen + vlen])
-        result.records.append(Record(_KINDS[kind], sequence, key, value))
-        offset = start + klen + vlen
         result.valid_bytes = offset
     return result

@@ -8,23 +8,19 @@ Layout of an SSTable blob::
   (key, sequence); split at ``block_size`` boundaries
 * bloom  -- serialized Bloom filter over all keys in the table
 * index  -- per-block (first_key, offset, length) entries
-* footer -- offsets and lengths of the bloom and index sections
+* footer -- offsets, lengths and CRCs of the bloom and index sections,
+  the checksum kind, and the ``"GST2"`` magic
 
 The index and bloom sections are pinned in memory per open table, like
 RocksDB's pinned filter/index blocks; data blocks go through the shared
 LRU block cache.
 
-Two footer formats exist:
-
-* **v1 (legacy)** -- 32-byte ``<QQQQ`` footer, no checksums anywhere.
-* **v2 (checksummed)** -- every data block carries a CRC in its index
-  entry, the bloom and index sections carry CRCs in the footer, and
-  the footer ends with the ``"GST2"`` magic plus the checksum kind.
-  Reads verify the block CRC before parsing; a mismatch raises
-  :class:`~repro.kvstores.integrity.CorruptionError` instead of ever
-  returning garbage.  v1 files are still readable (their trailing four
-  bytes are the always-zero high half of a ``uint64`` length, never
-  the magic).
+Every data block carries a CRC in its index entry.  Reads verify the
+block CRC before parsing; a mismatch raises
+:class:`~repro.kvstores.integrity.CorruptionError` instead of ever
+returning garbage.  Under ``ChecksumKind.NONE`` every stored CRC is 0,
+so only the structural checks guard the bytes.  A blob that does not
+end with the magic is not an SSTable.
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from __future__ import annotations
 import bisect
 import struct
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional
 
 from ..cache import LRUCache
 from ..integrity import (
@@ -48,11 +44,10 @@ from ..storage import Storage
 from .bloom import BloomFilter
 from .record import Record, RecordKind, decode_all, decode_record, index_records
 
-_FOOTER_V1 = struct.Struct("<QQQQ")  # bloom_off, bloom_len, index_off, index_len
-# v1 fields + bloom_crc, index_crc, checksum kind, pad, magic
-_FOOTER_V2 = struct.Struct("<QQQQIIB3s4s")
-_INDEX_ENTRY_V1 = struct.Struct("<IQI")  # key_len, offset, length
-_INDEX_ENTRY_V2 = struct.Struct("<IQII")  # key_len, offset, length, crc
+# bloom_off, bloom_len, index_off, index_len, bloom_crc, index_crc,
+# checksum kind, pad, magic
+_FOOTER = struct.Struct("<QQQQIIB3s4s")
+_INDEX_ENTRY = struct.Struct("<IQII")  # key_len, offset, length, crc
 
 SST_MAGIC = b"GST2"
 DEFAULT_BLOCK_SIZE = 4096
@@ -63,20 +58,20 @@ class BlockHandle:
     first_key: bytes
     offset: int
     length: int
-    #: checksum of the raw block bytes (None for v1 tables)
-    crc: Optional[int] = None
+    #: checksum of the raw block bytes
+    crc: int
 
 
 @dataclass(frozen=True)
 class _Sections:
-    """Where the bloom/index sections live, with their v2 checksums."""
+    """Where the bloom/index sections live, with their checksums."""
 
     bloom_offset: int
     bloom_length: int
     index_offset: int
     index_length: int
-    bloom_crc: Optional[int] = None
-    index_crc: Optional[int] = None
+    bloom_crc: int
+    index_crc: int
 
 
 class ParsedBlock:
@@ -127,8 +122,8 @@ class SSTable:
         oldest_tombstone_seq: Optional[int],
         data_size: int,
         max_sequence: int,
-        checksum_kind: ChecksumKind = ChecksumKind.NONE,
-        sections: Optional[_Sections] = None,
+        checksum_kind: ChecksumKind,
+        sections: _Sections,
     ) -> None:
         self.file_id = file_id
         self._storage = storage
@@ -201,11 +196,10 @@ class SSTable:
                 handle.offset,
                 f"short block read ({len(raw)} of {handle.length} bytes)",
             )
-        if handle.crc is not None:
-            if checksum(raw, self.checksum_kind) != handle.crc:
-                raise CorruptionError(
-                    self.blob_name, handle.offset, "block checksum mismatch"
-                )
+        if checksum(raw, self.checksum_kind) != handle.crc:
+            raise CorruptionError(
+                self.blob_name, handle.offset, "block checksum mismatch"
+            )
 
     def iter_records(self) -> Iterator[Record]:
         """Sequential full scan (used by compaction)."""
@@ -220,8 +214,8 @@ class SSTable:
     def verify(self) -> ScrubReport:
         """Re-read and checksum every persisted byte of this table.
 
-        Checks each data block against its CRC (or structurally for v1
-        tables) plus the bloom and index sections; corrupt structures
+        Checks each data block against its CRC and structurally, plus
+        the bloom and index sections against theirs; corrupt structures
         are unrecoverable at the table level (the caller quarantines
         the table and relies on redundancy in deeper levels).
         """
@@ -241,38 +235,35 @@ class SSTable:
                     )
                 except Exception as exc:  # storage errors: missing blob, I/O
                     report.add(ScrubFinding(self.blob_name, handle.offset, str(exc)))
-            if self._sections is not None:
-                report.structures_checked += 2
-                sections = self._sections
-                for label, offset, length, crc in (
-                    (
-                        "bloom",
-                        sections.bloom_offset,
-                        sections.bloom_length,
-                        sections.bloom_crc,
-                    ),
-                    (
-                        "index",
-                        sections.index_offset,
-                        sections.index_length,
-                        sections.index_crc,
-                    ),
-                ):
-                    if crc is None:
-                        continue
-                    try:
-                        raw = self._storage.read_range(self.blob_name, offset, length)
-                    except Exception as exc:
-                        report.add(ScrubFinding(self.blob_name, offset, str(exc)))
-                        continue
-                    if len(raw) != length or checksum(raw, self.checksum_kind) != crc:
-                        report.add(
-                            ScrubFinding(
-                                self.blob_name,
-                                offset,
-                                f"{label} section checksum mismatch",
-                            )
+            report.structures_checked += 2
+            sections = self._sections
+            for label, offset, length, crc in (
+                (
+                    "bloom",
+                    sections.bloom_offset,
+                    sections.bloom_length,
+                    sections.bloom_crc,
+                ),
+                (
+                    "index",
+                    sections.index_offset,
+                    sections.index_length,
+                    sections.index_crc,
+                ),
+            ):
+                try:
+                    raw = self._storage.read_range(self.blob_name, offset, length)
+                except Exception as exc:
+                    report.add(ScrubFinding(self.blob_name, offset, str(exc)))
+                    continue
+                if len(raw) != length or checksum(raw, self.checksum_kind) != crc:
+                    report.add(
+                        ScrubFinding(
+                            self.blob_name,
+                            offset,
+                            f"{label} section checksum mismatch",
                         )
+                    )
         return report
 
     def drop(self, block_cache: Optional[LRUCache] = None) -> None:
@@ -303,11 +294,11 @@ def build_sstable(
     """Serialize sorted ``records`` into a new SSTable blob.
 
     ``records`` must already be sorted by (key, sequence).  Returns
-    ``None`` when there are no records.  ``checksum_kind`` NONE writes
-    the legacy v1 format byte-for-byte.  ``cooperate``, when given, is
-    called between chunks of the bloom-filter build -- the one long
-    loop that runs after the record stream is exhausted -- so a
-    background worker can periodically yield the interpreter to
+    ``None`` when there are no records.  ``checksum_kind`` is recorded
+    in the footer; under NONE every stored CRC is 0.  ``cooperate``,
+    when given, is called between chunks of the bloom-filter build --
+    the one long loop that runs after the record stream is exhausted --
+    so a background worker can periodically yield the interpreter to
     foreground writers instead of holding it for a multi-millisecond
     stretch on large tables.
     """
@@ -323,7 +314,6 @@ def build_sstable(
     largest: Optional[bytes] = None
     max_sequence = 0
     offset = 0
-    checksummed = checksum_kind is not ChecksumKind.NONE
 
     def cut_block() -> None:
         nonlocal current, current_first, offset
@@ -331,7 +321,7 @@ def build_sstable(
             return
         raw = bytes(current)
         assert current_first is not None
-        crc = checksum(raw, checksum_kind) if checksummed else None
+        crc = checksum(raw, checksum_kind)
         index.append(BlockHandle(current_first, offset, len(raw), crc))
         blocks.append(raw)
         offset += len(raw)
@@ -370,48 +360,34 @@ def build_sstable(
 
     data = b"".join(blocks)
     bloom_bytes = bloom.encode()
-    index_entry = _INDEX_ENTRY_V2 if checksummed else _INDEX_ENTRY_V1
     index_parts = []
     for handle in index:
-        if checksummed:
-            index_parts.append(
-                index_entry.pack(
-                    len(handle.first_key), handle.offset, handle.length, handle.crc
-                )
+        index_parts.append(
+            _INDEX_ENTRY.pack(
+                len(handle.first_key), handle.offset, handle.length, handle.crc
             )
-        else:
-            index_parts.append(
-                index_entry.pack(len(handle.first_key), handle.offset, handle.length)
-            )
+        )
         index_parts.append(handle.first_key)
     index_bytes = b"".join(index_parts)
-    sections: Optional[_Sections] = None
-    if checksummed:
-        bloom_crc = checksum(bloom_bytes, checksum_kind)
-        index_crc = checksum(index_bytes, checksum_kind)
-        footer = _FOOTER_V2.pack(
-            len(data),
-            len(bloom_bytes),
-            len(data) + len(bloom_bytes),
-            len(index_bytes),
-            bloom_crc,
-            index_crc,
-            int(checksum_kind),
-            b"\x00" * 3,
-            SST_MAGIC,
-        )
-        sections = _Sections(
-            len(data),
-            len(bloom_bytes),
-            len(data) + len(bloom_bytes),
-            len(index_bytes),
-            bloom_crc,
-            index_crc,
-        )
-    else:
-        footer = _FOOTER_V1.pack(
-            len(data), len(bloom_bytes), len(data) + len(bloom_bytes), len(index_bytes)
-        )
+    sections = _Sections(
+        len(data),
+        len(bloom_bytes),
+        len(data) + len(bloom_bytes),
+        len(index_bytes),
+        checksum(bloom_bytes, checksum_kind),
+        checksum(index_bytes, checksum_kind),
+    )
+    footer = _FOOTER.pack(
+        sections.bloom_offset,
+        sections.bloom_length,
+        sections.index_offset,
+        sections.index_length,
+        sections.bloom_crc,
+        sections.index_crc,
+        int(checksum_kind),
+        b"\x00" * 3,
+        SST_MAGIC,
+    )
     blob_name = f"{blob_prefix}-{file_id:08d}"
     storage.write(blob_name, data + bloom_bytes + index_bytes + footer)
 
@@ -437,56 +413,49 @@ def build_sstable(
 def open_sstable(file_id: int, storage: Storage, blob_name: str) -> SSTable:
     """Re-open an SSTable from its blob (recovery path).
 
-    Detects the footer format, verifies the bloom/index section
-    checksums (v2), and validates every data block while rebuilding the
+    Verifies the footer magic and layout and the bloom/index section
+    checksums, and validates every data block while rebuilding the
     table statistics.  Truncated or damaged blobs raise
     :class:`CorruptionError` rather than ``struct.error``.
     """
     blob = storage.read(blob_name)
-    if len(blob) >= _FOOTER_V2.size and blob[-4:] == SST_MAGIC:
-        (
-            bloom_off,
-            bloom_len,
-            index_off,
-            index_len,
-            bloom_crc,
-            index_crc,
-            kind_value,
-            _,
-            _,
-        ) = _FOOTER_V2.unpack(blob[-_FOOTER_V2.size :])
-        try:
-            kind = ChecksumKind(kind_value)
-        except ValueError:
-            raise CorruptionError(
-                blob_name, len(blob) - _FOOTER_V2.size,
-                f"unknown checksum kind {kind_value}",
-            ) from None
-        sections: Optional[_Sections] = _Sections(
-            bloom_off, bloom_len, index_off, index_len, bloom_crc, index_crc
-        )
-        index_entry = _INDEX_ENTRY_V2
-    elif len(blob) >= _FOOTER_V1.size:
-        bloom_off, bloom_len, index_off, index_len = _FOOTER_V1.unpack(
-            blob[-_FOOTER_V1.size :]
-        )
-        kind = ChecksumKind.NONE
-        sections = None
-        index_entry = _INDEX_ENTRY_V1
-    else:
+    body = len(blob) - _FOOTER.size
+    if body < 0:
         raise CorruptionError(
             blob_name, 0, f"truncated sstable ({len(blob)} bytes, no footer)"
         )
-
-    if index_off + index_len > len(blob) or bloom_off + bloom_len > len(blob):
-        raise CorruptionError(blob_name, 0, "footer sections exceed blob size")
-    bloom_bytes = blob[bloom_off : bloom_off + bloom_len]
-    index_bytes = blob[index_off : index_off + index_len]
-    if sections is not None:
-        if checksum(bytes(bloom_bytes), kind) != sections.bloom_crc:
-            raise CorruptionError(blob_name, bloom_off, "bloom section checksum mismatch")
-        if checksum(bytes(index_bytes), kind) != sections.index_crc:
-            raise CorruptionError(blob_name, index_off, "index section checksum mismatch")
+    (
+        bloom_off,
+        bloom_len,
+        index_off,
+        index_len,
+        bloom_crc,
+        index_crc,
+        kind_value,
+        _,
+        magic,
+    ) = _FOOTER.unpack_from(blob, body)
+    if magic != SST_MAGIC:
+        raise CorruptionError(
+            blob_name, len(blob) - 4, f"no footer magic (found {magic!r})"
+        )
+    try:
+        kind = ChecksumKind(kind_value)
+    except ValueError:
+        raise CorruptionError(
+            blob_name, body, f"unknown checksum kind {kind_value}"
+        ) from None
+    if bloom_off + bloom_len != index_off or index_off + index_len != body:
+        raise CorruptionError(blob_name, body, "footer sections do not fit the blob")
+    sections = _Sections(
+        bloom_off, bloom_len, index_off, index_len, bloom_crc, index_crc
+    )
+    bloom_bytes = blob[bloom_off:index_off]
+    index_bytes = blob[index_off:body]
+    if checksum(bytes(bloom_bytes), kind) != bloom_crc:
+        raise CorruptionError(blob_name, bloom_off, "bloom section checksum mismatch")
+    if checksum(bytes(index_bytes), kind) != index_crc:
+        raise CorruptionError(blob_name, index_off, "index section checksum mismatch")
 
     try:
         bloom = BloomFilter.decode(bloom_bytes)
@@ -498,15 +467,10 @@ def open_sstable(file_id: int, storage: Storage, blob_name: str) -> SSTable:
 
     index: List[BlockHandle] = []
     pos = index_off
-    end = index_off + index_len
     try:
-        while pos < end:
-            if index_entry is _INDEX_ENTRY_V2:
-                key_len, offset, length, crc = index_entry.unpack_from(blob, pos)
-            else:
-                key_len, offset, length = index_entry.unpack_from(blob, pos)
-                crc = None
-            pos += index_entry.size
+        while pos < body:
+            key_len, offset, length, crc = _INDEX_ENTRY.unpack_from(blob, pos)
+            pos += _INDEX_ENTRY.size
             first_key = bytes(blob[pos : pos + key_len])
             pos += key_len
             index.append(BlockHandle(first_key, offset, length, crc))
@@ -523,7 +487,7 @@ def open_sstable(file_id: int, storage: Storage, blob_name: str) -> SSTable:
         raw = blob[handle.offset : handle.offset + handle.length]
         if len(raw) != handle.length:
             raise CorruptionError(blob_name, handle.offset, "block exceeds blob size")
-        if handle.crc is not None and checksum(bytes(raw), kind) != handle.crc:
+        if checksum(bytes(raw), kind) != handle.crc:
             raise CorruptionError(blob_name, handle.offset, "block checksum mismatch")
         offset2 = 0
         try:

@@ -54,7 +54,6 @@ from ..api import (
 from ...obs import tracing
 from ..cache import LRUCache
 from ..integrity import (
-    ChecksumKind,
     CorruptionError,
     ScrubFinding,
     ScrubReport,
@@ -117,8 +116,8 @@ class LSMConfig:
     target_file_size: int = 256 * 1024
     enable_wal: bool = True
     #: checksum algorithm for WAL frames and SSTable blocks:
-    #: "crc32c", "crc32", "none" (legacy v1 formats), or None/"default"
-    #: for the fastest available kind
+    #: "crc32c", "crc32", "none" (same framing, every CRC stored as 0),
+    #: or None/"default" for the fastest available kind
     checksum: Optional[str] = None
     #: compaction shape: "leveled", "tiered", or "universal"
     #: (see :mod:`repro.kvstores.lsm.policies`)
@@ -278,10 +277,7 @@ class RocksLSMStore(KVStore):
             return
         if self.config.enable_wal:
             with tracing.span("lsm.wal_commit", records=len(records)) as sp:
-                if self.checksum_kind is not ChecksumKind.NONE:
-                    encoded = frame_records(records, self.checksum_kind)
-                else:
-                    encoded = b"".join(record.encode() for record in records)
+                encoded = frame_records(records, self.checksum_kind)
                 self.storage.append(self._wal_name, encoded)
                 sp.add(bytes=len(encoded))
             self._wal_bytes += len(encoded)
@@ -295,10 +291,7 @@ class RocksLSMStore(KVStore):
         with self._mutex:
             if self.config.enable_wal:
                 with tracing.span("lsm.wal_commit", records=len(records)) as sp:
-                    if self.checksum_kind is not ChecksumKind.NONE:
-                        encoded = frame_records(records, self.checksum_kind)
-                    else:
-                        encoded = b"".join(record.encode() for record in records)
+                    encoded = frame_records(records, self.checksum_kind)
                     self.storage.append(self._wal_name, encoded)
                     sp.add(bytes=len(encoded))
                 self._segment_bytes[self._wal_name] += len(encoded)
@@ -315,24 +308,14 @@ class RocksLSMStore(KVStore):
 
     def _reset_wal(self) -> None:
         """(Re)create the WAL holding only its format header."""
-        header = (
-            wal_header(self.checksum_kind)
-            if self.checksum_kind is not ChecksumKind.NONE
-            else b""
-        )
-        self.storage.write(self._wal_name, header)
+        self.storage.write(self._wal_name, wal_header(self.checksum_kind))
         self._wal_bytes = 0
 
     def _new_wal_segment(self) -> str:
         """Create the next numbered WAL segment and make it active."""
         self._wal_seq += 1
         name = f"wal-{self._wal_seq:06d}"
-        header = (
-            wal_header(self.checksum_kind)
-            if self.checksum_kind is not ChecksumKind.NONE
-            else b""
-        )
-        self.storage.write(name, header)
+        self.storage.write(name, wal_header(self.checksum_kind))
         self._segment_bytes[name] = 0
         self._wal_name = name
         return name
@@ -350,10 +333,7 @@ class RocksLSMStore(KVStore):
             self._write_background(record)
             return
         if self.config.enable_wal:
-            if self.checksum_kind is not ChecksumKind.NONE:
-                encoded = frame_record(record, self.checksum_kind)
-            else:
-                encoded = record.encode()
+            encoded = frame_record(record, self.checksum_kind)
             self.storage.append(self._wal_name, encoded)
             self._wal_bytes += len(encoded)
             self.stats.bytes_written += len(encoded)
@@ -364,10 +344,7 @@ class RocksLSMStore(KVStore):
     def _write_background(self, record: Record) -> None:
         with self._mutex:
             if self.config.enable_wal:
-                if self.checksum_kind is not ChecksumKind.NONE:
-                    encoded = frame_record(record, self.checksum_kind)
-                else:
-                    encoded = record.encode()
+                encoded = frame_record(record, self.checksum_kind)
                 self.storage.append(self._wal_name, encoded)
                 self._segment_bytes[self._wal_name] += len(encoded)
                 self._wal_bytes += len(encoded)
@@ -1108,7 +1085,9 @@ class RocksLSMStore(KVStore):
                 survivors.append(name)
                 if decoded.truncated:
                     self.integrity.detected += 1
-                    self.storage.write(name, buf[: decoded.valid_bytes])
+                    self.storage.write(
+                        name, decoded.repaired(buf, self.checksum_kind)
+                    )
                     self.integrity.repaired += 1
                     warnings.warn(
                         f"WAL corruption in segment {name!r} "
@@ -1136,18 +1115,12 @@ class RocksLSMStore(KVStore):
                 # surviving segments into the single legacy WAL, which
                 # is the only blob the inline flush path resets.  Each
                 # segment carries its own file header, so the replayed
-                # records are re-framed rather than byte-concatenated
-                # (this also normalizes any v1/v2 format mix).
+                # records are re-framed rather than byte-concatenated.
                 if survivors and survivors != [self._wal_name]:
-                    if self.checksum_kind is not ChecksumKind.NONE:
-                        merged = wal_header(self.checksum_kind) + b"".join(
-                            frame_record(record, self.checksum_kind)
-                            for record in replayed_records
-                        )
-                    else:
-                        merged = b"".join(
-                            record.encode() for record in replayed_records
-                        )
+                    merged = wal_header(self.checksum_kind) + b"".join(
+                        frame_record(record, self.checksum_kind)
+                        for record in replayed_records
+                    )
                     self.storage.write(self._wal_name, merged)
                     for name in survivors:
                         if name != self._wal_name:
@@ -1200,7 +1173,9 @@ class RocksLSMStore(KVStore):
                     buf = self.storage.read(name)
                     decoded = decode_wal(buf)
                     if decoded.truncated:
-                        self.storage.write(name, buf[: decoded.valid_bytes])
+                        self.storage.write(
+                            name, decoded.repaired(buf, self.checksum_kind)
+                        )
                         report.add(
                             ScrubFinding(
                                 name,

@@ -154,20 +154,20 @@ class TestWalFraming:
         assert decoded.records == records[:3]
         assert "checksum mismatch" in decoded.corruption
 
-    def test_v1_legacy_decode(self):
-        records = _records(15)
-        buf = b"".join(r.encode() for r in records)
-        decoded = decode_wal(buf)
-        assert decoded.version == 1
-        assert decoded.records == records
-        assert not decoded.truncated
+    @pytest.mark.parametrize("cut", range(WAL_HEADER_SIZE))
+    def test_torn_header_is_truncated_not_raised(self, cut):
+        decoded = decode_wal(wal_header(ChecksumKind.CRC32)[:cut])
+        assert decoded.truncated and "torn WAL header" in decoded.corruption
+        assert decoded.records == [] and decoded.valid_bytes == 0
+        assert decoded.repaired(b"", ChecksumKind.CRC32) == wal_header(
+            ChecksumKind.CRC32
+        )
 
-    def test_v1_torn_tail(self):
-        records = _records(5)
-        buf = b"".join(r.encode() for r in records)
-        decoded = decode_wal(buf[:-3])
-        assert decoded.truncated
-        assert decoded.records == records[:-1]
+    def test_headerless_records_are_not_a_wal(self):
+        buf = b"".join(r.encode() for r in _records(15))
+        decoded = decode_wal(buf)
+        assert decoded.truncated and "bad WAL header" in decoded.corruption
+        assert decoded.records == [] and decoded.valid_bytes == 0
 
     def test_header_only_wal_is_clean(self):
         decoded = decode_wal(wal_header(ChecksumKind.CRC32))
@@ -189,13 +189,37 @@ class TestSSTableChecksums:
         report = table.verify()
         assert report.clean and report.structures_checked > 1
 
-    def test_none_kind_writes_legacy_v1(self):
+    def test_none_kind_writes_gst2_with_kind_zero(self):
         storage = MemoryStorage()
         build_sstable(1, _records(50), storage, checksum_kind=ChecksumKind.NONE)
         raw = storage.read("sst-00000001")
-        assert raw[-4:] != b"GST2"
-        # v1 blobs remain fully readable.
+        assert raw[-4:] == b"GST2"
+        # Footer tail: bloom CRC, index CRC, kind byte, pad, magic.
+        assert raw[-16:-4] == bytes(12)
         assert len(list(open_sstable(1, storage, "sst-00000001").iter_records())) == 50
+
+    @pytest.mark.parametrize(
+        "kind", [DEFAULT_CHECKSUM_KIND, ChecksumKind.NONE], ids=["default", "none"]
+    )
+    def test_every_strict_prefix_raises_corruption_error(self, kind):
+        storage = MemoryStorage()
+        build_sstable(1, _records(300), storage, checksum_kind=kind)
+        raw = storage.read("sst-00000001")
+        for cut in range(len(raw)):
+            storage.write("sst-00000001", raw[:cut])
+            with pytest.raises(CorruptionError):
+                open_sstable(1, storage, "sst-00000001")
+
+    def test_footer_without_magic_is_rejected(self):
+        # A table laid out with a bare 32-byte offsets footer and
+        # CRC-less index entries, as tables without the magic were.
+        data = b"".join(r.encode() for r in _records(10))
+        index = struct.pack("<IQI", 6, 0, len(data)) + b"k00000"
+        footer = struct.pack("<QQQQ", len(data), 0, len(data), len(index))
+        storage = MemoryStorage()
+        storage.write("sst-00000001", data + index + footer)
+        with pytest.raises(CorruptionError, match="no footer magic"):
+            open_sstable(1, storage, "sst-00000001")
 
     def test_checksummed_blob_carries_magic(self):
         storage = MemoryStorage()
@@ -334,7 +358,71 @@ class TestLSMCorruptionHandling:
         assert revived.get(b"key-48") == b"value-48"
         assert revived.get(b"key-49") is None
 
-    def test_v1_store_files_readable_by_checksummed_store(self):
+    def test_recovery_skips_sstable_torn_short_of_its_footer(self):
+        # A table that lost its last 16 bytes still ends in 32 bytes of
+        # footer; it must be skipped as unreadable, never opened.
+        storage = MemoryStorage()
+        store = self._flushed_store(storage)
+        victim = next(t for level in store._levels for t in level)
+        del store
+        storage.write(victim.blob_name, storage.read(victim.blob_name)[:-16])
+        revived = RocksLSMStore(TINY_LSM, storage=storage)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            revived.recover()
+        assert any("skipping unreadable sstable" in str(w.message) for w in caught)
+        assert revived.integrity.detected >= 1
+        assert victim.blob_name not in {
+            t.blob_name for level in revived._levels for t in level
+        }
+
+    @pytest.mark.parametrize("cut", range(WAL_HEADER_SIZE))
+    def test_wal_torn_inside_its_header_keeps_later_puts(self, cut):
+        storage = MemoryStorage()
+        store = self._flushed_store(storage)
+        del store  # flushed: the WAL holds only its header
+        storage.write("wal-current", storage.read("wal-current")[:cut])
+        self._assert_put_survives_two_crashes(storage)
+
+    def test_scrub_rewrites_a_torn_wal_header(self):
+        storage = MemoryStorage()
+        store = self._flushed_store(storage)
+        storage.write("wal-current", storage.read("wal-current")[:5])
+        report = store.scrub()
+        assert report.corruptions_detected == report.corruptions_repaired == 1
+        assert storage.read("wal-current") == wal_header(store.checksum_kind)
+        store.put(b"after-scrub", b"acked")
+        del store  # crash before any flush
+        revived = RocksLSMStore(TINY_LSM, storage=storage)
+        assert revived.recover() == 1
+        assert revived.get(b"after-scrub") == b"acked"
+
+    def test_disk_fault_torn_header_only_wal_keeps_later_puts(self):
+        from repro.faults.corruption import DiskFaultPlan
+
+        for seed in range(40):
+            storage = MemoryStorage()
+            store = self._flushed_store(storage)
+            del store
+            plan = DiskFaultPlan(seed=seed, torn_write_rate=1.0, targets=("wal-*",))
+            assert plan.apply(storage).torn_writes == 1
+            self._assert_put_survives_two_crashes(storage)
+
+    @staticmethod
+    def _assert_put_survives_two_crashes(storage):
+        revived = RocksLSMStore(TINY_LSM, storage=storage)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            revived.recover()
+        assert revived.integrity.detected == revived.integrity.repaired == 1
+        revived.put(b"after-repair", b"acked")
+        del revived  # crash again before any flush
+        again = RocksLSMStore(TINY_LSM, storage=storage)
+        assert again.recover() == 1
+        assert again.integrity.detected == 0
+        assert again.get(b"after-repair") == b"acked"
+
+    def test_none_kind_store_files_readable_by_checksummed_store(self):
         storage = MemoryStorage()
         legacy = self._flushed_store(storage, checksum="none")
         keys = [b"key-%04d" % i for i in range(120)]
@@ -399,14 +487,17 @@ class TestBTreePageFraming:
         decoded = decode_page(encode_page(node, ChecksumKind.CRC32C))
         assert decoded.keys == [b"m"] and decoded.children == [3, 9]
 
-    def test_none_kind_is_legacy_encoding(self):
+    def test_none_kind_is_framed_with_zero_crc(self):
         leaf = LeafNode([b"a"], [b"1"])
-        assert encode_page(leaf, ChecksumKind.NONE) == leaf.encode()
+        data = encode_page(leaf, ChecksumKind.NONE)
+        # magic, version, kind 0, crc 0, then the node encoding
+        assert data == bytes([PAGE_MAGIC, 2, 0, 0, 0, 0, 0]) + leaf.encode()
+        assert decode_page(data).keys == [b"a"]
 
-    def test_legacy_payload_decodes(self):
+    def test_raw_payload_is_unrecognized(self):
         leaf = LeafNode([b"a"], [b"1"])
-        decoded = decode_page(leaf.encode(), "page-0")
-        assert decoded.keys == [b"a"]
+        with pytest.raises(CorruptionError, match="unrecognized page marker"):
+            decode_page(leaf.encode(), "page-0")
 
     def test_bit_flip_raises(self):
         data = bytearray(encode_page(LeafNode([b"a"], [b"1"]), ChecksumKind.CRC32))
@@ -498,11 +589,12 @@ class TestFasterSegmentFraming:
         assert (record.key, record.value) == (b"k", b"v")
         assert end == len(raw)
 
-    def test_legacy_segment_has_no_magic(self):
+    def test_unframed_segment_is_rejected(self):
         raw = LogRecord(b"k", b"v").encode()
-        assert segment_checksum_kind(raw) is None
-        record, _ = decode_segment_record(raw, 0, None)
-        assert record.key == b"k"
+        with pytest.raises(CorruptionError, match="bad segment magic"):
+            segment_checksum_kind(raw, "seg")
+        with pytest.raises(CorruptionError, match="torn segment header"):
+            segment_checksum_kind(SEGMENT_MAGIC, "seg")
 
     def test_spilled_round_trip_and_clean_scrub(self):
         store, storage = self._spilled()
@@ -535,9 +627,11 @@ class TestFasterSegmentFraming:
                     raised = True
         assert raised
 
-    def test_legacy_checksum_none_still_works(self):
+    def test_checksum_none_segments_are_framed(self):
         store, storage = self._spilled(checksum="none")
-        assert storage.read(store.log.sealed_segments()[0])[:4] != SEGMENT_MAGIC
+        raw = storage.read(store.log.sealed_segments()[0])
+        assert raw[:8] == SEGMENT_MAGIC + bytes([2, 0, 0, 0])
+        assert segment_checksum_kind(raw) is ChecksumKind.NONE
         for i in range(0, 600, 83):
             assert store.get(b"k%04d" % i) == b"v" * 48
         assert store.scrub().clean
