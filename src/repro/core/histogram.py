@@ -10,7 +10,7 @@ giving a worst-case quantile error of ``1 / subbuckets``.
 from __future__ import annotations
 
 from collections import Counter
-from operator import mul
+from operator import add, mul
 from typing import Dict, Iterable, List, Tuple
 
 
@@ -116,8 +116,9 @@ class LatencyHistogram:
             or other.max_exponent != self.max_exponent
         ):
             raise ValueError("histograms have different geometry")
-        for index, count in enumerate(other._counts):
-            self._counts[index] += count
+        if other.total == 0:
+            return
+        self._counts[:] = map(add, self._counts, other._counts)
         self.total += other.total
         self.sum_values += other.sum_values
         if other.min_value >= 0 and (

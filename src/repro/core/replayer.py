@@ -41,6 +41,21 @@ from ..trace import AccessTrace, OpType, OPS_BY_CODE
 from .histogram import LatencyHistogram
 
 
+_SUMMARY_PERCENTILES = (50.0, 99.0, 99.9)
+
+
+def _ranked_us(ordered: List[int], percentile: float) -> float:
+    """Nearest-rank ``percentile`` of sorted ns samples, in microseconds
+    (0.0 when there are none)."""
+    if not ordered:
+        return 0.0
+    rank = min(
+        len(ordered) - 1,
+        max(0, int(round(percentile / 100.0 * (len(ordered) - 1)))),
+    )
+    return ordered[rank] / 1000.0
+
+
 @dataclass
 class ReplayResult:
     """Measurements from one replay run."""
@@ -90,21 +105,22 @@ class ReplayResult:
                 return histogram.percentile(percentile) / 1000.0 if histogram else 0.0
             return self._merged_histogram().percentile(percentile) / 1000.0
         values = self.latencies_ns.get(op, []) if op else self.all_latencies()
-        if not values:
-            return 0.0
-        ordered = sorted(values)
-        rank = min(
-            len(ordered) - 1,
-            max(0, int(round(percentile / 100.0 * (len(ordered) - 1)))),
-        )
-        return ordered[rank] / 1000.0
+        return _ranked_us(sorted(values), percentile)
 
     def summary(self) -> Dict[str, float]:
+        """Throughput and p50/p99/p99.9 over every op type: one histogram
+        merge or one sort, read three times."""
+        if self.histograms:
+            merged = self._merged_histogram()
+            p50, p99, p999 = (merged.percentile(p) / 1000.0 for p in _SUMMARY_PERCENTILES)
+        else:
+            ordered = sorted(self.all_latencies())
+            p50, p99, p999 = (_ranked_us(ordered, p) for p in _SUMMARY_PERCENTILES)
         return {
             "throughput_kops": self.throughput_ops / 1000.0,
-            "p50_us": self.latency_percentile(50.0),
-            "p99_us": self.latency_percentile(99.0),
-            "p99.9_us": self.latency_percentile(99.9),
+            "p50_us": p50,
+            "p99_us": p99,
+            "p99.9_us": p999,
         }
 
     @classmethod

@@ -20,7 +20,7 @@ checks guard the page.
 from __future__ import annotations
 
 import struct
-from typing import List, Optional
+from typing import Callable, List, Optional, Tuple
 
 from ..integrity import ChecksumKind, CorruptionError, checksum
 
@@ -33,9 +33,22 @@ PAGE_MAGIC = 0xB7
 PAGE_VERSION = 2
 _PAGE_HEADER = struct.Struct("<BBBI")  # magic, version, checksum kind, crc
 
+#: page weight of an empty leaf; each entry adds ``len(key) + len(value) + 8``
+_LEAF_BASE_BYTES = 16
+
 
 class LeafNode:
-    __slots__ = ("keys", "values", "next_leaf")
+    """A leaf page that carries its own weight.
+
+    ``size_bytes`` is ``Σ(len(key) + len(value) + 8) + 16``, computed
+    once by the constructor (page-ins, split-off siblings) and then kept
+    current by the mutation methods below, as a real B+Tree keeps a
+    page's fill in its header.  The page cache reads it in O(1) on every
+    write, so callers change a leaf only through these methods, never by
+    editing ``keys`` or ``values`` directly.
+    """
+
+    __slots__ = ("keys", "values", "next_leaf", "size_bytes")
 
     is_leaf = True
 
@@ -48,10 +61,50 @@ class LeafNode:
         self.keys: List[bytes] = keys if keys is not None else []
         self.values: List[bytes] = values if values is not None else []
         self.next_leaf = next_leaf
+        self.size_bytes = (
+            sum(len(k) + len(v) + 8 for k, v in zip(self.keys, self.values))
+            + _LEAF_BASE_BYTES
+        )
 
-    @property
-    def size_bytes(self) -> int:
-        return sum(len(k) + len(v) + 8 for k, v in zip(self.keys, self.values)) + 16
+    def insert(self, index: int, key: bytes, value: bytes) -> None:
+        self.keys.insert(index, key)
+        self.values.insert(index, value)
+        self.size_bytes += len(key) + len(value) + 8
+
+    def set_value(self, index: int, value: bytes) -> None:
+        self.size_bytes += len(value) - len(self.values[index])
+        self.values[index] = value
+
+    def remove(self, index: int) -> Tuple[bytes, bytes]:
+        """Drop the entry at ``index`` and return it as ``(key, value)``."""
+        key = self.keys.pop(index)
+        value = self.values.pop(index)
+        self.size_bytes -= len(key) + len(value) + 8
+        return key, value
+
+    def split_off(self, allocate: Callable[["LeafNode"], int]) -> "LeafNode":
+        """Move the upper half of the entries into a new right sibling.
+
+        ``allocate`` places the sibling and returns its page id, which
+        becomes this leaf's ``next_leaf``.  It runs before this leaf
+        gives the entries up, so a cache that evicts this leaf while
+        placing the sibling writes it back whole.
+        """
+        mid = len(self.keys) // 2
+        right = LeafNode(self.keys[mid:], self.values[mid:], self.next_leaf)
+        self.next_leaf = allocate(right)
+        del self.keys[mid:]
+        del self.values[mid:]
+        self.size_bytes -= right.size_bytes - _LEAF_BASE_BYTES
+        return right
+
+    def absorb(self, right: "LeafNode") -> None:
+        """Append every entry of the right sibling ``right`` and take over
+        its ``next_leaf``."""
+        self.keys.extend(right.keys)
+        self.values.extend(right.values)
+        self.next_leaf = right.next_leaf
+        self.size_bytes += right.size_bytes - _LEAF_BASE_BYTES
 
     def encode(self) -> bytes:
         parts = [

@@ -15,6 +15,7 @@ rewriting them from the in-memory copy.
 from __future__ import annotations
 
 import time
+from operator import attrgetter
 from typing import Optional, Set
 
 from ...obs import tracing
@@ -36,7 +37,9 @@ class PageCache:
         self._dirty: Set[int] = set()
         self._cache: LRUCache = LRUCache(
             capacity_bytes,
-            sizer=lambda node: node.size_bytes,
+            # the node's own weight: maintained by a leaf, computed by an
+            # internal node
+            sizer=attrgetter("size_bytes"),
             on_evict=self._write_back,
         )
         self._on_disk: Set[int] = set()
@@ -67,13 +70,6 @@ class PageCache:
         self.page_ins += 1
         self._cache.put(page_id, node)
         return node
-
-    def mark_dirty(self, page_id: int) -> None:
-        self._dirty.add(page_id)
-        node = self._cache.peek(page_id)
-        if node is not None:
-            # Re-insert to refresh the byte accounting after mutation.
-            self._cache.put(page_id, node)
 
     def update(self, page_id: int, node) -> None:
         """Install a mutated node object and mark it dirty.

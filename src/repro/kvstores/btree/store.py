@@ -99,8 +99,7 @@ class BTreeStore(KVStore):
             leaf, page_id = self._descend(key)
             index = bisect.bisect_left(leaf.keys, key)
             if index < len(leaf.keys) and leaf.keys[index] == key:
-                del leaf.keys[index]
-                del leaf.values[index]
+                leaf.remove(index)
                 self._pages.update(page_id, leaf)
                 self._count -= 1
             return
@@ -232,10 +231,9 @@ class BTreeStore(KVStore):
     ) -> Optional[_SplitResult]:
         index = bisect.bisect_left(leaf.keys, key)
         if index < len(leaf.keys) and leaf.keys[index] == key:
-            leaf.values[index] = value  # in-place overwrite
+            leaf.set_value(index, value)  # in-place overwrite
         else:
-            leaf.keys.insert(index, key)
-            leaf.values.insert(index, value)
+            leaf.insert(index, key, value)
             self._count += 1
         self._pages.update(page_id, leaf)
         if len(leaf.keys) > self.config.order:
@@ -243,14 +241,9 @@ class BTreeStore(KVStore):
         return None
 
     def _split_leaf(self, leaf: LeafNode, page_id: int) -> _SplitResult:
-        mid = len(leaf.keys) // 2
-        right = LeafNode(leaf.keys[mid:], leaf.values[mid:], leaf.next_leaf)
-        right_page = self._pages.allocate(right)
-        del leaf.keys[mid:]
-        del leaf.values[mid:]
-        leaf.next_leaf = right_page
+        right = leaf.split_off(self._pages.allocate)
         self._pages.update(page_id, leaf)
-        return _SplitResult(right.keys[0], right_page)
+        return _SplitResult(right.keys[0], leaf.next_leaf)
 
     def _split_internal(self, node: InternalNode, page_id: int) -> _SplitResult:
         mid = len(node.keys) // 2
@@ -275,8 +268,7 @@ class BTreeStore(KVStore):
         if node.is_leaf:
             index = bisect.bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
-                del node.keys[index]
-                del node.values[index]
+                node.remove(index)
                 self._pages.update(page_id, node)
                 self._count -= 1
             return
@@ -316,8 +308,7 @@ class BTreeStore(KVStore):
     def _borrow_from_left(self, parent, parent_id, pos, left, left_id,
                           child, child_id) -> None:
         if child.is_leaf:
-            child.keys.insert(0, left.keys.pop())
-            child.values.insert(0, left.values.pop())
+            child.insert(0, *left.remove(-1))
             parent.keys[pos - 1] = child.keys[0]
         else:
             # Rotate through the parent separator.
@@ -331,8 +322,7 @@ class BTreeStore(KVStore):
     def _borrow_from_right(self, parent, parent_id, pos, child, child_id,
                            right, right_id) -> None:
         if child.is_leaf:
-            child.keys.append(right.keys.pop(0))
-            child.values.append(right.values.pop(0))
+            child.insert(len(child.keys), *right.remove(0))
             parent.keys[pos] = right.keys[0]
         else:
             child.keys.append(parent.keys[pos])
@@ -349,9 +339,7 @@ class BTreeStore(KVStore):
         left = self._pages.get(left_id)
         right = self._pages.get(right_id)
         if left.is_leaf:
-            left.keys.extend(right.keys)
-            left.values.extend(right.values)
-            left.next_leaf = right.next_leaf
+            left.absorb(right)
         else:
             left.keys.append(parent.keys[left_pos])
             left.keys.extend(right.keys)

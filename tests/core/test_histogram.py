@@ -224,6 +224,89 @@ class TestReplayerIntegration:
         assert result.latency_percentile(50.0) == histogram.percentile(50.0) / 1000.0
 
 
+def percentile_calls(result):
+    """What ``summary()`` reported before it sorted or merged once."""
+    return {
+        "throughput_kops": result.throughput_ops / 1000.0,
+        "p50_us": result.latency_percentile(50.0),
+        "p99_us": result.latency_percentile(99.0),
+        "p99.9_us": result.latency_percentile(99.9),
+    }
+
+
+SAMPLES = st.dictionaries(
+    st.sampled_from(list(OpType)),
+    st.lists(st.integers(0, 10**9), max_size=300),
+)
+
+
+class TestSummary:
+    """``summary()`` sorts or merges once and reads it three times; the
+    numbers equal three ``latency_percentile`` calls exactly."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=SAMPLES)
+    def test_exact_mode(self, samples):
+        result = ReplayResult("memory", 7, 0.5, latencies_ns=samples)
+        assert result.summary() == percentile_calls(result)
+
+    @settings(max_examples=60, deadline=None)
+    @given(samples=SAMPLES, subbuckets=st.sampled_from([2, 16, 32]))
+    def test_histogram_mode(self, samples, subbuckets):
+        histograms = {}
+        for op, values in samples.items():
+            histograms[op] = LatencyHistogram(subbuckets)
+            histograms[op].record_many(values)
+        result = ReplayResult("memory", 7, 0.5, histograms=histograms)
+        assert result.summary() == percentile_calls(result)
+
+    @pytest.mark.parametrize(
+        "result",
+        [
+            ReplayResult("memory", 0, 0.0),
+            ReplayResult("memory", 0, 1.0, latencies_ns={op: [] for op in OpType}),
+            ReplayResult("memory", 0, 1.0, histograms={OpType.GET: LatencyHistogram()}),
+        ],
+        ids=["nothing", "empty-lists", "empty-histogram"],
+    )
+    def test_empty(self, result):
+        assert result.summary() == percentile_calls(result)
+        assert result.summary()["p99.9_us"] == 0.0
+
+    @pytest.mark.parametrize("mode", ["exact", "histogram"])
+    def test_single_op_type(self, mode):
+        rng = random.Random(3)
+        values = [rng.randrange(10**6) for _ in range(1_001)]
+        if mode == "exact":
+            result = ReplayResult("memory", 1_001, 0.2, latencies_ns={OpType.PUT: values})
+        else:
+            histogram = LatencyHistogram()
+            histogram.record_many(values)
+            result = ReplayResult("memory", 1_001, 0.2, histograms={OpType.PUT: histogram})
+        assert result.summary() == percentile_calls(result)
+
+    def test_sharded_result(self):
+        from repro.core.replayer import ShardedReplayResult
+
+        shards = [
+            ReplayResult("memory", 3, 0.1, latencies_ns={OpType.GET: [5_000, 1_000, 9_000]}),
+            ReplayResult("memory", 2, 0.1, latencies_ns={OpType.PUT: [2_000, 7_000]}),
+        ]
+        sharded = ShardedReplayResult("memory", shards, 0.25)
+        expected = percentile_calls(sharded.merged_result())
+        expected["throughput_kops"] = sharded.throughput_ops / 1000.0
+        assert sharded.summary() == expected
+
+    def test_merging_an_empty_histogram_changes_nothing(self):
+        histogram = LatencyHistogram(16)
+        histogram.record_many([3, 700, 90_000])
+        before = histogram.to_dict()
+        histogram.merge(LatencyHistogram(16))
+        assert histogram.to_dict() == before
+        with pytest.raises(ValueError, match="different geometry"):
+            histogram.merge(LatencyHistogram(32))
+
+
 def mixed_trace(n, seed=7):
     """``n`` ops of random types over 300 keys, so that batches vary in
     length."""

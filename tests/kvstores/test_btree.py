@@ -30,7 +30,8 @@ class TestNodes:
 
     def test_size_accounting(self):
         leaf = LeafNode([b"abc"], [b"12345"])
-        assert leaf.size_bytes > 8
+        # Σ(len(key) + len(value) + 8) + 16
+        assert leaf.size_bytes == 3 + 5 + 8 + 16
 
 
 class TestBasicOperations:
