@@ -15,6 +15,7 @@ from repro.core import (
     sliding_window_model,
 )
 from repro.datasets import BorgConfig, generate_borg
+from repro.trace import interleave_traces
 
 GCFG = GadgetConfig(interleave="time")
 N = 30_000
@@ -49,21 +50,27 @@ def run_concurrent():
                  round(alone_hol.p999_us, 1)])
 
     # Concurrent-A: two operators of the same type share the store.
-    same_incr = evaluator.evaluate_concurrent("rocksdb", [incremental, incremental])
-    same_hol = evaluator.evaluate_concurrent("rocksdb", [holistic, holistic])
+    same_incr = evaluator.evaluate(
+        "incremental x2", interleave_traces([incremental, incremental])
+    )[0]
+    same_hol = evaluator.evaluate(
+        "holistic x2", interleave_traces([holistic, holistic])
+    )[0]
     # Per-operator throughput is half the shared instance's total.
-    results["concA-incr"] = same_incr.throughput_ops / 2000.0
-    results["concA-hol"] = same_hol.throughput_ops / 2000.0
+    results["concA-incr"] = same_incr.throughput_kops / 2.0
+    results["concA-hol"] = same_hol.throughput_kops / 2.0
     rows.append(["incremental", "concurrent-A", round(results["concA-incr"], 1),
-                 round(same_incr.latency_percentile(99.9), 1)])
+                 round(same_incr.p999_us, 1)])
     rows.append(["holistic", "concurrent-A", round(results["concA-hol"], 1),
-                 round(same_hol.latency_percentile(99.9), 1)])
+                 round(same_hol.p999_us, 1)])
 
     # Concurrent-B: the two different operator types share the store.
-    mixed = evaluator.evaluate_concurrent("rocksdb", [incremental, holistic])
-    results["concB"] = mixed.throughput_ops / 2000.0
+    mixed = evaluator.evaluate(
+        "mixed", interleave_traces([incremental, holistic])
+    )[0]
+    results["concB"] = mixed.throughput_kops / 2.0
     rows.append(["mixed", "concurrent-B", round(results["concB"], 1),
-                 round(mixed.latency_percentile(99.9), 1)])
+                 round(mixed.p999_us, 1)])
     return rows, results
 
 

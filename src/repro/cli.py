@@ -13,6 +13,7 @@ Mirrors the workflow of the original tool's config-file driven binary::
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 from typing import List, Optional, Sequence
@@ -33,6 +34,7 @@ from .core import (
     GadgetConfig,
     KeyConfig,
     PerformanceEvaluator,
+    RunSpec,
     SourceConfig,
     TraceReplayer,
     WORKLOADS,
@@ -45,12 +47,10 @@ from .datasets import (
     generate_borg,
     generate_taxi,
 )
-from .kvstores import STORE_NAMES, create_connector
+from .core.evaluator import UsageError, runs_on
+from .kvstores import STORE_NAMES
 from .kvstores.lsm import POLICY_NAMES
 from .trace import AccessTrace
-
-#: stores whose config understands the compaction/background knobs
-_LSM_STORES = ("rocksdb", "lethe")
 
 
 def _build_sources(args) -> List:
@@ -160,50 +160,86 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _fault_options(args):
-    """Resolve --faults / --no-retry / --retry-attempts into a
-    (fault_plan, retry_policy) pair shared by replay and compare."""
-    from .faults import FaultPlan, RetryPolicy
-
-    fault_plan = FaultPlan.load(args.faults) if args.faults else None
-    retry_policy = None
-    wants_retry = (fault_plan is not None or getattr(args, "crash_at", None) is not None)
-    if wants_retry and not args.no_retry:
-        retry_policy = RetryPolicy(max_attempts=args.retry_attempts)
-    return fault_plan, retry_policy
-
-
 def _cluster_requested(args) -> bool:
-    return bool(getattr(args, "cluster", None) or
-                getattr(args, "cluster_config", None))
+    return bool(args.cluster or args.cluster_config)
 
 
-def _cluster_settings(args, store: Optional[str] = None):
-    """Resolve --cluster/--replicas/--ack/--cluster-config/--chaos into
-    (ClusterConfig, ClusterFaultPlan-or-None, RetryPolicy-or-None).
-    Explicit flags win over the config file; ``store`` (compare mode)
-    overrides both."""
+def _cluster_config(args):
+    """Resolve --cluster/--replicas/--ack/--cluster-config into a
+    ClusterConfig.  Explicit flags win over the config file, which wins
+    over --store."""
     from .cluster import ClusterConfig, load_cluster_config
-    from .faults import ClusterFaultPlan, RetryPolicy
 
     base = (load_cluster_config(args.cluster_config).to_dict()
             if args.cluster_config else {})
+    base.setdefault("store", getattr(args, "store", "memory"))
     if args.cluster:
         base["partitions"] = args.cluster
     if args.replicas is not None:
         base["replicas"] = args.replicas
     if args.ack is not None:
         base["ack"] = args.ack
-    if store is not None:
-        base["store"] = store
-    elif "store" not in base:
-        base["store"] = args.store
-    config = ClusterConfig.from_dict(base)
-    chaos = ClusterFaultPlan.load(args.chaos) if args.chaos else None
-    policy = None if args.no_retry else RetryPolicy(
-        max_attempts=args.retry_attempts
-    )
-    return config, chaos, policy
+    return ClusterConfig.from_dict(base)
+
+
+def _spec_from_args(args, compaction=None, background=False) -> RunSpec:
+    """Resolve replay/compare flags into the RunSpec they describe.
+
+    A flag the chosen mode would drop (a RunSpec ``UsageError``, or
+    --ack/--replicas without a cluster, which never reach the spec)
+    exits 2, like argparse's own usage errors; any other combination
+    RunSpec rejects exits 1 with its message."""
+    from .faults import ClusterFaultPlan, DiskFaultPlan, FaultPlan, RetryPolicy
+
+    clustered = _cluster_requested(args)
+    wants_retry = clustered or args.faults or args.crash_at is not None
+    try:
+        if not clustered and (args.ack is not None
+                              or args.replicas is not None):
+            raise UsageError("--ack/--replicas shape a cluster; add "
+                             "--cluster N or --cluster-config")
+        return RunSpec(
+            service_rate=getattr(args, "service_rate", None),
+            fault_plan=FaultPlan.load(args.faults) if args.faults else None,
+            retry_policy=(RetryPolicy(max_attempts=args.retry_attempts)
+                          if wants_retry and not args.no_retry else None),
+            batch_size=args.batch,
+            pipeline_depth=args.pipeline,
+            crash_at=args.crash_at,
+            disk_plan=(DiskFaultPlan.load(args.disk_faults)
+                       if args.disk_faults else None),
+            shards=getattr(args, "shards", 1),
+            processes=getattr(args, "processes", False),
+            storage_root=getattr(args, "storage_root", None),
+            cluster=_cluster_config(args) if clustered else None,
+            chaos=ClusterFaultPlan.load(args.chaos) if args.chaos else None,
+            compaction=compaction,
+            background=background,
+        )
+    except UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2)
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+
+
+def _keep_lsm(stores: List[str], lacking: str, note: str) -> List[str]:
+    """The LSM-family stores among ``stores``; reports the rest on
+    stderr (an ``error:`` when none are left)."""
+    from .faults import RECOVERABLE_STORES
+
+    kept = [s for s in stores if s in RECOVERABLE_STORES]
+    skipped = [s for s in stores if s not in RECOVERABLE_STORES]
+    if not kept:
+        print(f"error: none of the requested stores ({', '.join(stores)}) "
+              f"{lacking}: {', '.join(RECOVERABLE_STORES)}", file=sys.stderr)
+    elif skipped:
+        print(f"note: skipping {', '.join(skipped)}: {note}", file=sys.stderr)
+    return kept
+
+
+def _yes(ok) -> str:
+    return "yes" if ok else "NO"
 
 
 def _cluster_rows(result) -> List[List]:
@@ -225,7 +261,7 @@ def _cluster_rows(result) -> List[List]:
          f"{result.kills} / {result.restarts} / {result.isolations}"],
         ["keys verified", result.keys_checked],
         ["mismatches", result.mismatches],
-        ["recovered ok", "yes" if result.recovered_ok else "NO"],
+        ["recovered ok", _yes(result.recovered_ok)],
     ]
     if result.actions_executed:
         fired = ", ".join(f"{action}@{at}:{target}"
@@ -238,70 +274,155 @@ def _cluster_rows(result) -> List[List]:
     return rows
 
 
-def _replay_cluster(args, trace) -> int:
-    """The ``replay --cluster`` mode: one store, one cluster topology,
-    optional chaos plan, verified against a single-node oracle."""
-    from .cluster import evaluate_cluster_recovery
+def _recovery_rows(result) -> List[List]:
+    rows = [
+        ["store", result.store],
+        ["crash at op", result.crash_at],
+        ["operations (pre + resumed)", result.operations],
+        ["recovery time (ms)", round(result.recovery_ms, 3)],
+        ["WAL records replayed", result.wal_records_replayed],
+        ["keys verified", result.keys_checked],
+        ["mismatches", result.mismatches],
+        ["recovered ok", _yes(result.recovered_ok)],
+        ["pre-crash throughput (kops)",
+         round(result.pre_crash.throughput_ops / 1000.0, 1)],
+        ["resumed throughput (kops)",
+         round(result.resumed.throughput_ops / 1000.0, 1)],
+    ]
+    if result.disk_faults is not None:
+        rows += [
+            ["disk faults injected", result.disk_faults.faults_injected],
+            ["corruptions detected", result.corruptions_detected],
+            ["corruptions repaired", result.corruptions_repaired],
+            ["scrub (ms)", round(result.scrub_ms or 0.0, 3)],
+        ]
+    return rows
 
-    if args.shards > 1 or args.processes:
-        raise SystemExit(
-            "error: --cluster is its own fan-out (N partitioned server "
-            "chains); drop --shards/--processes"
-        )
-    if args.faults or args.crash_at is not None or args.disk_faults:
-        raise SystemExit(
-            "error: cluster replays take fault injection from --chaos "
-            "(topology events); --faults/--crash-at/--disk-faults are "
-            "single-node axes"
-        )
-    config, chaos, policy = _cluster_settings(args)
-    telemetry = _telemetry_options(args)
-    result = evaluate_cluster_recovery(
-        trace,
-        config=config,
-        chaos=chaos,
-        retry_policy=policy,
-        service_rate=args.service_rate,
-        batch_size=args.batch,
-        pipeline_depth=args.pipeline,
-        telemetry=telemetry,
+
+def _replay_rows(args, spec: RunSpec, row: EvaluationRow, result) -> List[List]:
+    """The metric table of a plain or sharded replay."""
+    sharded = not spec.single_connector
+    label = args.store
+    if sharded:
+        label += f" x{spec.shards} {'processes' if spec.processes else 'shards'}"
+    rows = [
+        ["store", label],
+        ["batch size", row.batch_size],
+        ["pipeline depth", row.pipeline_depth],
+        ["operations", result.operations],
+        [f"{'aggregate ' if sharded else ''}throughput (kops)",
+         round(row.throughput_kops, 1)],
+        ["p50 (us)", round(row.p50_us, 1)],
+        ["p99 (us)", round(row.p99_us, 1)],
+        ["p99.9 (us)", round(row.p999_us, 1)],
+    ]
+    if spec.compaction or spec.background:
+        rows.insert(1, ["compaction", f"{spec.compaction or 'leveled'}"
+                        f"{' (background)' if spec.background else ''}"])
+        if spec.background:
+            rows += [["write stalls", row.write_stalls],
+                     ["stall time (ms)", row.stall_ms]]
+    if spec.fault_plan is not None:
+        rows += [["faults injected", row.injected_faults],
+                 ["retries", row.retries], ["failed ops", row.failed_ops]]
+    if sharded:
+        rows += [[f"shard {index} ops", shard.operations]
+                 for index, shard in enumerate(result.shard_results)]
+    return rows
+
+
+def _telemetry_options(args):
+    """Resolve --trace / --metrics / --progress into a ReplayTelemetry
+    (or None when no recording was requested)."""
+    if not (args.trace_out or args.metrics or args.progress):
+        return None
+    from .obs import ReplayTelemetry
+
+    return ReplayTelemetry(
+        trace_path=args.trace_out,
+        metrics_path=args.metrics,
+        progress_stream=sys.stderr if args.progress else None,
+        interval_ms=args.metrics_interval_ms,
+        meta={
+            "trace": args.trace,
+            "batch": args.batch or 1,
+            "pipeline": args.pipeline or 1,
+        },
     )
-    print(render_table(["metric", "value"], _cluster_rows(result),
-                       title="cluster replay result"))
-    cluster_row = EvaluationRow.from_cluster(args.trace, result)
-    cluster_row.batch_size = args.batch or 1
-    cluster_row.pipeline_depth = args.pipeline or 1
-    cluster_row.timeseries_path = args.metrics
-    _lake_record(args, [cluster_row])
-    _telemetry_note(args)
-    return 0 if result.recovered_ok else 1
 
 
-def _disk_plan(args):
-    """Resolve --disk-faults (and a fault plan's nested ``disk``) into
-    a DiskFaultPlan or None."""
-    from .faults import DiskFaultPlan
+def _telemetry_note(args) -> None:
+    if args.trace_out:
+        print(f"wrote span trace to {args.trace_out} "
+              f"(load in Perfetto / chrome://tracing)")
+    if args.metrics:
+        print(f"wrote metrics time series to {args.metrics} "
+              f"(inspect with 'repro metrics summarize')")
 
-    if getattr(args, "disk_faults", None):
-        return DiskFaultPlan.load(args.disk_faults)
-    return None
 
+def cmd_replay(args) -> int:
+    from .faults import RECOVERABLE_STORES
 
-def _lsm_overrides(args) -> dict:
-    """Resolve replay's --compaction / --background into store config
-    overrides, rejecting stores without an LSM maintenance pipeline."""
-    overrides = {}
-    if getattr(args, "compaction", None):
-        overrides["compaction_policy"] = args.compaction
-    if getattr(args, "background", False):
-        overrides["background"] = True
-    if overrides and args.store not in _LSM_STORES:
+    trace = AccessTrace.load(args.trace)
+    spec = _spec_from_args(args, args.compaction, args.background)
+    store = spec.cluster.store if spec.cluster is not None else args.store
+    if spec.disk_plan is not None and spec.crash_at is None:
         raise SystemExit(
-            f"error: --compaction/--background tune the LSM family only "
-            f"({', '.join(_LSM_STORES)}); store {args.store!r} has no "
-            f"compaction pipeline"
+            "error: replay only uses --disk-faults together with "
+            "--crash-at; use 'repro scrub' or 'repro compare' for "
+            "disk-fault runs"
         )
-    return overrides
+    if spec.crash_at is not None and store not in RECOVERABLE_STORES:
+        print(
+            f"error: store {store!r} does not support crash recovery "
+            f"(no durable WAL + recover() path); recoverable stores: "
+            f"{', '.join(RECOVERABLE_STORES)}",
+            file=sys.stderr,
+        )
+        return 2
+    evaluator = PerformanceEvaluator(stores=(store,), lake_dir=args.lake)
+    try:
+        row, result = evaluator.run(
+            store, args.trace, trace, spec, telemetry=_telemetry_options(args)
+        )
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    if spec.cluster is not None:
+        rows, title = _cluster_rows(result), "cluster replay result"
+    elif spec.crash_at is not None:
+        rows, title = _recovery_rows(result), "crash-recovery result"
+    else:
+        rows = _replay_rows(args, spec, row, result)
+        title = ("replay result" if spec.single_connector
+                 else "sharded replay result")
+    print(render_table(["metric", "value"], rows, title=title))
+    count = evaluator.record([row], spec.fault_plan)
+    if count:
+        print(f"appended {count} rows to lake {args.lake}")
+    _telemetry_note(args)
+    return 0 if row.recovered_ok is not False else 1
+
+
+def cmd_ycsb(args) -> int:
+    from .ycsb import YCSBWorkload
+    from .ycsb.properties import load_workload_file
+
+    if args.properties:
+        workload = load_workload_file(args.properties, seed=args.seed)
+    else:
+        workload = YCSBWorkload.core(
+            args.preset,
+            record_count=args.records,
+            operation_count=args.operations,
+            seed=args.seed,
+        )
+    trace = workload.generate()
+    trace.save(args.output)
+    comp = composition_of(trace)
+    print(f"wrote {len(trace)} YCSB requests ({trace.distinct_keys()} keys) "
+          f"to {args.output}")
+    print(f"composition: get={comp.get:.3f} put={comp.put:.3f}")
+    return 0
 
 
 def _compaction_options(args):
@@ -314,7 +435,7 @@ def _compaction_options(args):
     background = bool(args.background)
     stores = None
     store_overrides: dict = {}
-    if getattr(args, "compaction_config", None):
+    if args.compaction_config:
         import json
 
         with open(args.compaction_config, "r", encoding="utf-8") as handle:
@@ -344,585 +465,168 @@ def _compaction_options(args):
     return policies, background, stores, store_overrides
 
 
-def _recovery_rows(result) -> List[List]:
-    rows = [
-        ["store", result.store],
-        ["crash at op", result.crash_at],
-        ["operations (pre + resumed)", result.operations],
-        ["recovery time (ms)", round(result.recovery_ms, 3)],
-        ["WAL records replayed", result.wal_records_replayed],
-        ["keys verified", result.keys_checked],
-        ["mismatches", result.mismatches],
-        ["recovered ok", "yes" if result.recovered_ok else "NO"],
-        ["pre-crash throughput (kops)",
-         round(result.pre_crash.throughput_ops / 1000.0, 1)],
-        ["resumed throughput (kops)",
-         round(result.resumed.throughput_ops / 1000.0, 1)],
-    ]
-    if result.disk_faults is not None:
-        rows += [
-            ["disk faults injected", result.disk_faults.faults_injected],
-            ["corruptions detected", result.corruptions_detected],
-            ["corruptions repaired", result.corruptions_repaired],
-            ["scrub (ms)", round(result.scrub_ms or 0.0, 3)],
-        ]
-    return rows
-
-
-def _check_pipeline_flags(args) -> None:
-    """Reject --pipeline combinations before any replay starts."""
-    if not args.pipeline or args.pipeline <= 1:
-        return
-    if args.batch and args.batch > 1:
-        raise SystemExit(
-            "error: --batch and --pipeline are alternative round-trip "
-            "amortizations; pick one"
-        )
-    if getattr(args, "processes", False):
-        raise SystemExit(
-            "error: --pipeline requires threads; --processes workers "
-            "replay synchronously"
-        )
-    if getattr(args, "crash_at", None) is not None:
-        raise SystemExit(
-            "error: --crash-at stops the replay at an exact op index; "
-            "a pipelined window makes that point ambiguous -- drop "
-            "--pipeline"
-        )
-    if getattr(args, "disk_faults", None):
-        raise SystemExit(
-            "error: disk-fault runs replay embedded stores synchronously; "
-            "drop --pipeline"
-        )
-
-
-def _telemetry_options(args):
-    """Resolve --trace / --metrics / --progress into a ReplayTelemetry
-    (or None when no recording was requested)."""
-    if not (args.trace_out or args.metrics or args.progress):
-        return None
-    from .obs import ReplayTelemetry
-
-    return ReplayTelemetry(
-        trace_path=args.trace_out,
-        metrics_path=args.metrics,
-        progress_stream=sys.stderr if args.progress else None,
-        interval_ms=args.metrics_interval_ms,
-        meta={
-            "trace": args.trace,
-            "batch": args.batch or 1,
-            "pipeline": getattr(args, "pipeline", None) or 1,
-        },
+def _compare_compaction(args, trace, spec: RunSpec) -> int:
+    """The ``compare --compaction`` axis: one run per policy x LSM store,
+    inline or under background maintenance workers, one lake run."""
+    policies, background, stores, store_overrides = _compaction_options(args)
+    stores = _keep_lsm(list(stores or args.stores),
+                       "have a compaction pipeline; LSM stores",
+                       "no compaction pipeline")
+    if not stores:
+        return 2
+    evaluator = PerformanceEvaluator(
+        stores, {name: dict(store_overrides) for name in stores},
+        lake_dir=args.lake,
     )
-
-
-def _sharded_row(args, result) -> EvaluationRow:
-    """Evaluation row for a sharded replay: latency percentiles come
-    from the merged per-shard populations, throughput from the
-    fan-out's wall clock (slowest worker dominates)."""
-    row = EvaluationRow.from_result(args.trace, result.merged_result())
-    row.throughput_kops = result.summary()["throughput_kops"]
-    row.store = f"{result.store}x{args.shards}"
-    row.batch_size = args.batch or 1
-    row.pipeline_depth = getattr(args, "pipeline", None) or 1
-    row.timeseries_path = args.metrics
-    return row
-
-
-def _print_sharded_table(args, result, fault_plan, store_label) -> None:
-    merged = result.merged_result()
-    summary = result.summary()
-    rows = [
-        ["store", store_label],
-        ["batch size", args.batch or 1],
-        ["pipeline depth", getattr(args, "pipeline", None) or 1],
-        ["operations", result.operations],
-        ["aggregate throughput (kops)", round(summary["throughput_kops"], 1)],
-        ["p50 (us)", round(summary["p50_us"], 1)],
-        ["p99 (us)", round(summary["p99_us"], 1)],
-        ["p99.9 (us)", round(summary["p99.9_us"], 1)],
-    ] + _fault_rows(merged, fault_plan) + [
-        [f"shard {index} ops", shard.operations]
-        for index, shard in enumerate(result.shard_results)
-    ]
-    print(render_table(["metric", "value"], rows, title="sharded replay result"))
-
-
-def cmd_replay(args) -> int:
-    trace = AccessTrace.load(args.trace)
-    _check_pipeline_flags(args)
-    if _cluster_requested(args):
-        return _replay_cluster(args, trace)
-    if args.chaos:
-        raise SystemExit(
-            "error: --chaos needs a cluster (--cluster N or "
-            "--cluster-config) to aim its kills at"
+    results, incompatible = [], []
+    for policy in policies:
+        policy_spec = dataclasses.replace(
+            spec, compaction=policy, background=background
         )
-    fault_plan, retry_policy = _fault_options(args)
-    disk_plan = _disk_plan(args)
-    telemetry = _telemetry_options(args)
-    lsm_overrides = _lsm_overrides(args)
-    if args.crash_at is not None:
-        from .faults import RECOVERABLE_STORES, evaluate_crash_recovery
-
-        if args.shards > 1 or args.processes:
-            raise SystemExit(
-                "error: --crash-at does not combine with --shards/--processes"
-            )
-        if args.metrics or args.progress:
-            raise SystemExit(
-                "error: --crash-at runs several replays (reference, doomed, "
-                "resumed); only --trace records it, as one span timeline"
-            )
-        if args.store not in RECOVERABLE_STORES:
-            print(
-                f"error: store {args.store!r} does not support crash recovery "
-                f"(no durable WAL + recover() path); recoverable stores: "
-                f"{', '.join(RECOVERABLE_STORES)}",
-                file=sys.stderr,
-            )
-            return 2
-        from .obs import tracing as _tracing
-
-        tracer = None
-        if args.trace_out:
-            tracer = _tracing.install(_tracing.SpanTracer())
-        try:
-            result = evaluate_crash_recovery(
-                args.store, trace, args.crash_at,
-                plan=fault_plan, retry_policy=retry_policy,
-                service_rate=args.service_rate, disk_plan=disk_plan,
-                batch_size=args.batch,
-                store_config=lsm_overrides or None,
-            )
-        finally:
-            if tracer is not None:
-                _tracing.uninstall()
-                tracer.export(args.trace_out)
-        print(render_table(["metric", "value"], _recovery_rows(result),
-                           title="crash-recovery result"))
-        recovery_row = EvaluationRow.from_recovery(args.trace, result)
-        recovery_row.batch_size = args.batch or 1
-        _lake_record(args, [recovery_row], fault_plan)
-        return 0 if result.recovered_ok else 1
-    if disk_plan is not None:
-        raise SystemExit(
-            "error: replay only uses --disk-faults together with "
-            "--crash-at; use 'repro scrub' or 'repro compare' for "
-            "disk-fault runs"
-        )
-    if args.processes:
-        import shutil
-
-        from .core import ConnectorSpec, ProcessShardedReplayer
-
-        if args.trace_out or args.progress:
-            raise SystemExit(
-                "error: --processes supports --metrics only; span traces "
-                "and the live progress view need in-process telemetry"
-            )
-        metrics_dir = f"{args.metrics}.shards" if args.metrics else None
-        replayer = ProcessShardedReplayer(
-            ConnectorSpec.for_store(
-                args.store, storage_root=args.storage_root, **lsm_overrides
-            ),
-            num_workers=args.shards,
-            service_rate=args.service_rate,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            batch_size=args.batch,
-            metrics_dir=metrics_dir,
-        )
-        result = replayer.replay(trace)
-        if args.metrics and replayer.last_metrics_path:
-            shutil.copyfile(replayer.last_metrics_path, args.metrics)
-        _print_sharded_table(
-            args, result, fault_plan,
-            f"{args.store} x{args.shards} processes",
-        )
-        _lake_record(args, [_sharded_row(args, result)], fault_plan)
-        _telemetry_note(args)
-        return 0
-    if args.shards > 1:
-        from .core import ShardedReplayer
-
-        replayer = ShardedReplayer(
-            lambda: create_connector(args.store, **lsm_overrides),
-            num_workers=args.shards,
-            service_rate=args.service_rate,
-            fault_plan=fault_plan,
-            retry_policy=retry_policy,
-            batch_size=args.batch,
-            pipeline_depth=args.pipeline,
-            telemetry=telemetry,
-        )
-        result = replayer.replay(trace)
-        replayer.close()
-        _print_sharded_table(
-            args, result, fault_plan, f"{args.store} x{args.shards} shards"
-        )
-        _lake_record(args, [_sharded_row(args, result)], fault_plan)
-        _telemetry_note(args)
-        return 0
-    connector = create_connector(args.store, **lsm_overrides)
-    replayer = TraceReplayer(
-        connector, service_rate=args.service_rate,
-        fault_plan=fault_plan, retry_policy=retry_policy,
-        batch_size=args.batch, pipeline_depth=args.pipeline,
-        telemetry=telemetry,
-    )
-    result = replayer.replay(trace)
-    stall_rows: List[List] = []
-    if args.background:
-        store = getattr(connector, "store", None)
-        stall_rows = [
-            ["write stalls", getattr(store, "write_stall_count", 0)],
-            ["stall time (ms)",
-             round(getattr(store, "write_stall_ns", 0) / 1e6, 3)],
-        ]
-    connector.close()
-    summary = result.summary()
-    rows = [
-        ["store", args.store],
-        ["batch size", args.batch or 1],
-        ["pipeline depth", args.pipeline or 1],
-        ["operations", result.operations],
-        ["throughput (kops)", round(summary["throughput_kops"], 1)],
-        ["p50 (us)", round(summary["p50_us"], 1)],
-        ["p99 (us)", round(summary["p99_us"], 1)],
-        ["p99.9 (us)", round(summary["p99.9_us"], 1)],
-    ] + stall_rows + _fault_rows(result, fault_plan)
-    if args.compaction or args.background:
-        rows.insert(1, ["compaction", f"{args.compaction or 'leveled'}"
-                        f"{' (background)' if args.background else ''}"])
-    print(render_table(["metric", "value"], rows, title="replay result"))
-    lake_row = EvaluationRow.from_result(args.trace, result)
-    lake_row.batch_size = args.batch or 1
-    lake_row.pipeline_depth = args.pipeline or 1
-    lake_row.compaction = args.compaction
-    lake_row.timeseries_path = args.metrics
-    if stall_rows:
-        lake_row.write_stalls = stall_rows[0][1]
-        lake_row.stall_ms = stall_rows[1][1]
-    _lake_record(args, [lake_row], fault_plan)
-    _telemetry_note(args)
-    return 0
-
-
-def _lake_record(args, rows, fault_plan=None) -> None:
-    """Append finished evaluation rows to the ``--lake`` directory.
-
-    Runs after every measurement closes, so recording history never
-    shows up inside it."""
-    if not getattr(args, "lake", None) or not rows:
-        return
-    from .lake import ResultsLake, append_rows, fault_plan_label, lake_path
-
-    lake = ResultsLake(lake_path(args.lake))
-    count = append_rows(lake, rows, fault_plan=fault_plan_label(fault_plan))
-    print(f"appended {count} rows to lake {args.lake}")
-
-
-def _telemetry_note(args) -> None:
-    if args.trace_out:
-        print(f"wrote span trace to {args.trace_out} "
-              f"(load in Perfetto / chrome://tracing)")
-    if args.metrics:
-        print(f"wrote metrics time series to {args.metrics} "
-              f"(inspect with 'repro metrics summarize')")
-
-
-def _fault_rows(result, fault_plan) -> List[List]:
-    if fault_plan is None:
-        return []
-    return [
-        ["faults injected", result.injected_faults],
-        ["retries", result.retries],
-        ["failed ops", result.failed_ops],
-    ]
-
-
-def cmd_ycsb(args) -> int:
-    from .ycsb import YCSBWorkload
-    from .ycsb.properties import load_workload_file
-
-    if args.properties:
-        workload = load_workload_file(args.properties, seed=args.seed)
-    else:
-        workload = YCSBWorkload.core(
-            args.preset,
-            record_count=args.records,
-            operation_count=args.operations,
-            seed=args.seed,
-        )
-    trace = workload.generate()
-    trace.save(args.output)
-    comp = composition_of(trace)
-    print(f"wrote {len(trace)} YCSB requests ({trace.distinct_keys()} keys) "
-          f"to {args.output}")
-    print(f"composition: get={comp.get:.3f} put={comp.put:.3f}")
+        for store in stores:
+            if runs_on(store, policy_spec):
+                results.append(
+                    evaluator.run(store, args.trace, trace, policy_spec)[0]
+                )
+            else:  # the store rejects the policy (lethe + tiered)
+                incompatible.append(f"{store}+{policy}")
+    evaluator.record(results, None)
+    if incompatible:
+        print(f"note: skipping incompatible combinations: "
+              f"{', '.join(incompatible)}", file=sys.stderr)
+    headers = ["store", "policy", "kops", "p50 us", "p99.9 us"]
+    rows = [[row.store, row.compaction, round(row.throughput_kops, 1),
+             round(row.p50_us, 1), round(row.p999_us, 1)]
+            + ([row.write_stalls, row.stall_ms] if background else [])
+            for row in results]
+    if background:
+        headers += ["stalls", "stall ms"]
+    mode = "background" if background else "inline"
+    print(render_table(
+        headers, rows, title=f"compaction-policy comparison on {args.trace} "
+        f"({mode} maintenance)"))
+    best = max(rows, key=lambda r: r[2])
+    print(f"best throughput: {best[0]} with {best[1]}")
     return 0
 
 
 def cmd_compare(args) -> int:
     trace = AccessTrace.load(args.trace)
-    _check_pipeline_flags(args)
+    sweep = bool(args.compaction or args.compaction_config)
     if _cluster_requested(args):
-        return _compare_cluster(args, trace)
-    if args.chaos:
-        raise SystemExit(
-            "error: --chaos needs a cluster (--cluster N or "
-            "--cluster-config) to aim its kills at"
-        )
-    fault_plan, retry_policy = _fault_options(args)
-    disk_plan = _disk_plan(args)
-    evaluator = PerformanceEvaluator(
-        stores=args.stores, fault_plan=fault_plan, retry_policy=retry_policy,
-        lake_dir=args.lake,
-    )
-    wants_compaction = bool(args.compaction or args.compaction_config)
-    if args.metrics and (args.crash_at is not None or disk_plan is not None
-                         or wants_compaction):
+        if args.faults or args.crash_at is not None or args.disk_faults:
+            raise SystemExit(
+                "error: cluster comparisons take fault injection from "
+                "--chaos; --faults/--crash-at/--disk-faults are single-node "
+                "axes"
+            )
+        if sweep or args.background:
+            raise SystemExit(
+                "error: --cluster does not combine with the compaction sweep"
+            )
+        if args.metrics:
+            raise SystemExit(
+                "error: record cluster metrics with 'repro replay --cluster "
+                "--metrics FILE' (one fleet per file); compare --metrics "
+                "covers single-node rows only"
+            )
+    spec = _spec_from_args(args)
+    if args.metrics and (spec.crash_at is not None
+                         or spec.disk_plan is not None or sweep):
         raise SystemExit(
             "error: --metrics records the performance comparison only; "
             "drop --crash-at/--disk-faults/--compaction or record those "
             "runs with 'repro replay --trace'"
         )
-    if wants_compaction:
-        if fault_plan is not None or args.crash_at is not None \
-                or disk_plan is not None:
+    if sweep:
+        if spec.fault_plan is not None or spec.crash_at is not None \
+                or spec.disk_plan is not None:
             raise SystemExit(
                 "error: the --compaction sweep measures clean replays; "
                 "drop --faults/--crash-at/--disk-faults"
             )
-        if args.pipeline and args.pipeline > 1:
+        if (spec.pipeline_depth or 1) > 1:
             raise SystemExit(
                 "error: the --compaction sweep runs embedded LSM stores "
                 "(no round trips to overlap); drop --pipeline"
             )
-        return _compare_compaction(args, trace)
+        return _compare_compaction(args, trace, spec)
     if args.background:
         raise SystemExit(
             "error: --background needs --compaction (or "
             "--compaction-config) on compare; for a single background "
             "run use 'repro replay --background'"
         )
-    if args.crash_at is not None:
-        from .faults import RECOVERABLE_STORES
-
-        recoverable = [s for s in args.stores if s in RECOVERABLE_STORES]
-        skipped = [s for s in args.stores if s not in RECOVERABLE_STORES]
-        if not recoverable:
-            print(
-                f"error: none of the requested stores "
-                f"({', '.join(args.stores)}) support crash recovery "
-                f"(no durable WAL + recover() path); recoverable stores: "
-                f"{', '.join(RECOVERABLE_STORES)}",
-                file=sys.stderr,
-            )
+    stores = list(args.stores)
+    if spec.crash_at is not None:
+        stores = _keep_lsm(
+            stores, "support crash recovery (no durable WAL + recover() "
+            "path); recoverable stores", "no crash-recovery support",
+        )
+        if not stores:
             return 2
-        if skipped:
-            print(
-                f"note: skipping {', '.join(skipped)}: no crash-recovery "
-                f"support", file=sys.stderr,
-            )
-        recovery_rows = evaluator.evaluate_crash_recovery(
-            args.trace, trace, args.crash_at,
-            stores=recoverable, disk_plan=disk_plan,
-            batch_size=args.batch,
+    evaluator = PerformanceEvaluator(stores, lake_dir=args.lake)
+    try:
+        results = evaluator.evaluate(
+            args.trace, trace, spec, metrics_dir=args.metrics,
+            metrics_interval_ms=args.metrics_interval_ms,
         )
-        if disk_plan is not None:
-            rows = [
-                [row.store, round(row.throughput_kops, 1),
-                 round(row.recovery_ms or 0.0, 3), row.wal_replayed,
+    except ValueError as exc:
+        raise SystemExit(f"error: {exc}")
+    if spec.cluster is not None:
+        headers = ["store", "cluster", "kops", "p99.9 us", "failovers",
+                   "lag ms", "recovery ms", "recovered"]
+        rows = [[row.store, row.cluster, round(row.throughput_kops, 1),
+                 round(row.p999_us, 1), row.failovers,
+                 round(row.replication_lag_ms or 0.0, 3),
+                 round(row.recovery_ms or 0.0, 3), _yes(row.recovered_ok)]
+                for row in results]
+        chaos = f", chaos seed {spec.chaos.seed}" if spec.chaos else ""
+        title = f"cluster comparison on {args.trace}{chaos}"
+    elif spec.crash_at is not None:
+        disk = spec.disk_plan is not None
+        headers = (["store", "kops", "recovery ms", "wal replayed"]
+                   + (["corrupt found", "repaired"] if disk else [])
+                   + ["recovered"])
+        rows = [[row.store, round(row.throughput_kops, 1),
+                 round(row.recovery_ms or 0.0, 3), row.wal_replayed]
+                + ([row.corruptions_detected, row.corruptions_repaired]
+                   if disk else [])
+                + [_yes(row.recovered_ok)]
+                for row in results]
+        title = (f"crash-recovery comparison on {args.trace} (crash at op "
+                 f"{spec.crash_at}{', with disk faults' if disk else ''})")
+    elif spec.disk_plan is not None:
+        headers = ["store", "kops", "corrupt found", "repaired",
+                   "unrecoverable", "scrub ms"]
+        rows = [[row.store, round(row.throughput_kops, 1),
                  row.corruptions_detected, row.corruptions_repaired,
-                 "yes" if row.recovered_ok else "NO"]
-                for row in recovery_rows
-            ]
-            print(render_table(
-                ["store", "kops", "recovery ms", "wal replayed",
-                 "corrupt found", "repaired", "recovered"],
-                rows, title=f"crash-recovery comparison on {args.trace} "
-                f"(crash at op {args.crash_at}, with disk faults)"))
-        else:
-            rows = [
-                [row.store, round(row.throughput_kops, 1),
-                 round(row.recovery_ms or 0.0, 3), row.wal_replayed,
-                 "yes" if row.recovered_ok else "NO"]
-                for row in recovery_rows
-            ]
-            print(render_table(
-                ["store", "kops", "recovery ms", "wal replayed", "recovered"],
-                rows, title=f"crash-recovery comparison on {args.trace} "
-                f"(crash at op {args.crash_at})"))
-        return 0 if all(row.recovered_ok for row in recovery_rows) else 1
-    if disk_plan is not None:
-        integrity_rows = evaluator.evaluate_integrity(
-            args.trace, trace, disk_plan
-        )
-        rows = [
-            [row.store, round(row.throughput_kops, 1),
-             row.corruptions_detected, row.corruptions_repaired,
-             row.corruptions_unrecoverable, round(row.scrub_ms or 0.0, 3)]
-            for row in integrity_rows
-        ]
-        print(render_table(
-            ["store", "kops", "corrupt found", "repaired", "unrecoverable",
-             "scrub ms"],
-            rows, title=f"integrity comparison on {args.trace} "
-            f"(seeded disk faults, seed {disk_plan.seed})"))
+                 row.corruptions_unrecoverable, round(row.scrub_ms or 0.0, 3)]
+                for row in results]
+        title = (f"integrity comparison on {args.trace} "
+                 f"(seeded disk faults, seed {spec.disk_plan.seed})")
+    else:
+        faulted = spec.fault_plan is not None
+        headers = (["store", "batch", "pipe", "kops", "p50 us", "p99.9 us"]
+                   + (["faults", "retries", "failed"] if faulted else []))
+        rows = [[row.store, row.batch_size, row.pipeline_depth,
+                 round(row.throughput_kops, 1),
+                 round(row.p50_us, 1), round(row.p999_us, 1)]
+                + ([row.injected_faults, row.retries, row.failed_ops]
+                   if faulted else [])
+                for row in results]
+        title = f"{'faulted ' if faulted else ''}store comparison on {args.trace}"
+    print(render_table(headers, rows, title=title))
+    if spec.disk_plan is not None and spec.crash_at is None:
         best = max(rows, key=lambda r: (r[2], r[3]))
         print(f"most corruption detected: {best[0]}")
-        return 0
-    results = evaluator.evaluate(
-        args.trace, trace, batch_size=args.batch,
-        pipeline_depth=args.pipeline,
-        metrics_dir=args.metrics, metrics_interval_ms=args.metrics_interval_ms,
-    )
-    if fault_plan is not None:
-        rows = [
-            [row.store, row.batch_size, row.pipeline_depth,
-             round(row.throughput_kops, 1),
-             round(row.p50_us, 1), round(row.p999_us, 1),
-             row.injected_faults, row.retries, row.failed_ops]
-            for row in results
-        ]
-        print(render_table(
-            ["store", "batch", "pipe", "kops", "p50 us", "p99.9 us",
-             "faults", "retries", "failed"],
-            rows, title=f"faulted store comparison on {args.trace}"))
-    else:
-        rows = [
-            [row.store, row.batch_size, row.pipeline_depth,
-             round(row.throughput_kops, 1),
-             round(row.p50_us, 1), round(row.p999_us, 1)]
-            for row in results
-        ]
-        print(render_table(
-            ["store", "batch", "pipe", "kops", "p50 us", "p99.9 us"],
-            rows, title=f"store comparison on {args.trace}"))
-    best = max(rows, key=lambda r: r[3])
-    print(f"best throughput: {best[0]}")
+    elif spec.cluster is None and spec.crash_at is None:
+        print(f"best throughput: {max(rows, key=lambda r: r[3])[0]}")
     if args.metrics:
         paths = [row.timeseries_path for row in results if row.timeseries_path]
         print(f"wrote {len(paths)} metrics time series under {args.metrics} "
               f"(compare two with 'repro metrics diff')")
-    return 0
-
-
-def _compare_cluster(args, trace) -> int:
-    """The ``compare --cluster`` axis: every backing store serves the
-    same topology under the same (seeded) chaos schedule."""
-    if args.faults or args.crash_at is not None or args.disk_faults:
-        raise SystemExit(
-            "error: cluster comparisons take fault injection from "
-            "--chaos; --faults/--crash-at/--disk-faults are single-node "
-            "axes"
-        )
-    if args.compaction or args.compaction_config or args.background:
-        raise SystemExit(
-            "error: --cluster does not combine with the compaction sweep"
-        )
-    if args.metrics:
-        raise SystemExit(
-            "error: record cluster metrics with 'repro replay --cluster "
-            "--metrics FILE' (one fleet per file); compare --metrics "
-            "covers single-node rows only"
-        )
-    config, chaos, policy = _cluster_settings(args, store=args.stores[0])
-    evaluator = PerformanceEvaluator(stores=args.stores, retry_policy=policy,
-                                     lake_dir=args.lake)
-    results = evaluator.evaluate_cluster(
-        args.trace, trace,
-        partitions=config.partitions, replicas=config.replicas,
-        ack=config.ack, chaos=chaos, batch_size=args.batch,
-        pipeline_depth=args.pipeline,
-    )
-    rows = [
-        [row.store, row.cluster, round(row.throughput_kops, 1),
-         round(row.p999_us, 1), row.failovers,
-         round(row.replication_lag_ms or 0.0, 3),
-         round(row.recovery_ms or 0.0, 3),
-         "yes" if row.recovered_ok else "NO"]
-        for row in results
-    ]
-    chaos_note = f", chaos seed {chaos.seed}" if chaos else ""
-    print(render_table(
-        ["store", "cluster", "kops", "p99.9 us", "failovers", "lag ms",
-         "recovery ms", "recovered"],
-        rows, title=f"cluster comparison on {args.trace}{chaos_note}"))
-    return 0 if all(row.recovered_ok for row in results) else 1
-
-
-def _compare_compaction(args, trace) -> int:
-    """The ``compare --compaction`` axis: policy x LSM-store sweep,
-    inline or under background maintenance workers."""
-    from .faults import RECOVERABLE_STORES
-
-    policies, background, stores, store_overrides = _compaction_options(args)
-    store_names = list(stores or args.stores)
-    lsm_stores = [s for s in store_names if s in RECOVERABLE_STORES]
-    skipped = [s for s in store_names if s not in RECOVERABLE_STORES]
-    if not lsm_stores:
-        print(
-            f"error: none of the requested stores "
-            f"({', '.join(store_names)}) have a compaction pipeline; "
-            f"LSM stores: {', '.join(RECOVERABLE_STORES)}",
-            file=sys.stderr,
-        )
-        return 2
-    if skipped:
-        print(
-            f"note: skipping {', '.join(skipped)}: no compaction "
-            f"pipeline", file=sys.stderr,
-        )
-    evaluator = PerformanceEvaluator(
-        stores=lsm_stores,
-        store_configs=(
-            {name: dict(store_overrides) for name in lsm_stores}
-            if store_overrides else None
-        ),
-        lake_dir=args.lake,
-    )
-    results = evaluator.evaluate_compaction_axis(
-        args.trace, trace, policies,
-        background=background, batch_size=args.batch,
-    )
-    produced = {(row.store, row.compaction) for row in results}
-    incompatible = [
-        f"{store}+{policy}"
-        for policy in policies for store in lsm_stores
-        if (store, policy) not in produced
-    ]
-    if incompatible:
-        print(
-            f"note: skipping incompatible combinations: "
-            f"{', '.join(incompatible)}", file=sys.stderr,
-        )
-    if background:
-        rows = [
-            [row.store, row.compaction, round(row.throughput_kops, 1),
-             round(row.p50_us, 1), round(row.p999_us, 1),
-             row.write_stalls or 0, row.stall_ms or 0.0]
-            for row in results
-        ]
-        headers = ["store", "policy", "kops", "p50 us", "p99.9 us",
-                   "stalls", "stall ms"]
-    else:
-        rows = [
-            [row.store, row.compaction, round(row.throughput_kops, 1),
-             round(row.p50_us, 1), round(row.p999_us, 1)]
-            for row in results
-        ]
-        headers = ["store", "policy", "kops", "p50 us", "p99.9 us"]
-    mode = "background" if background else "inline"
-    print(render_table(
-        headers, rows,
-        title=f"compaction-policy comparison on {args.trace} "
-        f"({mode} maintenance)"))
-    best = max(rows, key=lambda r: r[2])
-    print(f"best throughput: {best[0]} with {best[1]}")
-    return 0
+    return 0 if all(row.recovered_ok is not False for row in results) else 1
 
 
 def _series_from_lake(args) -> List[str]:
@@ -1060,10 +764,11 @@ def cmd_lake(args) -> int:
 def cmd_scrub(args) -> int:
     """Replay a trace per store, optionally damage the on-disk state
     with a seeded plan, then scrub and report what was found."""
+    from .faults import DiskFaultPlan
     from .kvstores import connect, create_store
 
     trace = AccessTrace.load(args.trace)
-    disk_plan = _disk_plan(args)
+    disk_plan = DiskFaultPlan.load(args.disk_faults) if args.disk_faults else None
     rows: List[List] = []
     dirty = False
     for store_name in args.stores:

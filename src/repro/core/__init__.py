@@ -15,7 +15,7 @@ from .configfile import (
     parse_config,
 )
 from .driver import Driver, OperatorModel
-from .evaluator import DEFAULT_STORES, EvaluationRow, PerformanceEvaluator
+from .evaluator import DEFAULT_STORES, EvaluationRow, PerformanceEvaluator, RunSpec
 from .generator import (
     EventGenerator,
     InputReplayer,
@@ -91,6 +91,7 @@ __all__ = [
     "MergeBufferMachine",
     "OperatorModel",
     "PerformanceEvaluator",
+    "RunSpec",
     "ConnectorSpec",
     "ProcessShardedReplayer",
     "ReplayResult",

@@ -2,96 +2,41 @@
 
 Orchestrates the paper's section 6 experiments: build or accept a
 state access trace, replay it on each store through the appropriate
-connector, and report throughput plus tail latency per store.  Also
-supports concurrent-operator evaluation (section 6.4) by interleaving
-the traces of multiple operators onto one store instance.
+connector, and report throughput plus tail latency per store.  A
+frozen :class:`RunSpec` names the computation (pacing, faults,
+batching, pipelining, crash recovery, disk damage, sharding, cluster
+serving, LSM maintenance); :meth:`PerformanceEvaluator.run` is the one
+dispatch that runs it on a store and builds the row.  Concurrent
+operators (section 6.4) are one run over ``interleave_traces``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import os
-import threading
+import shutil
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..kvstores import create_connector
+from ..kvstores import create_connector, create_store
 from ..kvstores.connectors import StoreConnector
-from ..trace import AccessTrace, interleave_traces
-from .replayer import (
-    ReplayResult,
-    ShardedReplayer,
-    ShardedReplayResult,
-    TraceReplayer,
-)
+from ..trace import AccessTrace
+from .replayer import ReplayResult, ShardedReplayer, TraceReplayer
 from ..faults import (
     RECOVERABLE_STORES,
     CrashRecoveryResult,
     DiskFaultPlan,
     FaultPlan,
     RetryPolicy,
-    check_recoverable,
     evaluate_crash_recovery,
 )
 
+if TYPE_CHECKING:
+    from ..cluster import ClusterConfig
+    from ..faults import ClusterFaultPlan
+
 DEFAULT_STORES = ("rocksdb", "lethe", "faster", "berkeleydb")
-
-
-class LockedConnector:
-    """Serializes access to a shared connector with one lock.
-
-    Models concurrent clients of one store instance when the store
-    itself is not thread-safe; the lock contention is part of what is
-    being measured.
-    """
-
-    def __init__(self, inner: StoreConnector, lock: Optional[threading.Lock] = None):
-        self._inner = inner
-        self._lock = lock or threading.Lock()
-        self.name = inner.name
-
-    def get(self, key: bytes):
-        with self._lock:
-            return self._inner.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        with self._lock:
-            self._inner.put(key, value)
-
-    def merge(self, key: bytes, operand: bytes) -> None:
-        with self._lock:
-            self._inner.merge(key, operand)
-
-    def delete(self, key: bytes) -> None:
-        with self._lock:
-            self._inner.delete(key)
-
-    def multi_get(self, keys):
-        with self._lock:
-            return self._inner.multi_get(keys)
-
-    def apply_batch(self, ops) -> None:
-        with self._lock:
-            self._inner.apply_batch(ops)
-
-    def take_background_ns(self) -> int:
-        with self._lock:
-            return self._inner.take_background_ns()
-
-    def flush(self) -> None:
-        with self._lock:
-            self._inner.flush()
-
-    def close(self) -> None:
-        with self._lock:
-            self._inner.close()
-
-    def pipeline(self, depth: int, on_complete):
-        """Synchronous-fallback session executing each op under the
-        lock; a shared in-process store has no round trips to overlap."""
-        from ..kvstores.connectors import PipelineSession
-
-        return PipelineSession(self, depth, on_complete)
 
 
 @dataclass
@@ -226,13 +171,128 @@ class EvaluationRow:
         return row
 
 
+class UsageError(ValueError):
+    """A spec that would silently drop one of its axes (the CLI reports
+    it as a usage error, exit 2)."""
+
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Which computation one evaluation runs, identically on every store.
+
+    The fields are the run's axes.  Telemetry destinations and the
+    store list stay outside, so two equal specs always mean the same
+    computation.  ``__post_init__`` is the one place the rules on which
+    axes combine live; its messages name the CLI flags that set them.
+    """
+
+    #: open-loop pacing in ops/s (None = closed loop)
+    service_rate: Optional[float] = None
+    #: seeded transient errors, latency spikes and stalls; every store
+    #: draws the identical schedule from it
+    fault_plan: Optional[FaultPlan] = None
+    #: retry policy absorbing them (copied per store: fresh jitter RNG)
+    retry_policy: Optional[RetryPolicy] = None
+    #: micro-batch size (None or 1 = per-op)
+    batch_size: Optional[int] = None
+    #: in-flight window depth (None or 1 = synchronous)
+    pipeline_depth: Optional[int] = None
+    #: kill the store before this op, recover, resume, and verify
+    crash_at: Optional[int] = None
+    #: seeded on-disk damage: applied before recovery with ``crash_at``,
+    #: otherwise after the replay and followed by a scrub
+    disk_plan: Optional[DiskFaultPlan] = None
+    #: hash partitions of the trace, one store instance each
+    shards: int = 1
+    #: replay the shards in worker processes over a shared-memory trace
+    processes: bool = False
+    #: on-disk root for the worker stores (``<root>/shard-<i>``)
+    storage_root: Optional[str] = None
+    #: serve the store from a partitioned, replicated cluster
+    cluster: Optional["ClusterConfig"] = None
+    #: topology faults (kills, restarts, isolations) for the cluster
+    chaos: Optional["ClusterFaultPlan"] = None
+    #: LSM compaction policy (rocksdb/lethe; None = the store's default)
+    compaction: Optional[str] = None
+    #: LSM flush and compaction on background workers, with write stalls
+    background: bool = False
+
+    def __post_init__(self) -> None:
+        pipelined = (self.pipeline_depth or 1) > 1
+        sharded = self.shards > 1 or self.processes
+        clustered = self.cluster is not None
+        if clustered and (self.compaction is not None or self.background):
+            raise UsageError(
+                "--compaction/--background tune one embedded LSM store; "
+                "cluster nodes run their store's default maintenance")
+        if self.storage_root is not None and not self.processes:
+            raise UsageError(
+                "--storage-root partitions the stores of --processes "
+                "workers; add --processes")
+        rules = (
+            (pipelined and (self.batch_size or 1) > 1,
+             "--batch and --pipeline are alternative round-trip "
+             "amortizations; pick one"),
+            (pipelined and self.processes,
+             "--pipeline requires threads; --processes workers replay "
+             "synchronously"),
+            (pipelined and self.crash_at is not None,
+             "--crash-at stops the replay at an exact op index; a pipelined "
+             "window makes that point ambiguous -- drop --pipeline"),
+            (pipelined and self.disk_plan is not None,
+             "disk-fault runs replay embedded stores synchronously; drop "
+             "--pipeline"),
+            (self.chaos is not None and not clustered,
+             "--chaos needs a cluster (--cluster N or --cluster-config) to "
+             "aim its kills at"),
+            (clustered and sharded,
+             "--cluster is its own fan-out (N partitioned server chains); "
+             "drop --shards/--processes"),
+            (clustered and (self.fault_plan is not None
+                            or self.crash_at is not None
+                            or self.disk_plan is not None),
+             "cluster replays take fault injection from --chaos (topology "
+             "events); --faults/--crash-at/--disk-faults are single-node "
+             "axes"),
+            (sharded and self.crash_at is not None,
+             "--crash-at does not combine with --shards/--processes"),
+            (sharded and self.disk_plan is not None,
+             "--disk-faults does not combine with --shards/--processes"),
+        )
+        for broken, message in rules:
+            if broken:
+                raise ValueError(message)
+
+    @property
+    def single_connector(self) -> bool:
+        """True when the run drives one connector the caller can set up."""
+        return (self.cluster is None and self.crash_at is None
+                and self.shards == 1 and not self.processes)
+
+
+def runs_on(store_name: str, spec: RunSpec) -> bool:
+    """Whether ``store_name`` can run ``spec``: crash recovery and LSM
+    maintenance need a recoverable LSM store, and a compaction policy
+    one that store takes (Lethe's FADE refuses overlapping runs)."""
+    if spec.crash_at is None and spec.compaction is None and not spec.background:
+        return True
+    if store_name not in RECOVERABLE_STORES:
+        return False
+    if spec.compaction is not None:
+        try:  # the store vetoes a policy before it touches storage
+            create_store(store_name, compaction_policy=spec.compaction).close()
+        except ValueError:
+            return False
+    return True
+
+
 def _stall_columns(connector) -> tuple:
     """(write_stalls, stall_ms) from a connector's store, read before
-    the store closes; (0, None) for stores without a stall gate."""
+    the store closes; (0, 0.0) for stores without a stall gate."""
     store = getattr(connector, "store", None)
     stalls = getattr(store, "write_stall_count", 0) or 0
     stall_ns = getattr(store, "write_stall_ns", 0) or 0
-    return stalls, round(stall_ns / 1e6, 3) if stalls else None
+    return stalls, round(stall_ns / 1e6, 3)
 
 
 class PerformanceEvaluator:
@@ -242,89 +302,230 @@ class PerformanceEvaluator:
         self,
         stores: Sequence[str] = DEFAULT_STORES,
         store_configs: Optional[Dict[str, dict]] = None,
-        service_rate: Optional[float] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
         lake_dir: Optional[str] = None,
     ) -> None:
         self.stores = tuple(stores)
         self.store_configs = store_configs or {}
-        self.service_rate = service_rate
-        #: faults injected into every replay; each store draws a fresh
-        #: schedule from the same plan, so all rows of a comparison see
-        #: the identical fault timeline
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
         #: results-lake directory: every evaluation's rows are appended
         #: there as one run (after measurement, never on the hot path)
         self.lake_dir = lake_dir
         self._lake = None
 
-    def _record_rows(
-        self, rows: "List[EvaluationRow]", plan: Optional[FaultPlan]
-    ) -> None:
-        """Append finished rows to the results lake, if one is wired.
+    def record(
+        self, rows: "List[EvaluationRow]", fault_plan: Optional[FaultPlan]
+    ) -> int:
+        """Append finished rows to the results lake as one run, if one
+        is wired; returns the number appended.
 
         Runs strictly after the replay's timing window closes, so lake
         ingest cost never lands inside a measurement."""
         if self.lake_dir is None or not rows:
-            return
+            return 0
         from ..lake import ResultsLake, append_rows, fault_plan_label, lake_path
 
         if self._lake is None:
             self._lake = ResultsLake(lake_path(self.lake_dir))
-        append_rows(self._lake, rows, fault_plan=fault_plan_label(plan))
+        return append_rows(self._lake, rows, fault_plan=fault_plan_label(fault_plan))
 
-    def _connector(self, store_name: str) -> StoreConnector:
-        overrides = self.store_configs.get(store_name, {})
-        return create_connector(store_name, **overrides)
+    def _store_config(self, store_name: str, spec: RunSpec) -> dict:
+        """The store's configured overrides plus the spec's LSM knobs."""
+        config = dict(self.store_configs.get(store_name, {}))
+        if spec.compaction is not None or spec.background:
+            if store_name not in RECOVERABLE_STORES:
+                raise ValueError(
+                    f"--compaction/--background tune the LSM family only "
+                    f"({', '.join(RECOVERABLE_STORES)}); store "
+                    f"{store_name!r} has no compaction pipeline"
+                )
+            if spec.compaction is not None:
+                config["compaction_policy"] = spec.compaction
+            if spec.background:
+                config["background"] = True
+        return config
 
-    def _fresh_policy(
-        self, override: Optional[RetryPolicy]
-    ) -> Optional[RetryPolicy]:
-        """Per-store copy of the retry policy (fresh jitter RNG), so
-        every store replays under identical retry behaviour."""
-        policy = override if override is not None else self.retry_policy
-        return dataclasses.replace(policy) if policy is not None else None
+    def _connector(self, store_name: str, spec: RunSpec = RunSpec()) -> StoreConnector:
+        return create_connector(store_name, **self._store_config(store_name, spec))
+
+    def run(
+        self,
+        store_name: str,
+        workload_name: str,
+        trace: AccessTrace,
+        spec: RunSpec = RunSpec(),
+        setup: Optional[Callable[[StoreConnector], None]] = None,
+        telemetry=None,
+    ) -> Tuple[EvaluationRow, object]:
+        """Run ``spec`` on a fresh ``store_name``; returns (row, outcome).
+
+        Picks the runner the spec names: a cluster replay under chaos,
+        a kill-recover-verify run, a thread- or process-sharded replay,
+        or one :class:`TraceReplayer` (followed, with a ``disk_plan``,
+        by damage and a scrub).  The outcome is that runner's own
+        result, for callers that report more than the row.  ``setup``
+        runs on the connector before measurement (e.g. YCSB's load
+        phase) and needs a single-connector run; ``telemetry`` is a
+        :class:`~repro.obs.ReplayTelemetry` recording the replay.
+        """
+        policy = (dataclasses.replace(spec.retry_policy)
+                  if spec.retry_policy is not None else None)
+        if setup is not None and not spec.single_connector:
+            raise ValueError(
+                "setup needs a single-connector run; sharded, crash and "
+                "cluster runs build their own stores"
+            )
+        if telemetry is not None:
+            if spec.crash_at is not None and telemetry.wants_progress:
+                raise ValueError(
+                    "--crash-at runs several replays (reference, doomed, "
+                    "resumed); only --trace records it, as one span timeline"
+                )
+            if spec.processes and (telemetry.trace_path
+                                   or telemetry.progress_stream):
+                raise ValueError(
+                    "--processes supports --metrics only; span traces and "
+                    "the live progress view need in-process telemetry"
+                )
+        if spec.cluster is not None:
+            from ..cluster import evaluate_cluster_recovery
+
+            cluster = dataclasses.replace(
+                spec.cluster, store=store_name,
+                store_config={**spec.cluster.store_config,
+                              **self._store_config(store_name, spec)},
+            )
+            outcome = evaluate_cluster_recovery(
+                trace, config=cluster, chaos=spec.chaos, retry_policy=policy,
+                service_rate=spec.service_rate, batch_size=spec.batch_size,
+                pipeline_depth=spec.pipeline_depth, telemetry=telemetry,
+            )
+            row = EvaluationRow.from_cluster(workload_name, outcome)
+        elif spec.crash_at is not None:
+            recording = (telemetry.session(None, len(trace), store_name)
+                         if telemetry is not None else nullcontext())
+            with recording:
+                outcome = evaluate_crash_recovery(
+                    store_name, trace, spec.crash_at, plan=spec.fault_plan,
+                    retry_policy=policy, service_rate=spec.service_rate,
+                    store_config=self._store_config(store_name, spec) or None,
+                    disk_plan=spec.disk_plan,
+                    batch_size=spec.batch_size,
+                )
+            row = EvaluationRow.from_recovery(workload_name, outcome)
+        elif not spec.single_connector:
+            outcome = self._sharded(store_name, trace, spec, policy, telemetry)
+            # percentiles from the merged per-shard populations,
+            # throughput from the fan-out's wall clock
+            row = EvaluationRow.from_result(workload_name, outcome.merged_result())
+            row.store = f"{outcome.store}x{spec.shards}"
+        else:
+            connector = self._connector(store_name, spec)
+            if setup is not None:
+                setup(connector)
+            outcome = TraceReplayer(
+                connector,
+                service_rate=spec.service_rate,
+                fault_plan=spec.fault_plan,
+                retry_policy=policy,
+                batch_size=spec.batch_size,
+                pipeline_depth=spec.pipeline_depth,
+                telemetry=telemetry,
+            ).replay(trace)
+            report = None
+            if spec.disk_plan is not None:
+                connector.flush()
+                backend = connector.storage_backend()
+                if backend is not None:
+                    spec.disk_plan.apply(backend)
+                report = connector.scrub()
+            if spec.background:
+                stalls = _stall_columns(connector)
+            connector.close()
+            row = EvaluationRow.from_result(workload_name, outcome)
+            if report is not None:
+                row.corruptions_detected = report.corruptions_detected
+                row.corruptions_repaired = report.corruptions_repaired
+                row.corruptions_unrecoverable = report.unrecoverable
+                row.scrub_ms = report.scrub_ms
+            if spec.background:
+                row.write_stalls, row.stall_ms = stalls
+        row.batch_size = spec.batch_size or 1
+        row.pipeline_depth = spec.pipeline_depth or 1
+        row.compaction = spec.compaction
+        if telemetry is not None:
+            row.timeseries_path = telemetry.metrics_path
+        return row, outcome
+
+    def _sharded(self, store_name, trace, spec, policy, telemetry):
+        """Hash-partitioned replay: one store instance per shard, on
+        threads or (``spec.processes``) in worker processes attached to
+        the trace through shared memory."""
+        if not spec.processes:
+            replayer = ShardedReplayer(
+                lambda: self._connector(store_name, spec),
+                num_workers=spec.shards,
+                service_rate=spec.service_rate,
+                fault_plan=spec.fault_plan,
+                retry_policy=policy,
+                batch_size=spec.batch_size,
+                pipeline_depth=spec.pipeline_depth,
+                telemetry=telemetry,
+            )
+            try:
+                return replayer.replay(trace)
+            finally:
+                replayer.close()
+        from .mp_replay import ConnectorSpec, ProcessShardedReplayer
+
+        metrics = telemetry.metrics_path if telemetry is not None else None
+        replayer = ProcessShardedReplayer(
+            ConnectorSpec.for_store(
+                store_name, storage_root=spec.storage_root,
+                **self._store_config(store_name, spec),
+            ),
+            num_workers=spec.shards,
+            service_rate=spec.service_rate,
+            fault_plan=spec.fault_plan,
+            retry_policy=policy,
+            batch_size=spec.batch_size,
+            metrics_dir=f"{metrics}.shards" if metrics else None,
+        )
+        result = replayer.replay(trace)
+        if metrics and replayer.last_metrics_path:
+            shutil.copyfile(replayer.last_metrics_path, metrics)
+        return result
 
     def evaluate(
         self,
         workload_name: str,
         trace: AccessTrace,
+        spec: RunSpec = RunSpec(),
         setup: Optional[Callable[[StoreConnector], None]] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        batch_size: Optional[int] = None,
-        pipeline_depth: Optional[int] = None,
         metrics_dir: Optional[str] = None,
         metrics_interval_ms: float = 100.0,
     ) -> List[EvaluationRow]:
-        """Replay one trace against every configured store.
+        """Run one trace under one spec against every configured store.
 
-        ``setup`` runs against each fresh store before measurement --
-        e.g. YCSB's load phase (``workload.preload``).  ``fault_plan``
-        and ``retry_policy`` override the evaluator-wide settings for
-        this call; with a plan set, every store is driven through an
-        identical injected-fault schedule and the rows report the
-        faults, retries, and residual failures alongside throughput.
-        ``batch_size`` micro-batches the replay (see
-        :class:`~repro.core.replayer.TraceReplayer`); rows carry the
-        size so batched and per-op rows stay distinguishable.
-        ``pipeline_depth`` instead runs every store through a bounded
-        in-flight window (rows carry the depth); the two round-trip
-        amortizations are mutually exclusive.
+        Every store gets a fresh instance and the identical computation
+        (the same fault schedule, crash point, chaos plan), so the rows
+        compare.  Stores that cannot run the spec (see :func:`runs_on`)
+        are skipped before anything replays.  ``setup`` runs against each fresh store before
+        measurement -- e.g. YCSB's load phase (``workload.preload``).
         ``metrics_dir`` samples every store's replay into
         ``<dir>/<workload>-<store>.jsonl`` (see :mod:`repro.obs`) and
-        records the path in the row's ``timeseries_path``.
+        records the path in the row's ``timeseries_path``.  The rows
+        are appended to the lake as one run.
         """
-        plan = fault_plan if fault_plan is not None else self.fault_plan
+        stores = [s for s in self.stores if runs_on(s, spec)]
+        if self.stores and not stores:
+            raise ValueError(
+                f"no store among {self.stores} can run this spec; crash "
+                f"recovery and --compaction/--background need one of the "
+                f"recoverable LSM stores ({', '.join(RECOVERABLE_STORES)}) "
+                f"with a compaction policy it takes"
+            )
         rows: List[EvaluationRow] = []
-        for store_name in self.stores:
-            connector = self._connector(store_name)
-            if setup is not None:
-                setup(connector)
+        for store_name in stores:
             telemetry = None
-            series_path = None
             if metrics_dir is not None:
                 from ..obs import ReplayTelemetry
 
@@ -332,348 +533,16 @@ class PerformanceEvaluator:
                 # The workload name is often a trace file path; keep
                 # only its stem so the series lands inside metrics_dir.
                 stem = os.path.splitext(os.path.basename(str(workload_name)))[0]
-                series_path = os.path.join(
-                    metrics_dir, f"{stem or 'workload'}-{store_name}.jsonl"
-                )
                 telemetry = ReplayTelemetry(
-                    metrics_path=series_path,
+                    metrics_path=os.path.join(
+                        metrics_dir, f"{stem or 'workload'}-{store_name}.jsonl"
+                    ),
                     interval_ms=metrics_interval_ms,
                     meta={"workload": workload_name},
                 )
-            replayer = TraceReplayer(
-                connector,
-                service_rate=self.service_rate,
-                fault_plan=plan,
-                retry_policy=self._fresh_policy(retry_policy),
-                batch_size=batch_size,
-                pipeline_depth=pipeline_depth,
-                telemetry=telemetry,
+            row, _ = self.run(
+                store_name, workload_name, trace, spec, setup, telemetry
             )
-            result = replayer.replay(trace)
-            stalls, stall_ms = _stall_columns(connector)
-            connector.close()
-            row = EvaluationRow.from_result(workload_name, result)
-            row.batch_size = batch_size or 1
-            row.pipeline_depth = pipeline_depth or 1
-            row.timeseries_path = series_path
-            if stalls:
-                row.write_stalls = stalls
-                row.stall_ms = stall_ms
             rows.append(row)
-        self._record_rows(rows, plan)
+        self.record(rows, spec.fault_plan)
         return rows
-
-    def evaluate_compaction_axis(
-        self,
-        workload_name: str,
-        trace: AccessTrace,
-        policies: Sequence[str],
-        background: bool = False,
-        batch_size: Optional[int] = None,
-    ) -> List[EvaluationRow]:
-        """Replay one trace across compaction policies (LSM stores).
-
-        Sweeps the ``repro compare --compaction`` axis: every LSM store
-        in this evaluator's store list runs the trace once per policy,
-        inline or (with ``background``) under the flush/compaction
-        workers, and the rows carry the policy plus the write-stall
-        columns.  Store/policy combinations a store rejects (Lethe with
-        overlapping-run policies) are skipped.
-        """
-        lsm_stores = [s for s in self.stores if s in RECOVERABLE_STORES]
-        if not lsm_stores:
-            raise ValueError(
-                "the compaction axis needs at least one LSM store "
-                f"({', '.join(RECOVERABLE_STORES)}); got {self.stores}"
-            )
-        rows: List[EvaluationRow] = []
-        for policy in policies:
-            for store_name in lsm_stores:
-                overrides = dict(self.store_configs.get(store_name, {}))
-                overrides["compaction_policy"] = policy
-                overrides["background"] = background
-                try:
-                    connector = create_connector(store_name, **overrides)
-                except ValueError:
-                    # Incompatible combination (e.g. lethe + tiered).
-                    continue
-                replayer = TraceReplayer(
-                    connector,
-                    service_rate=self.service_rate,
-                    batch_size=batch_size,
-                )
-                result = replayer.replay(trace)
-                stalls, stall_ms = _stall_columns(connector)
-                connector.close()
-                row = EvaluationRow.from_result(workload_name, result)
-                row.batch_size = batch_size or 1
-                row.compaction = policy
-                if background:
-                    row.write_stalls = stalls
-                    row.stall_ms = stall_ms
-                rows.append(row)
-        self._record_rows(rows, None)
-        return rows
-
-    def evaluate_concurrent(
-        self,
-        store_name: str,
-        traces: Sequence[AccessTrace],
-        label: str = "concurrent",
-    ) -> ReplayResult:
-        """Multiple operators sharing one store instance (section 6.4).
-
-        The paper runs several Gadget instances against the same store;
-        the dataflow model still guarantees one writer per key, so the
-        interleaved trace preserves per-operator access order.
-        """
-        connector = self._connector(store_name)
-        merged = interleave_traces(traces)
-        replayer = TraceReplayer(connector, service_rate=self.service_rate)
-        result = replayer.replay(merged)
-        connector.close()
-        return result
-
-    def evaluate_crash_recovery(
-        self,
-        workload_name: str,
-        trace: AccessTrace,
-        crash_at: int,
-        stores: Optional[Sequence[str]] = None,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        disk_plan: Optional[DiskFaultPlan] = None,
-        batch_size: Optional[int] = None,
-    ) -> List[EvaluationRow]:
-        """Kill-recover-verify each recoverable store (the robustness
-        counterpart of :meth:`evaluate`).
-
-        Every store is crashed at the same operation index (plus any
-        additional faults from the plan), recovered via its
-        ``recover()`` path, resumed, and verified against an
-        uninterrupted run; rows carry ``recovery_ms``,
-        ``wal_replayed``, and ``recovered_ok`` next to the usual
-        throughput/latency columns.  A ``disk_plan`` additionally
-        damages the surviving storage before recovery and adds the
-        corruption columns.
-
-        An explicitly requested store that has no recovery path fails
-        fast here rather than mid-experiment.
-        """
-        plan = fault_plan if fault_plan is not None else self.fault_plan
-        if stores is not None:
-            chosen = tuple(stores)
-            for store_name in chosen:
-                check_recoverable(store_name)
-        else:
-            chosen = tuple(s for s in self.stores if s in RECOVERABLE_STORES)
-        if not chosen:
-            raise ValueError(
-                f"no recoverable stores among {self.stores}; "
-                f"crash recovery needs one of {RECOVERABLE_STORES}"
-            )
-        rows: List[EvaluationRow] = []
-        for store_name in chosen:
-            result = evaluate_crash_recovery(
-                store_name,
-                trace,
-                crash_at,
-                plan=plan,
-                retry_policy=self._fresh_policy(retry_policy),
-                service_rate=self.service_rate,
-                store_config=self.store_configs.get(store_name),
-                disk_plan=disk_plan,
-                batch_size=batch_size,
-            )
-            row = EvaluationRow.from_recovery(workload_name, result)
-            row.batch_size = batch_size or 1
-            rows.append(row)
-        self._record_rows(rows, plan)
-        return rows
-
-    def evaluate_cluster(
-        self,
-        workload_name: str,
-        trace: AccessTrace,
-        partitions: int = 3,
-        replicas: int = 1,
-        ack: str = "all",
-        chaos=None,
-        stores: Optional[Sequence[str]] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        batch_size: Optional[int] = None,
-        pipeline_depth: Optional[int] = None,
-    ) -> List[EvaluationRow]:
-        """Replay through a partitioned + replicated cluster per store.
-
-        Every backing store gets its own fresh ``partitions`` x
-        ``replicas + 1`` fleet and the *same* chaos schedule (the plan
-        is seeded, like every fault plan), so cluster rows compare
-        across stores the way faulted single-node rows do.  Rows carry
-        the ``cluster`` topology label, ``failovers``, and
-        ``replication_lag_ms`` next to the usual columns;
-        ``recovery_ms``/``recovered_ok`` are reused for the slowest
-        repair and the content check against a single-node oracle.
-
-        ``chaos`` is a :class:`~repro.faults.ClusterFaultPlan` (or a
-        :class:`~repro.faults.FaultPlan` whose ``cluster`` field is
-        set).
-        """
-        from ..cluster import evaluate_cluster_recovery as run_cluster
-
-        plan = chaos
-        if plan is None and self.fault_plan is not None:
-            plan = self.fault_plan.cluster
-        elif isinstance(plan, FaultPlan):
-            plan = plan.cluster
-        chosen = tuple(stores) if stores is not None else self.stores
-        rows: List[EvaluationRow] = []
-        for store_name in chosen:
-            result = run_cluster(
-                trace,
-                partitions=partitions,
-                replicas=replicas,
-                ack=ack,
-                store=store_name,
-                store_config=self.store_configs.get(store_name),
-                chaos=plan,
-                retry_policy=self._fresh_policy(retry_policy),
-                service_rate=self.service_rate,
-                batch_size=batch_size,
-                pipeline_depth=pipeline_depth,
-            )
-            row = EvaluationRow.from_cluster(workload_name, result)
-            row.batch_size = batch_size or 1
-            row.pipeline_depth = pipeline_depth or 1
-            rows.append(row)
-        self._record_rows(rows, None)
-        return rows
-
-    def evaluate_integrity(
-        self,
-        workload_name: str,
-        trace: AccessTrace,
-        disk_plan: DiskFaultPlan,
-        stores: Optional[Sequence[str]] = None,
-        setup: Optional[Callable[[StoreConnector], None]] = None,
-    ) -> List[EvaluationRow]:
-        """Replay, damage the on-disk state, scrub, and report.
-
-        Each store replays the trace, flushes, has the seeded
-        ``disk_plan`` applied to its storage backend (the identical
-        blob-name-keyed damage function for every store), and then
-        scrubs.  Rows rank stores on how much injected damage they
-        detect, repair, or lose -- the integrity axis next to the
-        throughput axis of :meth:`evaluate`.
-        """
-        chosen = tuple(stores) if stores is not None else self.stores
-        rows: List[EvaluationRow] = []
-        for store_name in chosen:
-            connector = self._connector(store_name)
-            if setup is not None:
-                setup(connector)
-            replayer = TraceReplayer(connector, service_rate=self.service_rate)
-            result = replayer.replay(trace)
-            connector.flush()
-            backend = connector.storage_backend()
-            if backend is not None:
-                disk_plan.apply(backend)
-            report = connector.scrub()
-            row = EvaluationRow.from_result(workload_name, result)
-            row.corruptions_detected = report.corruptions_detected
-            row.corruptions_repaired = report.corruptions_repaired
-            row.corruptions_unrecoverable = report.unrecoverable
-            row.scrub_ms = report.scrub_ms
-            rows.append(row)
-            connector.close()
-        self._record_rows(rows, None)
-        return rows
-
-    def evaluate_sharded(
-        self,
-        store_name: str,
-        trace: AccessTrace,
-        num_workers: int = 4,
-        share_store: bool = False,
-        fault_plan: Optional[FaultPlan] = None,
-        retry_policy: Optional[RetryPolicy] = None,
-        batch_size: Optional[int] = None,
-        pipeline_depth: Optional[int] = None,
-        processes: bool = False,
-        storage_root: Optional[str] = None,
-    ) -> ShardedReplayResult:
-        """Hash-partitioned parallel replay (the scale-out mode).
-
-        With ``share_store=False`` (default) every worker drives its
-        own store instance over its key partition -- the sharded
-        deployment of a keyed streaming operator.  With
-        ``share_store=True`` all workers hit one store instance behind
-        a lock (the section 6.4 co-location setup, but with Gadget's
-        one-writer-per-key guarantee enforced by the partitioning).
-
-        ``processes=True`` routes through
-        :class:`~repro.core.mp_replay.ProcessShardedReplayer`: same
-        partitioning and per-shard fault derivation, but each worker
-        is a separate OS process attached to the trace via shared
-        memory -- the mode that scales past the GIL on multi-core
-        hosts.  ``storage_root`` optionally gives the worker stores
-        partitioned on-disk directories (``<root>/shard-<i>``);
-        ``share_store`` is thread-only and rejected here.
-        """
-        plan = fault_plan if fault_plan is not None else self.fault_plan
-        policy = self._fresh_policy(retry_policy)
-        if processes:
-            if share_store:
-                raise ValueError(
-                    "share_store requires threads; processes cannot "
-                    "share one in-process store instance"
-                )
-            if pipeline_depth is not None and pipeline_depth > 1:
-                raise ValueError(
-                    "pipeline_depth requires threads; process workers "
-                    "replay synchronously"
-                )
-            from .mp_replay import ConnectorSpec, ProcessShardedReplayer
-
-            spec = ConnectorSpec.for_store(
-                store_name,
-                storage_root=storage_root,
-                **self.store_configs.get(store_name, {}),
-            )
-            replayer = ProcessShardedReplayer(
-                spec,
-                num_workers=num_workers,
-                service_rate=self.service_rate,
-                fault_plan=plan,
-                retry_policy=policy,
-                batch_size=batch_size,
-            )
-            return replayer.replay(trace)
-        if share_store:
-            shared = self._connector(store_name)
-            replayer = ShardedReplayer(
-                LockedConnector(shared),  # type: ignore[arg-type]
-                num_workers=num_workers,
-                service_rate=self.service_rate,
-                fault_plan=plan,
-                retry_policy=policy,
-                batch_size=batch_size,
-                pipeline_depth=pipeline_depth,
-            )
-            try:
-                return replayer.replay(trace)
-            finally:
-                shared.close()
-        replayer = ShardedReplayer(
-            lambda: self._connector(store_name),
-            num_workers=num_workers,
-            service_rate=self.service_rate,
-            fault_plan=plan,
-            retry_policy=policy,
-            batch_size=batch_size,
-            pipeline_depth=pipeline_depth,
-        )
-        try:
-            return replayer.replay(trace)
-        finally:
-            replayer.close()

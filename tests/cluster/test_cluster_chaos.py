@@ -12,6 +12,7 @@ from repro.cluster import (
 from repro.core import (
     EvaluationRow,
     PerformanceEvaluator,
+    RunSpec,
     SourceConfig,
     generate_workload_trace,
 )
@@ -203,10 +204,10 @@ class TestEvaluatorIntegration:
             )
         )
         evaluator = PerformanceEvaluator(stores=["memory"])
-        rows = evaluator.evaluate_cluster(
-            "tumbling", trace, partitions=3, replicas=1, ack="all",
+        rows = evaluator.evaluate("tumbling", trace, RunSpec(
+            cluster=ClusterConfig(partitions=3, replicas=1, ack="all"),
             chaos=chaos, retry_policy=FAST_RETRY,
-        )
+        ))
         assert len(rows) == 1
         row = rows[0]
         assert isinstance(row, EvaluationRow)
@@ -222,9 +223,9 @@ class TestEvaluatorIntegration:
             cluster={"actions": [{"at": 800, "action": "kill", "target": "replica:1"}]}
         )
         assert isinstance(plan.cluster, ClusterFaultPlan)
-        evaluator = PerformanceEvaluator(stores=["memory"], fault_plan=plan)
-        rows = evaluator.evaluate_cluster(
-            "tumbling", trace, partitions=3, replicas=1, ack="all",
-            retry_policy=FAST_RETRY,
-        )
+        evaluator = PerformanceEvaluator(stores=["memory"])
+        rows = evaluator.evaluate("tumbling", trace, RunSpec(
+            cluster=ClusterConfig(partitions=3, replicas=1, ack="all"),
+            chaos=plan.cluster, retry_policy=FAST_RETRY,
+        ))
         assert rows[0].recovered_ok is True

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core import (
     PerformanceEvaluator,
+    RunSpec,
     SourceConfig,
     TraceReplayer,
     generate_workload_trace,
@@ -142,7 +143,7 @@ class TestEvaluatorBatching:
     def test_rows_carry_batch_size(self):
         trace = small_trace(200)
         evaluator = PerformanceEvaluator(stores=("memory",))
-        row = evaluator.evaluate("w", trace, batch_size=32)[0]
+        row = evaluator.evaluate("w", trace, RunSpec(batch_size=32))[0]
         assert row.batch_size == 32
         assert row.throughput_kops > 0
         default_row = evaluator.evaluate("w", trace)[0]

@@ -186,3 +186,76 @@ class TestCompactionAxis:
         bad.write_text('{"polices": ["leveled"]}')  # typo'd key
         with pytest.raises(SystemExit):
             main(["compare", trace_path, "--compaction-config", str(bad)])
+
+
+class TestDroppedFlagsRejected:
+    """Flags the chosen mode would silently drop are usage errors."""
+
+    @pytest.fixture
+    def trace_path(self, tmp_path):
+        path = str(tmp_path / "t.gdgt")
+        main([
+            "generate", "-w", "continuous-aggregation", "-o", path,
+            "--events", "300",
+        ])
+        return path
+
+    def rejected(self, argv, capsys):
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        return capsys.readouterr().err
+
+    def test_ack_and_replicas_need_a_cluster(self, trace_path, capsys):
+        err = self.rejected([
+            "replay", trace_path, "--store", "memory",
+            "--ack", "one", "--replicas", "3",
+        ], capsys)
+        assert err.startswith("error: --ack/--replicas")
+
+    def test_storage_root_needs_processes(self, trace_path, tmp_path, capsys):
+        root = tmp_path / "roots"
+        err = self.rejected([
+            "replay", trace_path, "--store", "rocksdb",
+            "--storage-root", str(root),
+        ], capsys)
+        assert err.startswith("error: --storage-root")
+        assert not root.exists()
+
+    def test_cluster_replay_rejects_compaction(self, trace_path, capsys):
+        err = self.rejected([
+            "replay", trace_path, "--store", "memory", "--cluster", "2",
+            "--compaction", "tiered", "--background",
+        ], capsys)
+        assert err.startswith("error: --compaction/--background")
+
+
+class TestIntegrityComparisonAxes:
+    """``compare --disk-faults`` replays through the same path as every
+    other comparison, so --faults and --batch shape its rows too."""
+
+    def test_faults_and_batch_reach_the_integrity_rows(self, tmp_path, capsys):
+        import os
+
+        from repro.lake import ResultsLake, lake_path
+
+        configs = os.path.join(os.path.dirname(__file__), "..", "..", "configs")
+        trace = str(tmp_path / "t.gdgt")
+        main(["generate", "-w", "tumbling-incremental", "-o", trace,
+              "--events", "1000", "--seed", "11"])
+        lake = str(tmp_path / "lake")
+        assert main([
+            "compare", trace, "--stores", "memory", "rocksdb",
+            "--disk-faults", os.path.join(configs, "disk_faults.json"),
+            "--faults", os.path.join(configs, "faults.json"),
+            "--batch", "16", "--lake", lake,
+        ]) == 0
+        assert "integrity comparison" in capsys.readouterr().out
+        runs = ResultsLake(lake_path(lake), create=False).scan("runs")
+        assert runs["store"] == ["memory", "rocksdb"]
+        assert runs["fault_plan"] == ["seed=42", "seed=42"]
+        assert runs["batch_size"] == [16, 16]
+        assert runs["injected_faults"][0] == runs["injected_faults"][1] > 0
+        assert runs["failed_ops"] == [0, 0]
+        assert all(n is not None for n in runs["corruptions_detected"])

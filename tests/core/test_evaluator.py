@@ -6,6 +6,7 @@ from repro.core import (
     DEFAULT_STORES,
     GadgetConfig,
     PerformanceEvaluator,
+    RunSpec,
     SourceConfig,
     generate_workload_trace,
 )
@@ -14,7 +15,7 @@ from repro.core.histogram import LatencyHistogram
 from repro.core.replayer import ReplayResult
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.recovery import CrashRecoveryResult
-from repro.trace import AccessTrace, OpType
+from repro.trace import AccessTrace, OpType, interleave_traces
 
 
 def small_trace(events=300):
@@ -42,6 +43,20 @@ class TestEvaluate:
         connector = evaluator._connector("rocksdb")
         assert connector.store.config.write_buffer_size == 2048
 
+    def test_compaction_spec_skips_stores_that_cannot_run_it(self):
+        # faster and berkeleydb have no compaction pipeline and lethe's
+        # FADE refuses tiered: only rocksdb replays, and nothing raises
+        rows = PerformanceEvaluator().evaluate(
+            "w", small_trace(), RunSpec(compaction="tiered", background=True)
+        )
+        assert [(r.store, r.compaction) for r in rows] == [("rocksdb", "tiered")]
+        assert rows[0].write_stalls is not None
+
+    def test_compaction_spec_without_a_taker_errors(self):
+        evaluator = PerformanceEvaluator(stores=("lethe", "faster"))
+        with pytest.raises(ValueError, match="recoverable"):
+            evaluator.evaluate("w", small_trace(), RunSpec(compaction="tiered"))
+
     def test_row_fields(self):
         row = PerformanceEvaluator(stores=("memory",)).evaluate("w", small_trace())[0]
         assert row.workload == "w"
@@ -51,7 +66,9 @@ class TestEvaluate:
 class TestConcurrent:
     def test_interleaved_concurrent(self):
         traces = [small_trace(200), small_trace(200)]
-        result = PerformanceEvaluator().evaluate_concurrent("rocksdb", traces)
+        _, result = PerformanceEvaluator().run(
+            "rocksdb", "concurrent", interleave_traces(traces)
+        )
         assert result.operations == sum(len(t) for t in traces)
 
     def test_interleaving_preserves_per_trace_order(self):
@@ -118,9 +135,9 @@ class TestCrashRecoveryRow:
         plan = FaultPlan(seed=4, transient_error_rate=0.05, error_burst=3)
         policy = RetryPolicy(max_attempts=3, base_delay_s=0, jitter=0)
         evaluator = PerformanceEvaluator(stores=("rocksdb",))
-        row = evaluator.evaluate_crash_recovery(
-            "w", trace, crash_at=len(trace) // 2, fault_plan=plan, retry_policy=policy
-        )[0]
+        row = evaluator.evaluate("w", trace, RunSpec(
+            crash_at=len(trace) // 2, fault_plan=plan, retry_policy=policy
+        ))[0]
         assert row.injected_faults > 0
         assert row.retries == 2 * row.failed_ops > 0
         assert row.injected_faults == 3 * row.failed_ops + 1  # + the crash

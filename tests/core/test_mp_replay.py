@@ -13,6 +13,7 @@ from repro.core import (
     ConnectorSpec,
     PerformanceEvaluator,
     ProcessShardedReplayer,
+    RunSpec,
     ShardedReplayer,
     TraceReplayer,
     WorkerCrashError,
@@ -274,16 +275,10 @@ class TestMetricsMerge:
 class TestEvaluatorAndRemote:
     def test_evaluate_sharded_processes(self):
         evaluator = PerformanceEvaluator()
-        result = evaluator.evaluate_sharded(
-            "memory", make_trace(600), num_workers=2, processes=True
+        _, result = evaluator.run(
+            "memory", "w", make_trace(600), RunSpec(shards=2, processes=True)
         )
         assert result.merged_result().operations == 600
-
-    def test_evaluate_sharded_processes_rejects_share_store(self):
-        with pytest.raises(ValueError, match="share_store"):
-            PerformanceEvaluator().evaluate_sharded(
-                "memory", make_trace(50), processes=True, share_store=True
-            )
 
     def test_remote_spec_drives_one_server(self):
         from repro.kvstores.memory import InMemoryStore

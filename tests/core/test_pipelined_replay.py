@@ -7,6 +7,7 @@ import pytest
 from repro.cli import main
 from repro.core import (
     PerformanceEvaluator,
+    RunSpec,
     SourceConfig,
     TraceReplayer,
     generate_workload_trace,
@@ -176,7 +177,7 @@ class TestEvaluatorPipelined:
     def test_rows_record_pipeline_depth(self):
         trace = small_trace(200)
         evaluator = PerformanceEvaluator(stores=["memory"])
-        rows = evaluator.evaluate("wl", trace, pipeline_depth=4)
+        rows = evaluator.evaluate("wl", trace, RunSpec(pipeline_depth=4))
         assert [row.pipeline_depth for row in rows] == [4]
         assert rows[0].throughput_kops > 0
 
@@ -188,12 +189,11 @@ class TestEvaluatorPipelined:
 
     def test_sharded_processes_reject_pipeline(self):
         with pytest.raises(ValueError, match="threads"):
-            PerformanceEvaluator().evaluate_sharded(
+            PerformanceEvaluator().run(
                 "memory",
+                "wl",
                 small_trace(100),
-                num_workers=2,
-                processes=True,
-                pipeline_depth=8,
+                RunSpec(shards=2, processes=True, pipeline_depth=8),
             )
 
 

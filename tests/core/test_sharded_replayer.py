@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import (
     PerformanceEvaluator,
+    RunSpec,
     ShardedReplayer,
     TraceReplayer,
     shard_trace,
@@ -137,12 +138,8 @@ class TestShardedReplayer:
     def test_evaluator_sharded_modes(self):
         trace = make_trace(300)
         evaluator = PerformanceEvaluator(stores=("memory",))
-        scale_out = evaluator.evaluate_sharded("memory", trace, num_workers=2)
-        shared = evaluator.evaluate_sharded(
-            "memory", trace, num_workers=2, share_store=True
-        )
+        _, scale_out = evaluator.run("memory", "w", trace, RunSpec(shards=2))
         assert scale_out.operations == len(trace)
-        assert shared.operations == len(trace)
         assert "p99_us" in scale_out.summary()
 
 

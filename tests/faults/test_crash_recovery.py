@@ -5,6 +5,7 @@ import pytest
 from repro.core import (
     EvaluationRow,
     PerformanceEvaluator,
+    RunSpec,
     SourceConfig,
     generate_workload_trace,
 )
@@ -89,7 +90,7 @@ class TestEvaluatorIntegration:
             stores=("rocksdb", "lethe", "memory"),
             store_configs={"rocksdb": TINY_LSM, "lethe": TINY_LSM},
         )
-        rows = evaluator.evaluate_crash_recovery("crash-test", trace, 700)
+        rows = evaluator.evaluate("crash-test", trace, RunSpec(crash_at=700))
         assert [row.store for row in rows] == ["rocksdb", "lethe"]
         for row in rows:
             assert isinstance(row, EvaluationRow)
@@ -101,15 +102,15 @@ class TestEvaluatorIntegration:
     def test_no_recoverable_store_errors(self, trace):
         evaluator = PerformanceEvaluator(stores=("memory", "faster"))
         with pytest.raises(ValueError, match="recoverable"):
-            evaluator.evaluate_crash_recovery("crash-test", trace, 700)
+            evaluator.evaluate("crash-test", trace, RunSpec(crash_at=700))
 
     def test_faulted_evaluate_reports_identical_schedules(self, trace):
         plan = FaultPlan(seed=23, transient_error_rate=0.02, error_burst=2)
         policy = RetryPolicy(max_attempts=4, base_delay_s=0.0, jitter=0.0)
-        evaluator = PerformanceEvaluator(
-            stores=("memory", "faster"), fault_plan=plan, retry_policy=policy
+        evaluator = PerformanceEvaluator(stores=("memory", "faster"))
+        rows = evaluator.evaluate(
+            "faulted", trace, RunSpec(fault_plan=plan, retry_policy=policy)
         )
-        rows = evaluator.evaluate("faulted", trace)
         assert len(rows) == 2
         first, second = rows
         # Comparable rows: both stores saw the same fault timeline.

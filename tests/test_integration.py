@@ -25,7 +25,7 @@ from repro.streaming import (
     WindowOperator,
     run_operator,
 )
-from repro.trace import AccessTrace, OpType
+from repro.trace import AccessTrace, OpType, interleave_traces
 from repro.ycsb import YCSBWorkload
 
 
@@ -145,7 +145,9 @@ class TestStoreEvaluationPipeline:
         )
         evaluator = PerformanceEvaluator()
         isolated = evaluator.evaluate("w", trace)[0]  # rocksdb row
-        concurrent = evaluator.evaluate_concurrent("rocksdb", [trace, trace])
+        _, concurrent = evaluator.run(
+            "rocksdb", "concurrent", interleave_traces([trace, trace])
+        )
         # Sharing a store doubles the work; per-op throughput of the
         # pair can't exceed twice the isolated run's.
         assert concurrent.operations == 2 * len(trace)
