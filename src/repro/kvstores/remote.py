@@ -26,9 +26,9 @@ its payload and :data:`OP_ADMIN` a control command.  A reply is a
 
 Failure semantics (the robustness axis):
 
-* every client socket operation runs under a configurable timeout; a
-  hung or killed server surfaces as a typed :class:`RemoteStoreError`
-  within that timeout instead of blocking the replayer forever
+* the kernel bounds every client ``send``/``recv`` by a configurable
+  timeout; a hung or killed server surfaces as a typed
+  :class:`RemoteStoreError` instead of blocking the replayer forever
 * protocol-level failures (unknown opcode, a store exception on the
   server) come back as an explicit ``REPLY_ERROR`` frame rather than a
   silently dead connection
@@ -124,19 +124,17 @@ def _require_writes(ops: Sequence[BatchOp]) -> None:
             )
 
 
-def _recv_into_exact(sock: socket.socket, buf: bytearray, length: int) -> int:
-    """Fill ``buf[:length]`` from the socket without allocating.
+def _recv_into_exact(sock: socket.socket, buf, length: int, received: int = 0) -> int:
+    """Fill ``buf[received:length]`` from the socket without allocating.
 
     The caller supplies (and reuses) the buffer; data lands in place via
-    ``recv_into`` so a reply header read costs zero heap churn.  Returns
-    the number of ``recv_into`` calls made (the client's syscalls-per-op
-    accounting).  Honours the socket's configured timeout:
-    ``socket.timeout`` propagates to the caller (the client converts it
-    to a :class:`RemoteStoreError`; the server treats it like a dead
-    peer).
+    ``recv_into`` so a reply read costs zero heap churn.  Returns the
+    number of ``recv_into`` calls made (the client's syscalls-per-op
+    accounting).  A kernel-side receive timeout surfaces as
+    ``BlockingIOError``; the client converts it to a
+    :class:`RemoteStoreError`, the server treats it like a dead peer.
     """
     calls = 0
-    received = 0
     with memoryview(buf) as view:
         while received < length:
             n = sock.recv_into(view[received:length])
@@ -147,11 +145,59 @@ def _recv_into_exact(sock: socket.socket, buf: bytearray, length: int) -> int:
     return calls
 
 
-def _recv_exact(sock: socket.socket, length: int) -> bytes:
-    """Receive exactly ``length`` bytes (one buffer, filled in place)."""
-    buf = bytearray(length)
-    _recv_into_exact(sock, buf, length)
-    return bytes(buf)
+#: size of the reusable reply buffer: a reply that fits arrives with
+#: one ``recv_into`` and is parsed where it landed
+_REPLY_BUF_SIZE = 1 << 16
+
+
+class _ProtocolViolation(Exception):
+    """A reply that cannot belong to the one request in flight."""
+
+
+def _read_reply(sock: socket.socket, view: memoryview) -> Tuple[int, bytes, int]:
+    """Read the reply to the one request in flight on ``sock``.
+
+    One ``recv_into`` fills the reusable ``view``; the header is parsed
+    in place and a body that fits is sliced from the same buffer.  Only
+    a header split across segments, or a body that has not all arrived,
+    costs further calls.  Returns ``(status, body, recv calls)``.  With
+    exactly one request outstanding, bytes past the reply's end mean the
+    framing is broken: raises :class:`_ProtocolViolation`.
+    """
+    n = sock.recv_into(view)
+    if n == 0:
+        raise ConnectionError("peer closed the connection")
+    calls = 1
+    head = _REPLY_HEAD.size
+    if n < head:
+        calls += _recv_into_exact(sock, view, head, n)
+        n = head
+    status, length = _REPLY_HEAD.unpack_from(view)
+    end = head + length
+    if n > end:
+        raise _ProtocolViolation(f"{n - end} bytes past the end of reply {status}")
+    if end <= len(view):
+        if n < end:
+            calls += _recv_into_exact(sock, view, end, n)
+        return status, bytes(view[head:end]) if length else b"", calls
+    body = bytearray(length)
+    body[: n - head] = view[head:n]
+    calls += _recv_into_exact(sock, body, length, n - head)
+    return status, bytes(body), calls
+
+
+def _kernel_timeouts(sock: socket.socket, timeout: Optional[float]) -> None:
+    """Make ``sock`` blocking, each ``send``/``recv`` bounded by the
+    kernel to ``timeout`` seconds (``None``: unbounded).  CPython's own
+    timeout mode would ``poll()`` before every call; an expiry of
+    ``SO_RCVTIMEO``/``SO_SNDTIMEO`` surfaces as ``BlockingIOError``."""
+    sock.settimeout(None)
+    if timeout is None:
+        return
+    micros = max(1, round(timeout * 1_000_000))  # a zero timeval means "never"
+    timeval = struct.pack("ll", micros // 1_000_000, micros % 1_000_000)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVTIMEO, timeval)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
 def _grow(buf: bytearray, need: int) -> None:
@@ -211,6 +257,19 @@ def _decode_batch_items(payload: bytes, count: int) -> List[Tuple[int, bytes, by
     if offset != len(payload):
         raise ValueError("trailing bytes after batch items")
     return items
+
+
+def _split_batch_reply(body: bytes, count: int) -> List[Tuple[int, bytes]]:
+    """``(status, data)`` per op of a :data:`REPLY_BATCH` body; raises
+    ``struct.error`` on a malformed one."""
+    replies: List[Tuple[int, bytes]] = []
+    offset = 0
+    for _ in range(count):
+        status, length = _REPLY_HEAD.unpack_from(body, offset)
+        offset += _REPLY_HEAD.size
+        replies.append((status, body[offset : offset + length]))
+        offset += length
+    return replies
 
 
 def _execute_batch(
@@ -276,8 +335,23 @@ def _execute_batch(
     return bytes(body)
 
 
+def _frame_complete(buf: bytearray) -> bool:
+    """Whether ``buf`` starts with at least one whole request frame."""
+    if len(buf) < _HEADER.size:
+        return False
+    opcode, key_len, value_len = _HEADER.unpack_from(buf)
+    if opcode == OP_BATCH:
+        body = value_len
+    elif opcode in _KNOWN_OPS or opcode == OP_ADMIN:
+        body = key_len + value_len
+    else:  # OP_CLOSE and unknown opcodes act on the header alone
+        body = 0
+    return len(buf) >= _HEADER.size + body
+
+
 class _Connection:
-    """Per-client state on the event loop: staged input, pending output."""
+    """Per-client state on the event loop: the staged tail of an
+    incomplete frame, pending output."""
 
     __slots__ = ("sock", "inbuf", "outbuf", "close_after_flush", "writing")
 
@@ -350,10 +424,10 @@ class _ReplicationLink:
         #: (send monotonic, op count) per in-flight async frame
         self._pending: "deque" = deque()
         self._inbuf = bytearray()
-        #: reusable frame-assembly and ack-header buffers: forwarding a
-        #: write allocates nothing once these are warm
+        #: reusable frame-assembly and ack buffers: forwarding a write
+        #: allocates nothing once these are warm
         self._framebuf = bytearray(4096)
-        self._ackbuf = bytearray(_REPLY_HEAD.size)
+        self._ackview = memoryview(bytearray(_REPLY_BUF_SIZE))
         try:
             sock = socket.create_connection(self.peer, timeout=timeout)
         except OSError as exc:
@@ -361,7 +435,7 @@ class _ReplicationLink:
                 f"cannot reach replica at {host}:{port}: {exc}"
             ) from exc
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        sock.settimeout(timeout)
+        _kernel_timeouts(sock, timeout)
         self._sock = sock
         if not sync:
             server._selector.register(sock, selectors.EVENT_READ, self)
@@ -398,7 +472,7 @@ class _ReplicationLink:
         if self.sync:
             try:
                 self._read_sync_ack(ops)
-            except (OSError, struct.error) as exc:
+            except (OSError, struct.error, _ProtocolViolation) as exc:
                 self._fail(ops, exc)
                 return
             self.ops_acked += ops
@@ -407,34 +481,24 @@ class _ReplicationLink:
             self._pending.append((began, ops))
 
     def _read_sync_ack(self, ops: int) -> None:
-        _recv_into_exact(self._sock, self._ackbuf, _REPLY_HEAD.size)
-        status, length = _REPLY_HEAD.unpack_from(self._ackbuf)
-        body = _recv_exact(self._sock, length) if length else b""
-        if status == REPLY_OK:
+        status, body, _calls = _read_reply(self._sock, self._ackview)
+        if status == REPLY_BATCH and body != _OK_ITEM * ops:
+            # the first rejected member fails the whole forward
+            status, body = next(
+                (item for item in _split_batch_reply(body, ops)
+                 if item[0] == REPLY_ERROR),
+                (REPLY_OK, b""),
+            )
+        if status == REPLY_OK or status == REPLY_BATCH:
             return
-        if status == REPLY_BATCH:
-            if body == _OK_ITEM * ops:
-                return
-            offset = 0
-            for _ in range(ops):
-                item_status, item_len = _REPLY_HEAD.unpack_from(body, offset)
-                offset += _REPLY_HEAD.size
-                if item_status == REPLY_ERROR:
-                    message = body[offset : offset + item_len]
-                    raise _ReplicationError(
-                        f"replica {self.peer[0]}:{self.peer[1]} rejected a "
-                        f"forwarded write: {message.decode('utf-8', 'replace')}"
-                    )
-                offset += item_len
-            return
+        replica = f"replica {self.peer[0]}:{self.peer[1]}"
         if status == REPLY_ERROR:
             raise _ReplicationError(
-                f"replica {self.peer[0]}:{self.peer[1]} rejected a forwarded "
-                f"write: {body.decode('utf-8', 'replace')}"
+                f"{replica} rejected a forwarded write: "
+                f"{body.decode('utf-8', 'replace')}"
             )
         raise _ReplicationError(
-            f"replica {self.peer[0]}:{self.peer[1]} protocol violation: "
-            f"reply {status} to a forwarded write"
+            f"{replica} protocol violation: reply {status} to a forwarded write"
         )
 
     def _fail(self, ops: int, exc: Exception) -> None:
@@ -614,10 +678,7 @@ class StoreServer:
                         and conn.sock in self._connections
                     ):
                         self._flush(conn)
-        if self._killed:
-            self._abrupt_close()
-        else:
-            self._drain_and_close()
+        self._close_all(drain=not self._killed)
 
     def _accept(self) -> None:
         while True:
@@ -642,37 +703,32 @@ class StoreServer:
         if not chunk:
             self._close_connection(conn)
             return
-        conn.inbuf += chunk
-        if self._process(conn):
+        staged = conn.inbuf
+        if staged:
+            # a frame split across recvs is parsed once it is whole, so
+            # it is copied once, not once per recv
+            staged += chunk
+            if not _frame_complete(staged):
+                return
+            chunk = bytes(staged)
+            staged.clear()
+        if self._process(conn, chunk):
             self._flush(conn)
 
-    def _process(self, conn: _Connection) -> bool:
-        """Execute every complete frame staged in ``conn.inbuf``.
+    def _process(self, conn: _Connection, data: bytes) -> bool:
+        """Execute every complete frame in ``data``: the bytes one
+        ``recv`` returned, or the staged ones once their first frame is
+        whole.
 
         Returns False if the connection was closed (``conn`` must not
-        be touched again); replies are queued on ``conn.outbuf``.
-
-        Nothing is parsed until the first staged frame is complete; then
-        the staged bytes are copied once, an offset walks them (each key
-        and value is one slice), and the consumed prefix is trimmed once.
-        A frame larger than one ``recv`` is thus copied once, not once
-        per ``recv``.
+        be touched again); replies are queued on ``conn.outbuf``.  An
+        offset walks ``data`` where it landed (each key and value is one
+        slice); only an incomplete tail is staged in ``conn.inbuf``.
         """
-        buf = conn.inbuf
         header_size = _HEADER.size
-        if conn.close_after_flush or len(buf) < header_size:
+        if conn.close_after_flush:
             return True
         unpack_from = _HEADER.unpack_from
-        opcode, key_len, value_len = unpack_from(buf, 0)
-        if opcode == OP_BATCH:
-            first_end = header_size + value_len
-        elif opcode in _KNOWN_OPS or opcode == OP_ADMIN:
-            first_end = header_size + key_len + value_len
-        else:  # OP_CLOSE and unknown opcodes act on the header alone
-            first_end = header_size
-        if len(buf) < first_end:
-            return True
-        data = bytes(buf)
         end = len(data)
         # Store calls go through the connector frame by frame: binding its
         # four methods up front costs a one-frame request more than it
@@ -792,7 +848,8 @@ class StoreServer:
             self._queue_error(conn, f"unknown opcode {opcode}")
             conn.close_after_flush = True
             break
-        del buf[:pos]
+        if pos < end:
+            conn.inbuf += data[pos:]
         return True
 
     # -- control plane -------------------------------------------------------
@@ -897,13 +954,14 @@ class StoreServer:
         except OSError:
             pass
 
-    def _drain_and_close(self) -> None:
-        """Refuse staged requests, flush queued replies, close sockets.
+    def _close_all(self, drain: bool) -> None:
+        """Close every socket the loop owns, as the loop thread exits.
 
-        Runs on the loop thread after ``stop()`` raises ``_closing`` --
-        by then any op that was executing has finished and its reply is
-        queued, so draining here is what makes ``stop()`` a clean
-        barrier between served traffic and ``store.close()``.
+        ``drain`` (``stop()``): staged requests are refused and queued
+        replies flushed first, which makes ``stop()`` a clean barrier
+        between served traffic and ``store.close()``.  Otherwise
+        (``kill()``) SO_LINGER 0 resets each connection unanswered, so
+        clients see the death at once instead of a clean FIN.
         """
         try:
             self._selector.unregister(self._listener)
@@ -912,43 +970,19 @@ class StoreServer:
         self._listener.close()
         deadline = time.monotonic() + _DRAIN_DEADLINE_S
         for conn in list(self._connections.values()):
-            # complete frames received before shutdown are refused, not
-            # silently dropped (the client would hang awaiting a reply)
-            if self._process(conn) and conn.outbuf:
-                conn.sock.setblocking(True)
-                conn.sock.settimeout(max(0.05, deadline - time.monotonic()))
-                try:
-                    conn.sock.sendall(conn.outbuf)
-                except OSError:
-                    pass
-        for conn in list(self._connections.values()):
-            self._close_connection(conn)
-        if self._replication is not None:
-            self._replication.close()
-            self._replication = None
-        try:
-            self._selector.unregister(self._wake_r)
-        except (KeyError, ValueError):
-            pass
-        self._wake_r.close()
-        self._selector.close()
-
-    def _abrupt_close(self) -> None:
-        """Tear everything down like a process kill: no request drain,
-        no reply flush, connections reset (SO_LINGER 0 sends RST so
-        clients see the death immediately instead of a clean FIN)."""
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
-        self._listener.close()
-        for conn in list(self._connections.values()):
+            sock = conn.sock
             try:
-                conn.sock.setsockopt(
-                    socket.SOL_SOCKET,
-                    socket.SO_LINGER,
-                    struct.pack("ii", 1, 0),
-                )
+                if not drain:
+                    sock.setsockopt(
+                        socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+                    )
+                else:
+                    # complete frames received before shutdown are
+                    # refused, not dropped (the client would hang)
+                    staged, conn.inbuf = bytes(conn.inbuf), bytearray()
+                    if self._process(conn, staged) and conn.outbuf:
+                        sock.settimeout(max(0.05, deadline - time.monotonic()))
+                        sock.sendall(conn.outbuf)
             except OSError:
                 pass
             self._close_connection(conn)
@@ -982,7 +1016,7 @@ class StoreServer:
             self._thread.join(timeout=10)
             self._thread = None
         else:
-            self._abrupt_close()
+            self._close_all(drain=False)
         try:
             self._wake_w.close()
         except OSError:
@@ -1013,7 +1047,7 @@ class StoreServer:
             self._thread.join(timeout=10)
             self._thread = None
         elif not self._stopped:
-            self._drain_and_close()  # never started; just release sockets
+            self._close_all(drain=True)  # never started; just release sockets
         try:
             self._wake_w.close()
         except OSError:
@@ -1035,9 +1069,9 @@ class RemoteStoreClient:
     the trace replayer and the performance evaluator can measure an
     external store without code changes.
 
-    ``timeout`` bounds every socket operation (connect, send, receive);
-    a server that hangs or dies mid-run raises :class:`RemoteStoreError`
-    within that bound instead of wedging the replay.  Pass
+    ``timeout`` bounds the connect and, in the kernel, each ``send`` and
+    ``recv``; a server that hangs or dies mid-run raises
+    :class:`RemoteStoreError` instead of wedging the replay.  Pass
     ``retry_policy`` (a :class:`~repro.faults.RetryPolicy`) to have the
     client drop the broken socket, reconnect, and retry the operation
     with the policy's backoff before giving up.
@@ -1073,10 +1107,10 @@ class RemoteStoreClient:
         self.flush_coalesced_ops = 0
         self.pipeline_flushes = 0
         self.aborted_windows = 0
-        #: reusable frame-assembly + reply-header buffers; the hot path
-        #: allocates nothing once these are warm
+        #: reusable frame-assembly + reply buffers; the hot path
+        #: allocates nothing beyond a reply's body once these are warm
         self._framebuf = bytearray(4096)
-        self._replyhead = bytearray(_REPLY_HEAD.size)
+        self._replyview = memoryview(bytearray(_REPLY_BUF_SIZE))
         self._connect()
 
     # -- connection management ---------------------------------------------
@@ -1092,7 +1126,7 @@ class RemoteStoreClient:
                     f"cannot connect to {self.name} at {self._peer}: {exc}"
                 ) from exc
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            sock.settimeout(self._timeout)
+            _kernel_timeouts(sock, self._timeout)
         self._sock = sock
 
     def _drop_socket(self) -> None:
@@ -1115,7 +1149,7 @@ class RemoteStoreClient:
         timeout means a hung or dead server, anything else a lost
         connection."""
         self._drop_socket()
-        if isinstance(exc, socket.timeout):
+        if isinstance(exc, BlockingIOError):  # SO_RCVTIMEO/SO_SNDTIMEO expiry
             return RemoteStoreError(
                 f"{self.name} operation against {self._peer} timed out "
                 f"after {self._timeout}s (server hung or dead)"
@@ -1123,6 +1157,32 @@ class RemoteStoreClient:
         return RemoteStoreError(
             f"lost connection to {self.name} server at {self._peer}: {exc}"
         )
+
+    def _protocol_violation(self, detail: str) -> RemoteStoreError:
+        """Drop a socket whose reply framing can no longer be trusted."""
+        self._drop_socket()
+        return RemoteStoreError(
+            f"{self.name} server at {self._peer} protocol violation: {detail}"
+        )
+
+    def _server_error(self, message: bytes) -> RemoteStoreError:
+        """A ``REPLY_ERROR``: the op failed, the connection stays good."""
+        text = message.decode("utf-8", errors="replace")
+        return RemoteStoreError(
+            f"{self.name} server at {self._peer} error: "
+            f"{text or 'unspecified server error'}"
+        )
+
+    def _reply(self, sock: socket.socket) -> Tuple[int, bytes]:
+        """:func:`_read_reply`, counting its ``recv_into`` calls."""
+        try:
+            status, body, calls = _read_reply(sock, self._replyview)
+        except OSError as exc:
+            raise self._transport_error(exc) from exc
+        except _ProtocolViolation as exc:
+            raise self._protocol_violation(str(exc)) from None
+        self.recv_calls += calls
+        return status, body
 
     # -- protocol ----------------------------------------------------------
 
@@ -1142,42 +1202,34 @@ class RemoteStoreClient:
         try:
             with memoryview(self._framebuf)[:need] as frame:
                 sock.sendall(frame)
-            self.send_calls += 1
-            self.recv_calls += _recv_into_exact(
-                sock, self._replyhead, _REPLY_HEAD.size
-            )
-            status, length = _REPLY_HEAD.unpack_from(self._replyhead)
-            if status == REPLY_VALUE:
-                body = bytearray(length)
-                self.recv_calls += _recv_into_exact(sock, body, length)
-                return bytes(body)
-            if status == REPLY_ERROR:
-                message = (
-                    _recv_exact(sock, length).decode("utf-8", errors="replace")
-                    if length
-                    else "unspecified server error"
-                )
-                raise RemoteStoreError(
-                    f"{self.name} server at {self._peer} error: {message}"
-                )
-            if status == REPLY_MISSING:
-                return None
-            return None  # REPLY_OK
         except OSError as exc:
             raise self._transport_error(exc) from exc
+        self.send_calls += 1
+        status, body = self._reply(sock)
+        if status == REPLY_VALUE:
+            return body
+        if status == REPLY_ERROR:
+            raise self._server_error(body)
+        if (status == REPLY_OK or status == REPLY_MISSING) and not body:
+            return None
+        raise self._protocol_violation(
+            f"reply {status} with a {len(body)}-byte body to opcode {opcode}"
+        )
 
-    def _attempt(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
+    def _attempt(self, once, *args):
+        """One try under the retry policy: reconnect, then ``once(*args)``."""
         if self._sock is None:
             self._connect()
             self.reconnects += 1
             tracing.instant("remote.reconnect", total=self.reconnects)
-        return self._request_once(opcode, key, value)
+        return once(*args)
 
     def _request(self, opcode: int, key: bytes, value: bytes = b"") -> Optional[bytes]:
         if self._retry_policy is None:
             return self._request_once(opcode, key, value)
         return self._retry_policy.call(
-            self._attempt, opcode, key, value, retry_on=(RemoteStoreError,)
+            self._attempt, self._request_once, opcode, key, value,
+            retry_on=(RemoteStoreError,),
         )
 
     # -- batch frames --------------------------------------------------------
@@ -1188,15 +1240,11 @@ class RemoteStoreClient:
         """Send one :data:`OP_BATCH` frame; return ``(status, data)``
         per op."""
         if tracing.active() is None:
-            return self._batch_request_raw(items)
+            self.batch_send(items)
+            return self.batch_recv(len(items))
         with tracing.span("remote.batch_rpc", n=len(items)):
-            return self._batch_request_raw(items)
-
-    def _batch_request_raw(
-        self, items: Sequence[Tuple[int, bytes, bytes]]
-    ) -> List[Tuple[int, bytes]]:
-        self.batch_send(items)
-        return self.batch_recv(len(items))
+            self.batch_send(items)
+            return self.batch_recv(len(items))
 
     def batch_send(self, items: Sequence[Tuple[int, bytes, bytes]]) -> None:
         """Frame and send one :data:`OP_BATCH` request WITHOUT reading
@@ -1221,58 +1269,23 @@ class RemoteStoreClient:
         sock = self._sock
         if sock is None:
             raise self._not_connected()
+        status, body = self._reply(sock)
+        if status == REPLY_ERROR:
+            raise self._server_error(body)
+        if status != REPLY_BATCH:
+            raise self._protocol_violation(f"reply {status} to a batch")
+        if body == _OK_ITEM * count:
+            # All writes succeeded: one memcmp instead of per-item
+            # unpacking (the hot shape of batched write replay).
+            return _BATCH_ALL_OK
         try:
-            self.recv_calls += _recv_into_exact(
-                sock, self._replyhead, _REPLY_HEAD.size
-            )
-            status, length = _REPLY_HEAD.unpack_from(self._replyhead)
-            if status == REPLY_ERROR:
-                message = (
-                    _recv_exact(sock, length).decode("utf-8", errors="replace")
-                    if length
-                    else "unspecified server error"
-                )
-                raise RemoteStoreError(
-                    f"{self.name} server at {self._peer} error: {message}"
-                )
-            if status != REPLY_BATCH:
-                self._drop_socket()
-                raise RemoteStoreError(
-                    f"{self.name} server at {self._peer} protocol violation: "
-                    f"reply {status} to a batch"
-                )
-            body = bytearray(length)
-            self.recv_calls += _recv_into_exact(sock, body, length)
-            if body == _OK_ITEM * count:
-                # All writes succeeded: one memcmp instead of per-item
-                # unpacking (the hot shape of batched write replay).
-                return _BATCH_ALL_OK
-            replies: List[Tuple[int, bytes]] = []
-            offset = 0
-            for _ in range(count):
-                item_status, item_len = _REPLY_HEAD.unpack_from(body, offset)
-                offset += _REPLY_HEAD.size
-                replies.append(
-                    (item_status, bytes(body[offset : offset + item_len]))
-                )
-                offset += item_len
-            return replies
+            return _split_batch_reply(body, count)
         except struct.error as exc:
             self._drop_socket()
             raise RemoteStoreError(
                 f"{self.name} server at {self._peer} sent a malformed "
                 f"batch reply: {exc}"
             ) from exc
-        except OSError as exc:
-            raise self._transport_error(exc) from exc
-
-    def _batch_attempt(
-        self, items: Sequence[Tuple[int, bytes, bytes]]
-    ) -> List[Tuple[int, bytes]]:
-        if self._sock is None:
-            self._connect()
-            self.reconnects += 1
-        return self._batch_request_once(items)
 
     def _batch_request(
         self, items: Sequence[Tuple[int, bytes, bytes]]
@@ -1280,7 +1293,8 @@ class RemoteStoreClient:
         if self._retry_policy is None:
             return self._batch_request_once(items)
         return self._retry_policy.call(
-            self._batch_attempt, items, retry_on=(RemoteStoreError,)
+            self._attempt, self._batch_request_once, items,
+            retry_on=(RemoteStoreError,),
         )
 
     # -- control plane -------------------------------------------------------
@@ -1339,10 +1353,7 @@ class RemoteStoreClient:
             elif status == REPLY_MISSING:
                 out.append(None)
             else:
-                raise RemoteStoreError(
-                    f"{self.name} server at {self._peer} error: "
-                    f"{data.decode('utf-8', errors='replace')}"
-                )
+                raise self._server_error(data)
         return out
 
     def apply_batch(self, ops: Sequence[BatchOp]) -> None:
@@ -1356,10 +1367,7 @@ class RemoteStoreClient:
             return
         for status, data in replies:
             if status == REPLY_ERROR:
-                raise RemoteStoreError(
-                    f"{self.name} server at {self._peer} error: "
-                    f"{data.decode('utf-8', errors='replace')}"
-                )
+                raise self._server_error(data)
 
     def take_background_ns(self) -> int:
         return 0  # network time is genuinely client-visible
@@ -1533,10 +1541,8 @@ class _RemotePipeline(PipelineSession):
                 body_start = pos + head_size
                 pos = body_start + length
                 if not inflight:
-                    client._drop_socket()
-                    raise RemoteStoreError(
-                        f"{client.name} server at {client._peer} protocol "
-                        f"violation: reply {status} with no request in flight"
+                    raise client._protocol_violation(
+                        f"reply {status} with no request in flight"
                     )
                 opcode, _key, _value, arrival = inflight.popleft()
                 if status == REPLY_VALUE:
@@ -1545,18 +1551,10 @@ class _RemotePipeline(PipelineSession):
                 elif status == REPLY_OK or status == REPLY_MISSING:
                     on_complete(opcode, arrival, now, None)
                 elif status == REPLY_ERROR:
-                    message = bytes(buf[body_start:pos]).decode(
-                        "utf-8", errors="replace"
-                    ) or "unspecified server error"
-                    raise RemoteStoreError(
-                        f"{client.name} server at {client._peer} error: "
-                        f"{message}"
-                    )
+                    raise client._server_error(bytes(buf[body_start:pos]))
                 else:
-                    client._drop_socket()
-                    raise RemoteStoreError(
-                        f"{client.name} server at {client._peer} protocol "
-                        f"violation: reply {status} to a pipelined op"
+                    raise client._protocol_violation(
+                        f"reply {status} to a pipelined op"
                     )
         finally:
             del buf[:pos]

@@ -8,14 +8,14 @@ import time
 import pytest
 
 from repro.kvstores import InMemoryStore, create_store
-from repro.kvstores.api import OP_GET
+from repro.kvstores.api import OP_GET, OP_PUT
 from repro.kvstores.remote import (
     _HEADER,
     _REPLY_HEAD,
+    REPLY_OK,
     REPLY_VALUE,
     RemoteStoreClient,
     StoreServer,
-    _recv_exact,
 )
 
 
@@ -152,6 +152,16 @@ class _ModifySpy:
         return self._modify(fileobj, events, data)
 
 
+def _recv_exact(sock, length):
+    """Read exactly ``length`` bytes from a raw socket."""
+    data = bytearray()
+    while len(data) < length:
+        chunk = sock.recv(length - len(data))
+        assert chunk, "peer closed the connection"
+        data += chunk
+    return bytes(data)
+
+
 def _wait_until(predicate, timeout=5.0):
     deadline = time.monotonic() + timeout
     while not predicate():
@@ -209,3 +219,42 @@ class TestInterestSet:
                 head = _recv_exact(raw, _REPLY_HEAD.size)
                 assert _REPLY_HEAD.unpack(head) == (REPLY_VALUE, len(values[1]))
                 assert _recv_exact(raw, len(values[1])) == values[1]
+
+
+class TestServerParse:
+    """The server parses each received chunk where it landed and stages
+    only an incomplete tail, so frames split anywhere across sends are
+    answered once, in order."""
+
+    def _exchange(self, server, pieces, replies):
+        with socket.socket() as raw:
+            raw.connect(server.address)
+            raw.settimeout(5.0)
+            for piece in pieces:
+                raw.sendall(piece)
+                time.sleep(0.02)  # each piece arrives as its own recv
+            got = [_recv_exact(raw, len(reply)) for reply in replies]
+            raw.settimeout(0.1)
+            with pytest.raises(socket.timeout):
+                raw.recv(1)  # nothing beyond the expected replies
+        return got
+
+    def test_complete_frame_then_a_split_one(self):
+        get_k = _HEADER.pack(OP_GET, 1, 0) + b"k"
+        reply = _REPLY_HEAD.pack(REPLY_VALUE, 1) + b"v"
+        with StoreServer(InMemoryStore()) as server:
+            with client_for(server) as client:
+                client.put(b"k", b"v")
+            for cut in range(1, len(get_k)):
+                pieces = [get_k + get_k[:cut], get_k[cut:]]
+                assert self._exchange(server, pieces, [reply, reply]) == [reply] * 2
+
+    def test_large_value_across_many_recvs(self):
+        value = bytes(range(256)) * 1024  # 256 KiB: several server recvs
+        put = _HEADER.pack(OP_PUT, 3, len(value)) + b"big" + value
+        get_big = _HEADER.pack(OP_GET, 3, 0) + b"big"
+        with StoreServer(InMemoryStore()) as server:
+            ok = _REPLY_HEAD.pack(REPLY_OK, 0)
+            found = _REPLY_HEAD.pack(REPLY_VALUE, len(value)) + value
+            pieces = [put[:1000], put[1000:] + get_big]
+            assert self._exchange(server, pieces, [ok, found]) == [ok, found]

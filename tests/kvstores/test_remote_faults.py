@@ -2,7 +2,7 @@
 
 Regression tests for the hang class of bugs: before the timeout fixes,
 a hung or killed :class:`StoreServer` left ``RemoteStoreClient`` (and
-any replay driving it) blocked forever in ``_recv_exact``, and an
+any replay driving it) blocked forever in its receive loop, and an
 unknown opcode killed the handler without a reply, deadlocking the
 client.  Every test arms the ``hang_guard`` fixture so a reintroduced
 hang fails fast instead of wedging the suite.
@@ -16,8 +16,15 @@ import pytest
 
 from repro.faults import RetryPolicy
 from repro.kvstores import InMemoryStore
+from repro.kvstores.api import OP_PUT
 from repro.kvstores.remote import (
+    _HEADER,
+    _REPLY_HEAD,
+    REPLY_BATCH,
     REPLY_ERROR,
+    REPLY_MISSING,
+    REPLY_OK,
+    REPLY_VALUE,
     RemoteStoreClient,
     RemoteStoreError,
     StoreServer,
@@ -76,6 +83,119 @@ class TestClientTimeouts:
             client.put(b"k2", b"v")
         assert time.monotonic() - start < 2.0
         client.close()
+
+
+class TestTimeoutContract:
+    @pytest.fixture
+    def deaf_peer(self):
+        """A listener whose accepted connection never reads a byte."""
+        listener = socket.socket()
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        try:
+            yield listener
+        finally:
+            listener.close()
+
+    def test_writes_to_a_peer_that_never_reads_time_out(self, deaf_peer):
+        host, port = deaf_peer.getsockname()
+        client = RemoteStoreClient(host, port, timeout=0.2)
+        peer, _ = deaf_peer.accept()
+        value = b"v" * (1 << 20)
+        with peer:
+            start = time.monotonic()
+            with pytest.raises(RemoteStoreError, match="timed out"):
+                for _ in range(64):
+                    client.put(b"k", value)
+            assert time.monotonic() - start < 2.0
+            assert client._sock is None
+
+    def test_a_send_that_never_drains_times_out(self, deaf_peer):
+        """No reply is awaited here: only the send side's timeout can
+        end the loop once the socket buffers are full."""
+        host, port = deaf_peer.getsockname()
+        client = RemoteStoreClient(host, port, timeout=0.2)
+        peer, _ = deaf_peer.accept()
+        items = [(OP_PUT, b"k", b"v" * (1 << 20))]
+        with peer:
+            start = time.monotonic()
+            with pytest.raises(RemoteStoreError, match="timed out"):
+                for _ in range(64):
+                    client.batch_send(items)
+            assert time.monotonic() - start < 2.0
+            assert client._sock is None
+
+    def test_no_timeout_client_round_trips(self, server):
+        client = client_for(server, timeout=None)
+        assert client._sock.gettimeout() is None
+        client.put(b"k", b"v")
+        assert client.get(b"k") == b"v"
+        client.close()
+
+
+def _scripted_server(replies):
+    """A one-connection peer that answers its i-th request frame with
+    the raw bytes ``replies[i]``; returns ``(address, thread)``."""
+    listener = socket.socket()
+    listener.bind(("127.0.0.1", 0))
+    listener.listen(1)
+
+    def recv_exact(sock, length):
+        data = b""
+        while len(data) < length:
+            chunk = sock.recv(length - len(data))
+            if not chunk:
+                raise ConnectionError("client closed")
+            data += chunk
+        return data
+
+    def serve():
+        with listener:
+            sock, _ = listener.accept()
+        with sock:
+            for reply in replies:
+                try:
+                    _opcode, key_len, value_len = _HEADER.unpack(
+                        recv_exact(sock, _HEADER.size)
+                    )
+                    recv_exact(sock, key_len + value_len)
+                except ConnectionError:
+                    return
+                sock.sendall(reply)
+            sock.recv(1)  # hold the connection until the client hangs up
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    return listener.getsockname(), thread
+
+
+class TestUnexpectedReplies:
+    """A sync reply the request cannot have produced breaks the framing:
+    the client raises a protocol violation and drops the socket instead
+    of returning a wrong answer and reading the next reply out of step."""
+
+    @pytest.mark.parametrize(
+        "reply",
+        [
+            _REPLY_HEAD.pack(REPLY_BATCH, 3) + b"abc",
+            _REPLY_HEAD.pack(REPLY_OK, 2) + b"xx",
+            _REPLY_HEAD.pack(REPLY_MISSING, 1) + b"x",
+            _REPLY_HEAD.pack(9, 0),
+            # one request in flight, two replies' worth of bytes
+            (_REPLY_HEAD.pack(REPLY_VALUE, 2) + b"ok") * 2,
+        ],
+        ids=["batch", "ok-with-body", "missing-with-body", "unknown", "trailing"],
+    )
+    def test_protocol_violation_drops_the_socket(self, reply):
+        ok = _REPLY_HEAD.pack(REPLY_VALUE, 2) + b"ok"
+        (host, port), thread = _scripted_server([reply, ok])
+        client = RemoteStoreClient(host, port, timeout=2.0)
+        with pytest.raises(RemoteStoreError, match="protocol violation"):
+            client.get(b"k")
+        assert client._sock is None
+        with pytest.raises(RemoteStoreError, match="is not connected to"):
+            client.get(b"k")
+        thread.join(timeout=5)
 
 
 class TestErrorReplies:
