@@ -7,14 +7,14 @@ throttle to a target ``service_rate``.
 
 Two replay engines live here:
 
-* :class:`TraceReplayer` -- single-threaded; consumes the trace's raw
-  columns (:meth:`~repro.trace.AccessTrace.iter_raw`) and branches on
-  the small-int opcode, so the hot loop allocates no
+* :class:`TraceReplayer` -- single-threaded; one walk over the trace's
+  raw columns (:meth:`~repro.trace.AccessTrace.iter_raw`) serves every
+  mode.  Depth 1 calls the store directly, branching on the small-int
+  opcode, so the hot loop allocates no
   :class:`~repro.trace.StateAccess` objects and performs no enum
-  comparisons.  Three loops -- per-op, batched, pipelined, chosen by
-  batch size and pipeline depth alone -- serve faulted and un-faulted
-  replays alike: fault plans and retry policies wrap the connector, and
-  the fault handlers sit outside the per-op loop.
+  comparisons; a batch size or pipeline depth sends each op to a window
+  instead.  Fault plans and retry policies wrap the connector, and the
+  walk's one pair of fault handlers sits outside the per-op loop.
 * :class:`ShardedReplayer` -- hash-partitions a trace by key across N
   worker threads, each driving its own store connector (or all sharing
   one, the paper's section 6.4 concurrent-operator deployment), and
@@ -28,7 +28,8 @@ import gc
 import threading
 import time
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import groupby, islice
+from operator import not_
 from typing import Callable, Dict, List, Optional, Sequence, Union
 from zlib import crc32
 
@@ -241,12 +242,16 @@ _FOLD_OPS = 8192
 
 
 def _latency_sinks(use_histograms: bool, measure: bool, progress):
-    """One replay's ``(latencies, histograms, sink, fold)``.
+    """One replay's ``(latencies, histograms, sink, fold, on_complete)``.
 
-    ``sink`` is opcode-indexed, mirroring the dispatch table.  Exact
-    mode appends to the latency lists; histogram mode stages raw
-    samples that ``fold`` drains through one ``record_many`` per op
-    type, except under a telemetry session, which records per op.
+    ``sink`` is opcode-indexed.  Exact mode appends to the latency
+    lists; histogram mode stages raw samples that ``fold`` drains
+    through one ``record_many`` per op type, except under a telemetry
+    session, which records per op.  ``on_complete`` is a window's
+    completion callback (:data:`~repro.kvstores.connectors.CompletionFn`):
+    it records ``complete - arrival`` (deferred stamping, so queueing
+    inside the window is measured, not hidden), or only counts the op
+    for a telemetry session without latency, or does nothing.
     """
     latencies: Dict[OpType, List[int]] = {op: [] for op in OpType}
     histograms = {op: LatencyHistogram() for op in OpType} if use_histograms else {}
@@ -268,25 +273,145 @@ def _latency_sinks(use_histograms: bool, measure: bool, progress):
 
     if tee:
         # tee client-observed latencies into the sampler's shared
-        # progress; the sinks already see every loop variant's honest
+        # progress; the sinks already see every mode's honest
         # per-op latency, so the telemetry hook lives here
         sink = _tee(sink, progress.record)
-    return latencies, histograms, sink, fold
+
+    if measure:
+        def on_complete(code, arrival_ns, complete_ns, value):
+            elapsed_ns = complete_ns - arrival_ns
+            sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+    elif progress is not None:
+        count = progress.count
+
+        def on_complete(code, arrival_ns, complete_ns, value):
+            count()
+    else:
+        def on_complete(code, arrival_ns, complete_ns, value):
+            pass
+    return latencies, histograms, sink, fold, on_complete
 
 
-def _dispatch_table(connector: StoreConnector):
-    """Opcode-indexed operations with a uniform ``(key, size)`` shape."""
-    get = connector.get
-    put = connector.put
-    merge = connector.merge
-    delete = connector.delete
-    synth = synthesize_value
-    return (
-        lambda key, size: get(key),
-        lambda key, size: put(key, synth(size)),
-        lambda key, size: merge(key, synth(size)),
-        lambda key, size: delete(key),
-    )
+def _batch_sizes(op_codes, depth: int):
+    """Sizes of consecutive batches: runs of same-kind ops (reads vs.
+    writes), cut every ``depth`` members."""
+    for _, run in groupby(op_codes, not_):
+        size = len(list(run))
+        while size > depth:
+            yield depth
+            size -= depth
+        yield size
+
+
+class _BatchWindow:
+    """Micro-batching as a window: ``submit``/``drain``, shaped like
+    :class:`~repro.kvstores.connectors.PipelineSession`.
+
+    A batch is a run of consecutive same-kind ops (reads vs. writes) of
+    at most ``depth`` members, sized ahead from ``op_codes``
+    (:func:`_batch_sizes`) and sent as one ``multi_get``/``apply_batch``
+    as soon as its last member is submitted -- before the next op is
+    paced or stamped.  Run boundaries preserve read-after-write order,
+    and write batches keep trace order.
+
+    A member's latency is the batch's completion minus the member's
+    arrival minus an even share of the background work the batch
+    triggered, so members pay their wait for the batch to fill.  Without
+    a ``sink``, ``count`` (if set) counts the members applied.
+
+    ``drain`` retries the same batch call in place: a transient failure
+    costs exactly its member (``abandon_op()`` skips it on the re-call;
+    counted in :attr:`failed_ops`, no sample), and an injected crash at
+    member ``k`` records the members before ``k``, which were applied,
+    then propagates.
+    """
+
+    def __init__(self, target, depth: int, injector, op_codes, sink, count) -> None:
+        self._target = target
+        self._injector = injector
+        self._sink = sink
+        self._count = count
+        self._trace_on = _tracing.active() is not None
+        self._sizes = _batch_sizes(op_codes, depth)
+        #: members the open batch still takes before it is sent
+        self._left = 0
+        #: trace index of the open batch's first member
+        self._start = 0
+        #: keys of a read batch, ``(opcode, key, value)`` of a write batch
+        self._batch: list = []
+        #: ``(opcode, arrival_ns)`` per member
+        self._stamps: List[tuple] = []
+        #: members still failing after retries, abandoned
+        self.failed_ops = 0
+
+    def submit(self, opcode: int, key: bytes, value: bytes, arrival_ns: int) -> None:
+        left = self._left or next(self._sizes)
+        self._stamps.append((opcode, arrival_ns))
+        self._batch.append(key if opcode == 0 else (opcode, key, value))
+        self._left = left - 1
+        if left == 1:
+            self.drain()
+
+    def drain(self) -> None:
+        stamps = self._stamps
+        if not stamps:
+            return
+        injector = self._injector
+        batch = self._batch
+        start = self._start
+        self._start = start + len(stamps)
+        if stamps[0][0] == 0:
+            send, span = self._target.multi_get, "replay.multi_get"
+        else:
+            send, span = self._target.apply_batch, "replay.apply_batch"
+        # abandoned members, ascending; None until a batch's first
+        # failure (a container per batch costs ~15% at batch 16)
+        abandoned: Optional[List[int]] = None
+        crash: Optional[InjectedCrash] = None
+        while True:
+            try:
+                if self._trace_on:
+                    with _tracing.span(span, n=len(batch)):
+                        send(batch)
+                else:
+                    send(batch)
+                break
+            except InjectedCrash as exc:
+                if injector is None:
+                    raise
+                crash = exc
+                # members before the crash were applied: keep their samples
+                del stamps[exc.op_index - start:]
+                break
+            except TransientStoreError:
+                if injector is None:
+                    raise
+                self.failed_ops += 1
+                member = injector.abandon_op()
+                if member is not None:
+                    if abandoned is None:
+                        abandoned = []
+                    abandoned.append(member)
+                # Re-call the same batch: already-executed members are
+                # not re-run, the abandoned member is skipped.
+        members = len(stamps)
+        if abandoned is not None:
+            for member in reversed(abandoned):
+                del stamps[member]
+        sink = self._sink
+        if sink is not None:
+            completion = time.perf_counter_ns()
+            # a crash at the batch's first member leaves no member applied
+            completion -= self._target.take_background_ns() // (members or 1)
+            for code, arrival in stamps:
+                elapsed_ns = completion - arrival
+                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+        elif self._count is not None:
+            self._count(len(stamps))
+        self._batch = []
+        self._stamps = []
+        if crash is not None:
+            raise crash
 
 
 class TraceReplayer:
@@ -336,7 +461,7 @@ class TraceReplayer:
         #: record latencies into O(1)-memory histograms instead of
         #: per-sample lists -- for multi-million-op replays.  Samples
         #: are staged raw and folded in every 8,192 ops (at most 8,192
-        #: + ``pipeline_depth`` staged) and on every exit, crash or
+        #: + the window's depth staged) and on every exit, crash or
         #: exception included, before the clock stops; a telemetry
         #: session keeps per-op recording.
         self.use_histograms = use_histograms
@@ -363,7 +488,7 @@ class TraceReplayer:
         #: fast paths untouched.
         self.telemetry = telemetry
         #: cooperative cancellation: a zero-argument callable polled
-        #: from every replay loop; returning true raises
+        #: before every op; returning true raises
         #: :class:`ReplayStopped`.  Sharded replays pass the shared
         #: stop flag's ``is_set`` here so sibling shards stop promptly
         #: when one worker fails.
@@ -390,11 +515,7 @@ class TraceReplayer:
             gc.collect()
             gc.disable()
         try:
-            if self.batch_size is not None and self.batch_size > 1:
-                return self._replay_batched(trace)
-            if self.pipeline_depth is not None and self.pipeline_depth > 1:
-                return self._replay_pipelined(trace)
-            return self._replay(trace)
+            return self._walk(trace)
         finally:
             if self.disable_gc and gc_was_enabled:
                 gc.enable()
@@ -413,33 +534,24 @@ class TraceReplayer:
             self._progress.attach_fault_sources(injector, retrier)
         return target, injector, retrier
 
-    def _result(
-        self, operations, elapsed, latencies, histograms, injector, retrier,
-        failed_ops, crashed_at,
-    ) -> ReplayResult:
-        return ReplayResult(
-            store=self.connector.name,
-            operations=operations,
-            elapsed_s=elapsed,
-            latencies_ns=latencies,
-            histograms=histograms,
-            failed_ops=failed_ops,
-            retries=retrier.retries if retrier is not None else 0,
-            injected_faults=injector.injected.total_faults if injector is not None else 0,
-            injected_delay_s=injector.injected.injected_delay_s if injector is not None else 0.0,
-            crashed_at=crashed_at,
-        )
+    def _walk(self, trace: AccessTrace) -> ReplayResult:
+        """The one replay walk, for every mode.
 
-    def _replay(self, trace: AccessTrace) -> ReplayResult:
-        """Per-op replay: one synchronous call per op.
+        It takes the raw columns in 8,192-op chunks, paces and polls
+        ``stop_check`` per op, and sends each op to a window.  Depth 1
+        is the synchronous call, open-coded in three ``for`` bodies
+        (measured, untimed, paced).  Otherwise ops are submitted to a
+        :class:`_BatchWindow` (``batch_size``) or to the connector's
+        ``pipeline()`` session (``pipeline_depth``; depth 1 for a
+        telemetry session without latency, whose completions count).
 
-        Faults are handled outside the per-op ``for`` loops (see
-        :attr:`fault_plan`): a failed op leaves its loop, is counted
-        and abandoned, and the loop resumes on the same column iterator
-        at the next op; a crash ends the whole chunk walk.
+        Faults are handled outside the ``for`` bodies (see
+        :attr:`fault_plan`): a failed op leaves its body, is counted
+        and abandoned, and the body resumes on the same column iterator.
+        An injected crash at op ``k`` ends the walk and the window is
+        still drained, so every mode leaves the ops before ``k`` applied.
         """
         target, injector, retrier = self._guarded_target()
-        dispatch = _dispatch_table(target)
         # Flushes/compactions/write-backs run on background threads in
         # the real stores; exclude their inline cost from the
         # client-observed latency (throughput still includes it).
@@ -449,18 +561,27 @@ class TraceReplayer:
         take_background = target.take_background_ns
         measure = self.measure_latency
         progress = self._progress
-        latencies, histograms, sink, fold = _latency_sinks(
+        latencies, histograms, sink, fold, on_complete = _latency_sinks(
             self.use_histograms, measure, progress
         )
+        depth = self.pipeline_depth or 1
+        window = batch = None
+        if (self.batch_size or 1) > 1:
+            window = batch = _BatchWindow(
+                target, self.batch_size, injector, trace.op_codes,
+                sink if measure else None,
+                progress.count if progress is not None else None,
+            )
+        elif depth > 1 or (progress is not None and not measure):
+            window = target.pipeline(depth, on_complete)
+        submit = window.submit if window is not None else None
         interval = 1.0 / self.service_rate if self.service_rate else 0.0
-        count = progress.count if progress is not None and not measure else None
         stop = self.stop_check
         timer = time.perf_counter_ns
         # The inlined form of ``trace.iter_raw()``: iterate the raw
         # columns directly (no generator frame per op) and branch on
-        # the small-int opcode with hoisted bound methods -- the
-        # open-coded specialization of the dispatch table above, worth
-        # ~30% on in-memory stores where per-op overhead dominates.
+        # the small-int opcode with hoisted bound methods, worth ~30%
+        # on in-memory stores where per-op overhead dominates.
         get = target.get
         put = target.put
         merge = target.merge
@@ -474,313 +595,72 @@ class TraceReplayer:
         started = time.perf_counter()
         next_dispatch = started
         try:
-            for _ in range(0, len(trace), _FOLD_OPS):
-                chunk = islice(columns, _FOLD_OPS)
-                while True:
-                    try:
-                        if interval:
-                            for code, kid, size in chunk:
-                                if stop is not None and stop():
-                                    raise ReplayStopped
-                                if time.perf_counter() < next_dispatch:
-                                    _throttle(next_dispatch)
-                                next_dispatch += interval
-                                key = keys[kid]
-                                if measure:
-                                    begin = timer()
-                                    dispatch[code](key, size)
-                                    elapsed_ns = timer() - begin - take_background()
-                                    sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                                else:
-                                    dispatch[code](key, size)
-                                    if count is not None:
-                                        count()
-                        elif measure:
-                            for code, kid, size in chunk:
-                                if stop is not None and stop():
-                                    raise ReplayStopped
-                                key = keys[kid]
-                                begin = timer()
-                                if code == 0:
-                                    get(key)
-                                elif code == 1:
-                                    put(key, synth(size))
-                                elif code == 2:
-                                    merge(key, synth(size))
-                                else:
-                                    delete(key)
-                                elapsed_ns = timer() - begin - take_background()
-                                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                        elif count is not None:
-                            for code, kid, size in chunk:
-                                if stop is not None and stop():
-                                    raise ReplayStopped
-                                key = keys[kid]
-                                if code == 0:
-                                    get(key)
-                                elif code == 1:
-                                    put(key, synth(size))
-                                elif code == 2:
-                                    merge(key, synth(size))
-                                else:
-                                    delete(key)
-                                count()
-                        else:
-                            for code, kid, size in chunk:
-                                if stop is not None and stop():
-                                    raise ReplayStopped
-                                key = keys[kid]
-                                if code == 0:
-                                    get(key)
-                                elif code == 1:
-                                    put(key, synth(size))
-                                elif code == 2:
-                                    merge(key, synth(size))
-                                else:
-                                    delete(key)
-                        break
-                    except TransientStoreError:
-                        if injector is None:
-                            raise
-                        failed_ops += 1
-                        injector.abandon_op()
-                fold()
-        except InjectedCrash as crash:
-            if injector is None:
-                raise
-            crashed_at = operations = crash.op_index
-        finally:
-            fold()
-        elapsed = time.perf_counter() - started
-        return self._result(
-            operations, elapsed, latencies, histograms, injector, retrier,
-            failed_ops, crashed_at,
-        )
-
-    def _replay_batched(self, trace: AccessTrace) -> ReplayResult:
-        """Micro-batched replay: group runs of consecutive same-kind
-        ops and dispatch them via ``multi_get``/``apply_batch``.
-
-        Grouping is only done where it is safe: a batch never mixes
-        reads with writes (run boundaries preserve read-after-write
-        order), and write batches keep trace order, so same-key
-        sequences retain per-op semantics.
-
-        Latency accounting stays honest: each member's **arrival** is
-        stamped when the op is drawn from the trace (its throttled
-        dispatch time under a ``service_rate``), and its latency is
-        ``batch completion - arrival`` minus an even share of the
-        background work the batch triggered.  Members that wait for the
-        batch to fill thus pay their queueing delay -- percentiles are
-        measured, not fabricated from a divided mean.
-
-        Under a fault plan the gate draws one schedule entry per batch
-        *member*, so fault timelines line up with per-op replay: a
-        transient failure costs exactly its member (abandoned, skipped
-        on the in-place batch retry, and given no latency sample), and
-        an injected crash at member ``k`` stops the run having applied
-        exactly the ops before ``k``.
-        """
-        target, injector, retrier = self._guarded_target()
-        multi_get = target.multi_get
-        apply_batch = target.apply_batch
-        take_background = target.take_background_ns
-        batch_size = self.batch_size
-        progress = self._progress
-        measure = self.measure_latency
-        latencies, histograms, sink, fold = _latency_sinks(
-            self.use_histograms, measure, progress
-        )
-        interval = 1.0 / self.service_rate if self.service_rate else 0.0
-        trace_on = _tracing.active() is not None
-        timer = time.perf_counter_ns
-        synth = synthesize_value
-        keys = trace.unique_keys()
-        op_codes = trace.op_codes
-        key_ids = trace.key_ids
-        value_sizes = trace.value_sizes
-        total = len(trace)
-        operations = total
-        failed_ops = 0
-        crashed_at: Optional[int] = None
-        stop = self.stop_check
-        started = time.perf_counter()
-        next_dispatch = started
-        next_fold = _FOLD_OPS
-        index = 0
-        try:
-            while index < total:
-                if stop is not None and stop():
-                    raise ReplayStopped
-                is_read = op_codes[index] == 0
-                limit = index + batch_size
-                if limit > total:
-                    limit = total
-                batch_keys: List[bytes] = []
-                ops: List[tuple] = []
-                codes: List[int] = []
-                arrivals: List[int] = []
-                j = index
-                while j < limit:
-                    code = op_codes[j]
-                    if (code == 0) != is_read:
-                        break
-                    if interval:
-                        if time.perf_counter() < next_dispatch:
-                            _throttle(next_dispatch)
-                        next_dispatch += interval
-                    if measure:
-                        arrivals.append(timer())
-                    key = keys[key_ids[j]]
-                    if is_read:
-                        batch_keys.append(key)
-                    elif code == 3:
-                        ops.append((code, key, b""))
-                    else:
-                        ops.append((code, key, synth(value_sizes[j])))
-                    codes.append(code)
-                    j += 1
-                # abandoned members, ascending; None until a batch's first
-                # failure (a container per batch costs ~15% at batch 16)
-                abandoned: Optional[List[int]] = None
-                while True:
-                    try:
-                        if is_read:
-                            if trace_on:
-                                with _tracing.span("replay.multi_get", n=len(batch_keys)):
-                                    multi_get(batch_keys)
-                            else:
-                                multi_get(batch_keys)
-                        elif trace_on:
-                            with _tracing.span("replay.apply_batch", n=len(ops)):
-                                apply_batch(ops)
-                        else:
-                            apply_batch(ops)
-                        break
-                    except InjectedCrash as crash:
-                        if injector is None:
-                            raise
-                        crashed_at = operations = j = crash.op_index
-                        # members before the crash were applied: keep their samples
-                        del codes[j - index:]
-                        break
-                    except TransientStoreError:
-                        if injector is None:
-                            raise
-                        failed_ops += 1
-                        member = injector.abandon_op()
-                        if member is not None:
-                            if abandoned is None:
-                                abandoned = []
-                            abandoned.append(member)
-                        # Re-call the same batch: already-executed members
-                        # are not re-run, the abandoned member is skipped.
-                if measure:
-                    if abandoned is not None:
-                        for member in reversed(abandoned):
-                            del codes[member]
-                            del arrivals[member]
-                    completion = timer()
-                    # a crash at the batch's first member leaves j == index
-                    share = take_background() // max(j - index, 1)
-                    for code, arrival in zip(codes, arrivals):
-                        elapsed_ns = completion - arrival - share
-                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-                elif progress is not None:
-                    progress.count(j - index)
-                if crashed_at is not None:
-                    break
-                index = j
-                if index >= next_fold:
-                    fold()
-                    next_fold = index + _FOLD_OPS
-        finally:
-            fold()
-        elapsed = time.perf_counter() - started
-        return self._result(
-            operations, elapsed, latencies, histograms, injector, retrier,
-            failed_ops, crashed_at,
-        )
-
-    def _make_completion_sink(self, sink, count):
-        """Completion callback for pipelined replay: latency is
-        ``completion - arrival`` (deferred stamping -- the arrival was
-        taken at submit, the completion when the reply frame landed, so
-        window queueing is measured, not hidden)."""
-        if self.measure_latency:
-            def on_complete(code, arrival_ns, complete_ns, value):
-                elapsed_ns = complete_ns - arrival_ns
-                sink[code](elapsed_ns if elapsed_ns > 0 else 0)
-            return on_complete
-        if count is not None:
-            def on_complete(code, arrival_ns, complete_ns, value):
-                count()
-            return on_complete
-        return lambda code, arrival_ns, complete_ns, value: None
-
-    def _replay_pipelined(self, trace: AccessTrace) -> ReplayResult:
-        """Pipelined replay: every op is submitted into a bounded
-        in-flight window (``pipeline_depth``) instead of blocking on
-        its own round trip.
-
-        The connector decides what the window buys: remote/cluster
-        sessions coalesce frames into burst ``sendall`` calls and
-        correlate replies FIFO, embedded stores degrade to synchronous
-        execution.  Latency accounting is deferred: each op carries its
-        arrival timestamp into the window and is stamped when its reply
-        completes, so percentiles include the queueing an op did inside
-        the window -- deeper pipelines honestly trade per-op latency
-        for throughput.
-
-        Under a fault plan, injected faults fire at submit time (one
-        schedule draw per logical op, before the op enters the window),
-        so fault timelines line up op-for-op with per-op replay, and
-        faults are handled outside the submit loop as in
-        :meth:`_replay`.  An injected crash at op ``k`` stops
-        submission; the window is still drained -- the ops before ``k``
-        were already on the wire, the same prefix a synchronous crash
-        leaves applied.  Remote transport recovery happens *inside* the
-        window (the client's own retry budget re-sends un-acked ops
-        after reconnecting), never here.
-        """
-        target, injector, retrier = self._guarded_target()
-        measure = self.measure_latency
-        progress = self._progress
-        latencies, histograms, sink, fold = _latency_sinks(
-            self.use_histograms, measure, progress
-        )
-        count = progress.count if progress is not None and not measure else None
-        session = target.pipeline(
-            self.pipeline_depth, self._make_completion_sink(sink, count)
-        )
-        submit = session.submit
-        interval = 1.0 / self.service_rate if self.service_rate else 0.0
-        timer = time.perf_counter_ns
-        synth = synthesize_value
-        stop = self.stop_check
-        keys = trace.unique_keys()
-        columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
-        operations = len(trace)
-        failed_ops = 0
-        crashed_at: Optional[int] = None
-        started = time.perf_counter()
-        next_dispatch = started
-        try:
             try:
                 for _ in range(0, len(trace), _FOLD_OPS):
                     chunk = islice(columns, _FOLD_OPS)
                     while True:
                         try:
-                            for code, kid, size in chunk:
-                                if stop is not None and stop():
-                                    raise ReplayStopped
-                                if interval:
+                            if submit is not None:
+                                for code, kid, size in chunk:
+                                    if stop is not None and stop():
+                                        raise ReplayStopped
+                                    if interval:
+                                        if time.perf_counter() < next_dispatch:
+                                            _throttle(next_dispatch)
+                                        next_dispatch += interval
+                                    key = keys[kid]
+                                    value = b"" if code == 0 or code == 3 else synth(size)
+                                    submit(code, key, value, timer() if measure else 0)
+                            elif interval:
+                                for code, kid, size in chunk:
+                                    if stop is not None and stop():
+                                        raise ReplayStopped
                                     if time.perf_counter() < next_dispatch:
                                         _throttle(next_dispatch)
                                     next_dispatch += interval
-                                key = keys[kid]
-                                value = b"" if code == 0 or code == 3 else synth(size)
-                                submit(code, key, value, timer() if measure else 0)
+                                    key = keys[kid]
+                                    if measure:
+                                        begin = timer()
+                                    if code == 0:
+                                        get(key)
+                                    elif code == 1:
+                                        put(key, synth(size))
+                                    elif code == 2:
+                                        merge(key, synth(size))
+                                    else:
+                                        delete(key)
+                                    if measure:
+                                        elapsed_ns = timer() - begin - take_background()
+                                        sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                            elif measure:
+                                for code, kid, size in chunk:
+                                    if stop is not None and stop():
+                                        raise ReplayStopped
+                                    key = keys[kid]
+                                    begin = timer()
+                                    if code == 0:
+                                        get(key)
+                                    elif code == 1:
+                                        put(key, synth(size))
+                                    elif code == 2:
+                                        merge(key, synth(size))
+                                    else:
+                                        delete(key)
+                                    elapsed_ns = timer() - begin - take_background()
+                                    sink[code](elapsed_ns if elapsed_ns > 0 else 0)
+                            else:
+                                for code, kid, size in chunk:
+                                    if stop is not None and stop():
+                                        raise ReplayStopped
+                                    key = keys[kid]
+                                    if code == 0:
+                                        get(key)
+                                    elif code == 1:
+                                        put(key, synth(size))
+                                    elif code == 2:
+                                        merge(key, synth(size))
+                                    else:
+                                        delete(key)
                             break
                         except TransientStoreError:
                             if injector is None:
@@ -792,13 +672,24 @@ class TraceReplayer:
                 if injector is None:
                     raise
                 crashed_at = operations = crash.op_index
-            session.drain()
+            if window is not None:
+                window.drain()
         finally:
             fold()
         elapsed = time.perf_counter() - started
-        return self._result(
-            operations, elapsed, latencies, histograms, injector, retrier,
-            failed_ops, crashed_at,
+        if batch is not None:
+            failed_ops += batch.failed_ops
+        return ReplayResult(
+            store=self.connector.name,
+            operations=operations,
+            elapsed_s=elapsed,
+            latencies_ns=latencies,
+            histograms=histograms,
+            failed_ops=failed_ops,
+            retries=retrier.retries if retrier is not None else 0,
+            injected_faults=injector.injected.total_faults if injector is not None else 0,
+            injected_delay_s=injector.injected.injected_delay_s if injector is not None else 0.0,
+            crashed_at=crashed_at,
         )
 
 

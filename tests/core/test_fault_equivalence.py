@@ -17,6 +17,7 @@ from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.errors import InjectedCrash, TransientStoreError
 from repro.faults.injector import FaultInjectingConnector
 from repro.kvstores import create_connector
+from repro.obs import ReplayTelemetry, read_series
 from repro.trace import AccessTrace, OpType
 
 RETRY = RetryPolicy(max_attempts=5, base_delay_s=0, jitter=0)
@@ -37,6 +38,8 @@ LOOPS = {
     "paced": {"service_rate": 1e7},
     "batched": {"batch_size": 16},
     "pipelined": {"pipeline_depth": 8},
+    "paced-batched": {"service_rate": 1e7, "batch_size": 16},
+    "paced-pipelined": {"service_rate": 1e7, "pipeline_depth": 8},
 }
 
 
@@ -101,6 +104,26 @@ def test_loop_matches_per_op(trace, loop, plan, histograms):
         assert crashed_at is None and operations == len(trace)
     else:
         assert crashed_at == operations == fault_plan.crash_at
+
+
+@pytest.mark.parametrize("loop", LOOPS)
+def test_unmeasured_progress_counts_applied_ops(trace, loop, tmp_path):
+    """A telemetry session without latency counts the ops the store
+    applied: an op abandoned after a transient error is not progress."""
+    metrics_path = str(tmp_path / "m.jsonl")
+    connector = create_connector("memory")
+    result = TraceReplayer(
+        connector,
+        measure_latency=False,
+        fault_plan=ERRORS,
+        telemetry=ReplayTelemetry(metrics_path=metrics_path),
+        **LOOPS[loop],
+    ).replay(trace)
+    _header, samples = read_series(metrics_path)
+    applied = connector.store.stats.total_ops
+    assert result.failed_ops > 0
+    assert applied == result.operations - result.failed_ops
+    assert samples[-1]["ops"] == applied
 
 
 class TestCallerBuiltInjector:

@@ -332,6 +332,8 @@ LOOPS = {
     "per-op-paced": {"service_rate": 1e7},
     "batched": {"batch_size": 16},
     "pipelined": {"pipeline_depth": 8},
+    "paced-batched": {"service_rate": 1e7, "batch_size": 16},
+    "paced-pipelined": {"service_rate": 1e7, "pipeline_depth": 8},
 }
 
 
