@@ -29,7 +29,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Callable, List, Optional
+from typing import Callable, Dict, List, Optional
 from zlib import crc32 as _zlib_crc32
 
 from .api import KVStoreError
@@ -101,7 +101,10 @@ DEFAULT_CHECKSUM_KIND = (
     ChecksumKind.CRC32C if HAVE_NATIVE_CRC32C else ChecksumKind.CRC32
 )
 
-_CHECKSUM_FNS: dict = {
+#: keyed by kind; an IntEnum hashes as its int, so a stored kind byte
+#: and a ChecksumKind find the same entry without an enum call
+_CHECKSUM_FNS: Dict[int, Callable[[bytes], int]] = {
+    ChecksumKind.NONE: lambda data: 0,
     ChecksumKind.CRC32C: crc32c,
     ChecksumKind.CRC32: _zlib_crc32,
 }
@@ -109,11 +112,9 @@ _CHECKSUM_FNS: dict = {
 
 def checksum(data: bytes, kind: ChecksumKind = DEFAULT_CHECKSUM_KIND) -> int:
     """32-bit checksum of ``data`` under ``kind`` (NONE returns 0)."""
-    if kind is ChecksumKind.NONE:
-        return 0
     try:
-        fn: Callable[[bytes], int] = _CHECKSUM_FNS[ChecksumKind(kind)]
-    except (KeyError, ValueError):
+        fn = _CHECKSUM_FNS[kind]
+    except (KeyError, TypeError):
         raise ValueError(f"unknown checksum kind: {kind!r}") from None
     return fn(data) & 0xFFFFFFFF
 

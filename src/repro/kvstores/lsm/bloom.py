@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
-import hashlib
 import math
+from hashlib import blake2b
 from typing import Iterable
 
 from ..integrity import CorruptionError
+
+_MASK64 = (1 << 64) - 1
 
 
 class BloomFilter:
@@ -27,30 +29,38 @@ class BloomFilter:
             self.num_hashes = max(1, min(30, round(bits_per_key * math.log(2))))
         self._bits = bytearray((self.num_bits + 7) // 8)
 
-    @staticmethod
-    def _base_hashes(key: bytes) -> tuple:
-        digest = hashlib.blake2b(key, digest_size=16).digest()
-        return (
-            int.from_bytes(digest[:8], "little"),
-            int.from_bytes(digest[8:], "little") | 1,
-        )
+    # Probe i sets bit (h1 + i*h2) mod m = (a + i*b) mod m, a = h1 mod m,
+    # b = h2 mod m: the textbook bits, stepped in small ints per probe.
 
     def add(self, key: bytes) -> None:
-        h1, h2 = self._base_hashes(key)
-        for i in range(self.num_hashes):
-            bit = (h1 + i * h2) % self.num_bits
-            self._bits[bit >> 3] |= 1 << (bit & 7)
+        self.add_all((key,))
 
     def add_all(self, keys: Iterable[bytes]) -> None:
+        m = self.num_bits
+        probes = range(self.num_hashes)
+        bits = self._bits
         for key in keys:
-            self.add(key)
+            h = int.from_bytes(blake2b(key, digest_size=16).digest(), "little")
+            bit = (h & _MASK64) % m
+            step = ((h >> 64) | 1) % m
+            for _ in probes:
+                bits[bit >> 3] |= 1 << (bit & 7)
+                bit += step
+                if bit >= m:
+                    bit -= m
 
     def may_contain(self, key: bytes) -> bool:
-        h1, h2 = self._base_hashes(key)
-        for i in range(self.num_hashes):
-            bit = (h1 + i * h2) % self.num_bits
-            if not self._bits[bit >> 3] & (1 << (bit & 7)):
+        m = self.num_bits
+        h = int.from_bytes(blake2b(key, digest_size=16).digest(), "little")
+        bit = (h & _MASK64) % m
+        step = ((h >> 64) | 1) % m
+        bits = self._bits
+        for _ in range(self.num_hashes):
+            if not bits[bit >> 3] & (1 << (bit & 7)):
                 return False
+            bit += step
+            if bit >= m:
+                bit -= m
         return True
 
     # -- serialization ----------------------------------------------------

@@ -80,7 +80,7 @@ class LetheStore(RocksLSMStore):
     def _write(self, record) -> None:
         super()._write(record)
         self._writes_since_fade += 1
-        if self._writes_since_fade >= self.lethe_config.fade_check_interval:
+        if self._writes_since_fade >= self.config.fade_check_interval:
             self._writes_since_fade = 0
             self._request_fade()
 
@@ -88,7 +88,7 @@ class LetheStore(RocksLSMStore):
         # Group-committed batches bypass the per-record _write hook;
         # account every member so FADE cadence matches per-op replay.
         self._writes_since_fade += count
-        if self._writes_since_fade >= self.lethe_config.fade_check_interval:
+        if self._writes_since_fade >= self.config.fade_check_interval:
             self._writes_since_fade = 0
             self._request_fade()
 

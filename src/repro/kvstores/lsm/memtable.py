@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .record import Record, RecordKind
+from .record import HEADER_SIZE, Record, RecordKind
 
 
 class Memtable:
@@ -39,13 +39,14 @@ class Memtable:
         return bool(self._entries)
 
     def add(self, record: Record) -> None:
+        kind, _, key, value = record
         # Arena accounting: every write consumes buffer space.
-        self._approximate_bytes += record.encoded_size
-        stack = self._entries.get(record.key)
+        self._approximate_bytes += HEADER_SIZE + len(key) + len(value)
+        stack = self._entries.get(key)
         if stack is None:
-            self._entries[record.key] = [record]
+            self._entries[key] = [record]
             return
-        if record.kind is RecordKind.MERGE:
+        if kind is RecordKind.MERGE:
             stack.append(record)
         else:
             # PUT and DELETE supersede every older record for the key
@@ -61,12 +62,12 @@ class Memtable:
         merge = RecordKind.MERGE
         added = 0
         for record in records:
-            key = record.key
-            added += record.encoded_size
+            kind, _, key, value = record
+            added += HEADER_SIZE + len(key) + len(value)
             stack = get(key)
             if stack is None:
                 entries[key] = [record]
-            elif record.kind is merge:
+            elif kind is merge:
                 stack.append(record)
             else:
                 stack.clear()

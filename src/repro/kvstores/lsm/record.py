@@ -109,6 +109,30 @@ def index_records(buf: bytes) -> Tuple[List[bytes], List[int]]:
     return keys, offsets
 
 
+def find_records(buf: bytes, key: bytes) -> Tuple[List[int], Optional[bytes]]:
+    """Offsets of the records in ``buf`` whose key is ``key``, and the
+    last record's key (``None`` for an empty ``buf``).
+
+    The walk of :func:`index_records`, checking every header and raising
+    where it would, with no index kept: keys are compared as they pass.
+    """
+    found: List[int] = []
+    unpack = _HEADER.unpack_from
+    offset = 0
+    end = len(buf)
+    stored = None
+    while offset < end:
+        kind, _, klen, vlen = unpack(buf, offset)
+        if kind > 2:
+            raise ValueError(f"{kind} is not a valid RecordKind")
+        start = offset + HEADER_SIZE
+        stored = buf[start : start + klen]
+        if stored == key:
+            found.append(offset)
+        offset = start + klen + vlen
+    return found, stored
+
+
 # ---------------------------------------------------------------------------
 # WAL framing
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from ..integrity import (
 )
 from ..storage import Storage
 from .bloom import BloomFilter
-from .record import Record, RecordKind, decode_all, decode_record, index_records
+from .record import Record, RecordKind, decode_all, decode_record, find_records, index_records
 
 # bloom_off, bloom_len, index_off, index_len, bloom_crc, index_crc,
 # checksum kind, pad, magic
@@ -82,26 +82,46 @@ class ParsedBlock:
     walk checks every header, so a structurally damaged block is
     rejected here just as a full decode would reject it.  Its block
     cache weight is the raw block length.
+
+    :meth:`probe` reads one key from a block just read instead, and
+    leaves the key index to the first later probe of the cached block.
     """
 
-    __slots__ = ("raw", "keys", "offsets", "size_bytes")
+    __slots__ = ("raw", "_keys", "_offsets", "size_bytes")
 
     def __init__(self, raw: bytes, blob_name: str = "?", offset: int = 0) -> None:
         try:
-            self.keys, self.offsets = index_records(raw)
+            self._keys, self._offsets = index_records(raw)
         except (struct.error, ValueError) as exc:
-            raise CorruptionError(
-                blob_name, offset, f"undecodable block: {exc}"
-            ) from None
+            raise CorruptionError(blob_name, offset, f"undecodable block: {exc}") from None
         self.raw = raw
         self.size_bytes = len(raw)
+
+    @classmethod
+    def probe(cls, raw: bytes, key: bytes, blob_name: str, offset: int) -> tuple:
+        """Validate ``raw`` and read ``key`` from it in one walk: the
+        unindexed block, ``key``'s records (oldest first) and the
+        block's last key."""
+        try:
+            found, last_key = find_records(raw, key)
+        except (struct.error, ValueError) as exc:
+            raise CorruptionError(blob_name, offset, f"undecodable block: {exc}") from None
+        block = cls.__new__(cls)
+        block.raw, block._keys, block.size_bytes = raw, None, len(raw)
+        return block, [decode_record(raw, at)[0] for at in found], last_key
+
+    @property
+    def keys(self) -> List[bytes]:
+        if self._keys is None:  # a probed block: validated, so this cannot raise
+            self._keys, self._offsets = index_records(self.raw)
+        return self._keys
 
     def records_for(self, key: bytes) -> List[Record]:
         """Records stored for ``key`` in this block, oldest first."""
         keys = self.keys
         lo = bisect.bisect_left(keys, key)
         hi = bisect.bisect_right(keys, key, lo)
-        raw, offsets = self.raw, self.offsets
+        raw, offsets = self.raw, self._offsets
         return [decode_record(raw, offsets[i])[0] for i in range(lo, hi)]
 
 
@@ -165,29 +185,31 @@ class SSTable:
         found: List[Record] = []
         # Records for one key may straddle a block boundary; walk forward
         # while the key can still appear.
-        for handle in self._index[pos:]:
+        index = self._index
+        for pos in range(pos, len(index)):
+            handle = index[pos]
             if handle.first_key > key:
                 break
-            block = self._load_block(handle, block_cache)
-            found.extend(block.records_for(key))
-            if block.keys and block.keys[-1] > key:
+            cache_key = (self.file_id, handle.offset)
+            block = None if block_cache is None else block_cache.get(cache_key)
+            if block is None:
+                raw = self._storage.read_range(
+                    self.blob_name, handle.offset, handle.length
+                )
+                self._verify_block(handle, raw)
+                block, records, last_key = ParsedBlock.probe(
+                    raw, key, self.blob_name, handle.offset
+                )
+                if block_cache is not None:
+                    block_cache.put(cache_key, block)
+            else:
+                records = block.records_for(key)
+                keys = block.keys
+                last_key = keys[-1] if keys else None
+            found.extend(records)
+            if last_key is not None and last_key > key:
                 break
         return found
-
-    def _load_block(
-        self, handle: BlockHandle, block_cache: Optional[LRUCache]
-    ) -> ParsedBlock:
-        cache_key = (self.file_id, handle.offset)
-        if block_cache is not None:
-            cached = block_cache.get(cache_key)
-            if cached is not None:
-                return cached
-        raw = self._storage.read_range(self.blob_name, handle.offset, handle.length)
-        self._verify_block(handle, raw)
-        block = ParsedBlock(raw, self.blob_name, handle.offset)
-        if block_cache is not None:
-            block_cache.put(cache_key, block)
-        return block
 
     def _verify_block(self, handle: BlockHandle, raw: bytes) -> None:
         if len(raw) != handle.length:
@@ -307,11 +329,8 @@ def build_sstable(
     current = bytearray()
     current_first: Optional[bytes] = None
     keys: List[bytes] = []
-    num_entries = 0
     num_tombstones = 0
     oldest_tombstone_seq: Optional[int] = None
-    smallest: Optional[bytes] = None
-    largest: Optional[bytes] = None
     max_sequence = 0
     offset = 0
 
@@ -328,29 +347,30 @@ def build_sstable(
         current = bytearray()
         current_first = None
 
+    delete = RecordKind.DELETE
     for record in records:
+        kind, sequence, key, _ = record
         encoded = record.encode()
         if current and len(current) + len(encoded) > block_size:
             cut_block()
         if current_first is None:
-            current_first = record.key
-        current.extend(encoded)
-        keys.append(record.key)
-        num_entries += 1
-        max_sequence = max(max_sequence, record.sequence)
-        if record.kind is RecordKind.DELETE:
+            current_first = key
+        current += encoded
+        keys.append(key)
+        if sequence > max_sequence:
+            max_sequence = sequence
+        if kind is delete:
             num_tombstones += 1
-            if oldest_tombstone_seq is None or record.sequence < oldest_tombstone_seq:
-                oldest_tombstone_seq = record.sequence
-        if smallest is None:
-            smallest = record.key
-        largest = record.key
+            if oldest_tombstone_seq is None or sequence < oldest_tombstone_seq:
+                oldest_tombstone_seq = sequence
     cut_block()
 
-    if num_entries == 0:
+    if not keys:
         return None
+    num_entries, smallest, largest = len(keys), keys[0], keys[-1]
 
-    bloom = BloomFilter(len(set(keys)), bits_per_key)
+    keys = list(dict.fromkeys(keys))  # a key's versions set the same bits
+    bloom = BloomFilter(len(keys), bits_per_key)
     if cooperate is None:
         bloom.add_all(keys)
     else:
@@ -391,7 +411,6 @@ def build_sstable(
     blob_name = f"{blob_prefix}-{file_id:08d}"
     storage.write(blob_name, data + bloom_bytes + index_bytes + footer)
 
-    assert smallest is not None and largest is not None
     return SSTable(
         file_id=file_id,
         storage=storage,

@@ -50,6 +50,7 @@ from ..api import (
     BatchOp,
     KVStore,
     MergeOperator,
+    StoreStats,
 )
 from ...obs import tracing
 from ..cache import LRUCache
@@ -71,6 +72,7 @@ from .compaction import (
 from .memtable import Memtable
 from .policies import CompactionTask, resolve_policy
 from .record import (
+    HEADER_SIZE,
     Record,
     RecordKind,
     decode_wal,
@@ -91,6 +93,24 @@ _WAL_SEGMENT_RE = re.compile(r"^wal-(\d{6,})$")
 #: duty cycle above realistic maintenance demand (~20-25%).
 _COOP_SLICE_S = 300e-6
 _COOP_SLEEP_S = 100e-6
+
+
+def _block_cache_counter(name: str) -> property:
+    return property(
+        lambda stats: getattr(stats._block_cache, name),
+        lambda stats, value: setattr(stats._block_cache, name, value),
+    )
+
+
+class _BlockCacheStats(StoreStats):
+    """StoreStats whose cache counters are the block cache's own."""
+
+    cache_hits = _block_cache_counter("hits")
+    cache_misses = _block_cache_counter("misses")
+
+    def __init__(self, block_cache: LRUCache) -> None:
+        self._block_cache = block_cache
+        super().__init__()
 
 
 @dataclass
@@ -166,6 +186,7 @@ class RocksLSMStore(KVStore):
         self.block_cache: LRUCache = LRUCache(
             self.config.block_cache_size, sizer=lambda blk: blk.size_bytes
         )
+        self.stats = _BlockCacheStats(self.block_cache)
         self.compaction_stats = CompactionStats()
         self._memtable = Memtable()
         self._immutables: List[Memtable] = []
@@ -425,6 +446,8 @@ class RocksLSMStore(KVStore):
         time is genuinely concurrent and never double-counted here.
         Thread-safe either way.
         """
+        if not self._background_ns:  # nothing accrued: skip the lock
+            return 0
         with self._background_lock:
             spent, self._background_ns = self._background_ns, 0
         return spent
@@ -611,27 +634,37 @@ class RocksLSMStore(KVStore):
         if resolved:
             return value
         resolved, value = self._lookup_tables(key, operands)
-        if resolved:
-            return value
-        if operands:
-            # Operands were collected newest-first; apply oldest-first.
-            return self.merge_operator.full_merge(None, tuple(reversed(operands)))
-        return None
+        # no put or tombstone: the merge operands alone make the value
+        return value if resolved else self._apply_tombstone(operands)
 
     def _lookup_memtables(
         self, key: bytes, operands: List[bytes]
     ) -> Tuple[bool, Optional[bytes]]:
-        for memtable in [self._memtable] + list(reversed(self._immutables)):
+        stack = self._memtable.lookup(key)
+        if stack:
+            resolved, value = self._resolve_newest_first(stack, operands)
+            if resolved:
+                return True, value
+        for memtable in reversed(self._immutables):
             stack = memtable.lookup(key)
-            if not stack:
-                continue
-            for record in reversed(stack):
-                if record.kind is RecordKind.MERGE:
-                    operands.append(record.value)
-                elif record.kind is RecordKind.PUT:
-                    return True, self._apply_operands(record.value, operands)
-                else:  # DELETE
-                    return True, self._apply_tombstone(operands)
+            if stack:
+                resolved, value = self._resolve_newest_first(stack, operands)
+                if resolved:
+                    return True, value
+        return False, None
+
+    def _resolve_newest_first(
+        self, records: List[Record], operands: List[bytes]
+    ) -> Tuple[bool, Optional[bytes]]:
+        """Resolve one key's ``records`` (oldest first) from the newest
+        back, collecting merge operands until a put or tombstone."""
+        for record in reversed(records):
+            if record.kind is RecordKind.MERGE:
+                operands.append(record.value)
+            elif record.kind is RecordKind.PUT:
+                return True, self._apply_operands(record.value, operands)
+            else:  # DELETE
+                return True, self._apply_tombstone(operands)
         return False, None
 
     def _lookup_tables(
@@ -686,15 +719,12 @@ class RocksLSMStore(KVStore):
             # to intact tables in deeper levels instead.
             self._quarantine_table(table)
             raise
-        self.stats.bytes_read += sum(r.encoded_size for r in records)
-        for record in reversed(records):
-            if record.kind is RecordKind.MERGE:
-                operands.append(record.value)
-            elif record.kind is RecordKind.PUT:
-                return True, self._apply_operands(record.value, operands)
-            else:
-                return True, self._apply_tombstone(operands)
-        return False, None
+        if not records:
+            return False, None
+        self.stats.bytes_read += HEADER_SIZE * len(records) + sum(
+            [len(record.key) + len(record.value) for record in records]
+        )
+        return self._resolve_newest_first(records, operands)
 
     def _apply_operands(self, base: bytes, operands: List[bytes]) -> bytes:
         if not operands:
@@ -749,16 +779,9 @@ class RocksLSMStore(KVStore):
 
     def _resolve_bucket(self, records: List[Record]) -> Optional[bytes]:
         operands: List[bytes] = []
-        for record in sorted(records, key=lambda r: -r.sequence):
-            if record.kind is RecordKind.MERGE:
-                operands.append(record.value)
-            elif record.kind is RecordKind.PUT:
-                return self._apply_operands(record.value, operands)
-            else:
-                return self._apply_tombstone(operands)
-        if operands:
-            return self.merge_operator.full_merge(None, tuple(reversed(operands)))
-        return None
+        records = sorted(records, key=lambda r: r.sequence)
+        resolved, value = self._resolve_newest_first(records, operands)
+        return value if resolved else self._apply_tombstone(operands)
 
     # ------------------------------------------------------------------
     # Compaction

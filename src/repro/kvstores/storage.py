@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import threading
-from typing import Dict, Iterable, Optional
+from typing import Dict, Iterable, Optional, Union
 
 
 class StorageError(Exception):
@@ -54,16 +54,21 @@ class MemoryStorage(Storage):
     """
 
     def __init__(self) -> None:
-        self._blobs: Dict[str, bytearray] = {}
+        #: written blobs stay ``bytes``, so a range read is one slice;
+        #: a blob becomes a ``bytearray`` on its first append
+        self._blobs: Dict[str, Union[bytes, bytearray]] = {}
         self._lock = threading.Lock()
 
     def write(self, name: str, data: bytes) -> None:
         with self._lock:
-            self._blobs[name] = bytearray(data)
+            self._blobs[name] = bytes(data)
 
     def append(self, name: str, data: bytes) -> None:
         with self._lock:
-            self._blobs.setdefault(name, bytearray()).extend(data)
+            blob = self._blobs.get(name)
+            if blob.__class__ is not bytearray:
+                blob = self._blobs[name] = bytearray(blob or b"")
+            blob += data
 
     def read(self, name: str) -> bytes:
         try:
@@ -73,10 +78,10 @@ class MemoryStorage(Storage):
 
     def read_range(self, name: str, offset: int, length: int) -> bytes:
         try:
-            blob = self._blobs[name]
+            data = self._blobs[name][offset : offset + length]
         except KeyError:
             raise StorageError(f"no such blob: {name}") from None
-        return bytes(blob[offset : offset + length])
+        return data if data.__class__ is bytes else bytes(data)
 
     def delete(self, name: str) -> None:
         self._blobs.pop(name, None)
