@@ -10,20 +10,20 @@ the crc32 partitioner shared with ``shard_trace``) into a real cluster:
 * :class:`ClusterConnector` -- the client: consistent-hash routing,
   cross-partition batch splitting, chain configuration, failover,
   online partition migration
-* :class:`ChaosConnector` / :func:`evaluate_cluster_recovery` -- fire a
+* :class:`ChaosHook` / :func:`evaluate_cluster_recovery` -- fire a
   :class:`~repro.faults.ClusterFaultPlan` mid-replay and report what
   clients actually observed (recovery time, lost-ack window, tail
   latency), like ``evaluate_crash_recovery`` does for one node
 """
 
-from .chaos import ChaosConnector, ClusterRecoveryResult, evaluate_cluster_recovery
+from .chaos import ChaosHook, ClusterRecoveryResult, evaluate_cluster_recovery
 from .config import ACK_LEVELS, ClusterConfig, load_cluster_config
 from .connector import ClusterConnector
 from .manager import ClusterNode, StoreCluster
 
 __all__ = [
     "ACK_LEVELS",
-    "ChaosConnector",
+    "ChaosHook",
     "ClusterConfig",
     "ClusterConnector",
     "ClusterNode",

@@ -1,14 +1,12 @@
 """Chaos harness: kill servers mid-replay, measure what clients observe.
 
-:class:`ChaosConnector` wraps a :class:`~repro.cluster.connector.
-ClusterConnector` and fires a :class:`~repro.faults.ClusterFaultPlan`'s
-actions at their logical-op offsets -- the same "op index" clock
-single-node fault schedules use, so a cluster plan is as reproducible
-as a crash plan.  :func:`evaluate_cluster_recovery` is the experiment:
-replay a trace against a cluster under a chaos plan and report recovery
-time, lost-ack window, and correctness against an uninterrupted
-single-node run, exactly the shape ``evaluate_crash_recovery`` gives
-one node.
+:class:`ChaosHook` fires a :class:`~repro.faults.ClusterFaultPlan`'s
+actions at their logical-op offsets, the clock single-node fault
+schedules use, so a cluster plan is as reproducible as a crash plan.
+:func:`evaluate_cluster_recovery` is the experiment: replay a trace
+against a cluster under a chaos plan and report recovery time, lost-ack
+window, and correctness against an uninterrupted single-node run,
+exactly the shape ``evaluate_crash_recovery`` gives one node.
 
 Kill policy, deliberately asymmetric:
 
@@ -30,8 +28,9 @@ if TYPE_CHECKING:  # pragma: no cover - cycle with repro.core
     from ..core.replayer import ReplayResult
 
 from ..faults.cluster import ClusterAction, ClusterFaultPlan
+from ..faults.gate import GatedConnector
 from ..faults.retry import RetryPolicy
-from ..kvstores.api import BatchOp, MergeOperator
+from ..kvstores.api import MergeOperator
 from ..kvstores.factory import create_connector
 from ..obs import tracing
 from ..trace import AccessTrace
@@ -40,14 +39,15 @@ from .connector import ClusterConnector
 from .manager import StoreCluster
 
 
-class ChaosConnector:
-    """Connector wrapper that fires cluster actions between ops.
-
-    Counts logical operations the way fault schedules do (a batch of N
-    counts N); every action with ``at <= ops_so_far`` fires immediately
-    before the next op is dispatched, so the schedule is a pure
-    function of the plan and the trace.
+class ChaosHook:
+    """The :class:`~repro.faults.GatedConnector` hook that fires cluster
+    actions: every action with ``at <= op_index`` fires at that op's
+    turn, after the ops before it executed (inside a batch too), so the
+    schedule is a pure function of the plan and the trace.  The draw of
+    an op by which an action falls due is the hook itself, and blocks.
     """
+
+    blocking = True
 
     def __init__(
         self,
@@ -58,8 +58,6 @@ class ChaosConnector:
         self._inner = inner
         self._cluster = cluster
         self._pending = deque(sorted(actions, key=lambda a: a.at))
-        self._ops = 0
-        self.name = inner.name
         #: (at, action, resolved node) per fired action
         self.executed: List[Tuple[int, str, str]] = []
         #: actions that could not fire (target already dead / no
@@ -74,10 +72,15 @@ class ChaosConnector:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _tick(self, count: int) -> None:
-        while self._pending and self._pending[0].at <= self._ops:
-            self._fire(self._pending.popleft())
-        self._ops += count
+    def draw(self, index: int) -> Optional["ChaosHook"]:
+        pending = self._pending
+        return self if pending and pending[0].at <= index else None
+
+    def turn(self, _draw: "ChaosHook", index: int) -> float:
+        pending = self._pending
+        while pending and pending[0].at <= index:
+            self._fire(pending.popleft(), index)
+        return 0.0
 
     def finish(self) -> None:
         """Mark never-reached actions as skipped (the trace ended
@@ -113,9 +116,9 @@ class ChaosConnector:
             raise ValueError(f"unknown role selector {target!r}")
         return target, self._cluster.node(target).partition
 
-    def _fire(self, action: ClusterAction) -> None:
+    def _fire(self, action: ClusterAction, at: int) -> None:
         name, partition = self._resolve(action)
-        record = (self._ops, action.action, name or action.target)
+        record = (at, action.action, name or action.target)
         if name is None:
             self.skipped.append(record)
             return
@@ -132,7 +135,7 @@ class ChaosConnector:
             self._cluster.kill(name)
             self.kills += 1
             tracing.instant(
-                "cluster.chaos_kill", server=name, at=self._ops, primary=is_primary
+                "cluster.chaos_kill", server=name, at=at, primary=is_primary
             )
             if not is_primary:
                 self._inner.repair_partition(partition)
@@ -143,130 +146,13 @@ class ChaosConnector:
             self._cluster.restart(name)
             self._inner.attach_replica(partition, name)
             self.restarts += 1
-            tracing.instant("cluster.chaos_restart", server=name, at=self._ops)
+            tracing.instant("cluster.chaos_restart", server=name, at=at)
         elif action.action == "isolate":
             self._inner.isolate(name)
             self.isolations += 1
         else:  # heal
             self._inner.heal(name)
         self.executed.append(record)
-
-    # -- connector surface ---------------------------------------------------
-
-    def get(self, key: bytes):
-        self._tick(1)
-        return self._inner.get(key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._tick(1)
-        self._inner.put(key, value)
-
-    def merge(self, key: bytes, operand: bytes) -> None:
-        self._tick(1)
-        self._inner.merge(key, operand)
-
-    def delete(self, key: bytes) -> None:
-        self._tick(1)
-        self._inner.delete(key)
-
-    def multi_get(self, keys: Sequence[bytes]):
-        self._tick(len(keys))
-        return self._inner.multi_get(keys)
-
-    def apply_batch(self, ops: Sequence[BatchOp]) -> None:
-        self._tick(len(ops))
-        self._inner.apply_batch(ops)
-
-    def take_background_ns(self) -> int:
-        return self._inner.take_background_ns()
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()
-
-    def pipeline(self, depth: int, on_complete):
-        """Pipelined session with the chaos clock at submit time.
-
-        Each submit ticks one logical op *before* the op enters the
-        window, so chaos actions fire at the same logical offsets as
-        synchronous replay -- a kill scheduled at op ``k`` lands while
-        ops ``< k`` may still be in flight, which is exactly the race a
-        real deployment exposes; the window's failover-driven replay of
-        those ops is part of what the experiment measures."""
-        return _ChaosPipeline(self, self._inner.pipeline(depth, on_complete))
-
-    # -- metrics surface (mirrors ClusterConnector so register_store
-    # finds the cluster gauges through the wrapper) --------------------------
-
-    @property
-    def failovers(self) -> int:
-        return self._inner.failovers
-
-    @property
-    def chain_repairs(self) -> int:
-        return self._inner.chain_repairs
-
-    @property
-    def _isolated(self):
-        return self._inner._isolated
-
-    def endpoints(self):
-        return self._inner.endpoints()
-
-    def reconnects_for(self, name: str) -> int:
-        return self._inner.reconnects_for(name)
-
-    @property
-    def inflight_depth(self) -> int:
-        return self._inner.inflight_depth
-
-    @property
-    def flush_coalesced_ops(self) -> int:
-        return self._inner.flush_coalesced_ops
-
-    @property
-    def pipeline_flushes(self) -> int:
-        return self._inner.pipeline_flushes
-
-
-class _ChaosPipeline:
-    """Ticks the chaos schedule per submit, then delegates."""
-
-    def __init__(self, chaos: ChaosConnector, inner) -> None:
-        self._chaos = chaos
-        self._inner = inner
-
-    @property
-    def depth(self) -> int:
-        return self._inner.depth
-
-    @property
-    def pending(self) -> int:
-        return self._inner.pending
-
-    @property
-    def flushes(self) -> int:
-        return self._inner.flushes
-
-    @property
-    def coalesced_ops(self) -> int:
-        return self._inner.coalesced_ops
-
-    def submit(self, opcode: int, key: bytes, value: bytes,
-               arrival_ns: int) -> None:
-        self._chaos._tick(1)
-        self._inner.submit(opcode, key, value, arrival_ns)
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def drain(self) -> None:
-        self._inner.drain()
-
-    def close(self) -> None:
-        self._inner.close()
 
 
 @dataclass
@@ -343,10 +229,10 @@ def evaluate_cluster_recovery(
     3. verify every unique key against the oracle and harvest the
        failure-handling counters.
 
-    The cluster replay gets *no* per-op fault plan or retry wrapper:
-    the :class:`ClusterConnector`'s failover loop is the retry layer
-    (bounded by ``retry_policy``), and wrapping it again would hide
-    failures the experiment exists to measure.
+    The cluster replay's gate carries the chaos hook and *no* fault
+    plan or retry policy: the :class:`ClusterConnector`'s failover loop
+    is the retry layer (bounded by ``retry_policy``), and wrapping it
+    again would hide failures the experiment exists to measure.
 
     Zero acked-write loss is expected only at ``ack=all``; weaker ack
     levels trade durability for latency, and the resulting mismatches
@@ -377,21 +263,21 @@ def evaluate_cluster_recovery(
 
     actions = chaos.schedule(config.partitions, len(trace)) if chaos else []
     cluster = StoreCluster(config, merge_operator, storage_root=storage_root)
-    target: Optional[ChaosConnector] = None
+    connector: Optional[ClusterConnector] = None
     try:
         connector = ClusterConnector(cluster, retry_policy=retry_policy)
-        target = ChaosConnector(connector, cluster, actions)
+        hook = ChaosHook(connector, cluster, actions)
 
         # 2. The chaos replay.
         with tracing.span("cluster.replay", ops=len(trace), chaos=len(actions)):
             replay = TraceReplayer(
-                target,
+                GatedConnector(connector, hook),
                 service_rate=service_rate,
                 batch_size=batch_size,
                 pipeline_depth=pipeline_depth,
                 telemetry=telemetry,
             ).replay(trace)
-        target.finish()
+        hook.finish()
 
         # replication lag over the *surviving* fleet (dead nodes report {})
         lag_ms = 0.0
@@ -417,22 +303,22 @@ def evaluate_cluster_recovery(
             chain_repairs=connector.chain_repairs,
             recovery_ms=max(connector.failover_ms) if connector.failover_ms else 0.0,
             failover_ms=list(connector.failover_ms),
-            lost_ack_window=target.lost_ack_window,
+            lost_ack_window=hook.lost_ack_window,
             replication_lag_ms=lag_ms,
-            kills=target.kills,
-            restarts=target.restarts,
-            isolations=target.isolations,
-            actions_executed=list(target.executed),
-            actions_skipped=list(target.skipped),
+            kills=hook.kills,
+            restarts=hook.restarts,
+            isolations=hook.isolations,
+            actions_executed=list(hook.executed),
+            actions_skipped=list(hook.skipped),
             keys_checked=keys_checked,
             mismatches=mismatches,
             recovered_ok=verify and mismatches == 0,
             replay=replay,
         )
     finally:
-        if target is not None:
+        if connector is not None:
             try:
-                target.close()
+                connector.close()
             except Exception:
                 pass
         cluster.stop()

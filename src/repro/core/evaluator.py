@@ -48,7 +48,7 @@ class EvaluationRow:
     p99_us: float
     p999_us: float
     # -- robustness columns (faulted and crash-recovery runs) --------------
-    #: faults the injector fired during the replay
+    #: faults the fault plan fired during the replay
     injected_faults: int = 0
     #: retry attempts the policy spent absorbing them
     retries: int = 0

@@ -13,7 +13,7 @@ Two replay engines live here:
   opcode, so the hot loop allocates no
   :class:`~repro.trace.StateAccess` objects and performs no enum
   comparisons; a batch size or pipeline depth sends each op to a window
-  instead.  Fault plans and retry policies wrap the connector, and the
+  instead.  Fault plans and retry policies gate the connector, and the
   walk's one pair of fault handlers sits outside the per-op loop.
 * :class:`ShardedReplayer` -- hash-partitions a trace by key across N
   worker threads, each driving its own store connector (or all sharing
@@ -34,8 +34,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Union
 from zlib import crc32
 
 from ..faults.errors import InjectedCrash, TransientStoreError
-from ..faults.injector import FaultInjectingConnector
-from ..faults.retry import RetryingConnector
+from ..faults.gate import GatedConnector
 from ..kvstores.connectors import StoreConnector
 from ..obs import tracing as _tracing
 from ..trace import AccessTrace, OpType, OPS_BY_CODE
@@ -73,7 +72,7 @@ class ReplayResult:
     failed_ops: int = 0
     #: retry attempts performed by the retry policy
     retries: int = 0
-    #: faults the injector actually fired (errors + spikes + stalls)
+    #: faults the gate actually fired (errors + spikes + stalls)
     injected_faults: int = 0
     #: total injected latency, in seconds
     injected_delay_s: float = 0.0
@@ -326,9 +325,9 @@ class _BatchWindow:
     then propagates.
     """
 
-    def __init__(self, target, depth: int, injector, op_codes, sink, count) -> None:
+    def __init__(self, target, depth: int, gate, op_codes, sink, count) -> None:
         self._target = target
-        self._injector = injector
+        self._gate = gate
         self._sink = sink
         self._count = count
         self._trace_on = _tracing.active() is not None
@@ -356,7 +355,7 @@ class _BatchWindow:
         stamps = self._stamps
         if not stamps:
             return
-        injector = self._injector
+        gate = self._gate
         batch = self._batch
         start = self._start
         self._start = start + len(stamps)
@@ -377,17 +376,17 @@ class _BatchWindow:
                     send(batch)
                 break
             except InjectedCrash as exc:
-                if injector is None:
+                if gate is None or gate.hook is None:
                     raise
                 crash = exc
                 # members before the crash were applied: keep their samples
                 del stamps[exc.op_index - start:]
                 break
             except TransientStoreError:
-                if injector is None:
+                if gate is None or gate.hook is None:
                     raise
                 self.failed_ops += 1
-                member = injector.abandon_op()
+                member = gate.abandon_op()
                 if member is not None:
                     if abandoned is None:
                         abandoned = []
@@ -471,16 +470,17 @@ class TraceReplayer:
         #: stores allocate).
         self.disable_gc = disable_gc
         #: :class:`~repro.faults.FaultPlan` applied to every operation
-        #: (a fresh schedule per replay) by an injector inside the retry
-        #: layer.  An op still failing after retries counts in
-        #: ``failed_ops`` and is abandoned; an injected crash stops the
-        #: replay with the ops before it applied (``crashed_at``).  Only
-        #: this injector's faults count: without a plan they propagate
-        #: like any other error -- a dead store should fail the run.
+        #: (a fresh schedule per replay) by the replay's
+        #: :class:`~repro.faults.GatedConnector`.  An op still failing
+        #: after retries counts in ``failed_ops`` and is abandoned; an
+        #: injected crash stops the replay with the ops before it
+        #: applied (``crashed_at``).  Only this schedule's faults count:
+        #: without a plan they propagate like any other error -- a dead
+        #: store should fail the run.
         self.fault_plan = fault_plan
-        #: :class:`~repro.faults.RetryPolicy` absorbing transient
-        #: (injected or remote) failures, with retries counted in the
-        #: result.
+        #: :class:`~repro.faults.RetryPolicy` the same gate retries
+        #: transient (injected or remote) failures under, with retries
+        #: counted in the result.
         self.retry_policy = retry_policy
         #: optional :class:`~repro.obs.ReplayTelemetry`; when set,
         #: :meth:`replay` records the run (trace spans, metrics
@@ -521,18 +521,19 @@ class TraceReplayer:
                 gc.enable()
 
     def _guarded_target(self):
-        """``(retry(faults(connector)), injector, retrier)``, either
-        layer ``None`` when unset (both unset: the bare connector),
-        reported to the session's progress."""
-        target = self.connector
-        injector = retrier = None
-        if self.fault_plan is not None:
-            target = injector = FaultInjectingConnector(target, self.fault_plan)
-        if self.retry_policy is not None:
-            target = retrier = RetryingConnector(target, self.retry_policy)
+        """``(target, gate)``: with a fault plan or retry policy set,
+        both are one :class:`GatedConnector` carrying them (reported to
+        the session's progress); otherwise the bare connector and
+        ``None``."""
+        plan, policy = self.fault_plan, self.retry_policy
+        if plan is None and policy is None:
+            return self.connector, None
+        gate = GatedConnector(
+            self.connector, plan.schedule() if plan is not None else None, policy
+        )
         if self._progress is not None:
-            self._progress.attach_fault_sources(injector, retrier)
-        return target, injector, retrier
+            self._progress.attach_fault_sources(gate)
+        return gate, gate
 
     def _walk(self, trace: AccessTrace) -> ReplayResult:
         """The one replay walk, for every mode.
@@ -551,7 +552,7 @@ class TraceReplayer:
         An injected crash at op ``k`` ends the walk and the window is
         still drained, so every mode leaves the ops before ``k`` applied.
         """
-        target, injector, retrier = self._guarded_target()
+        target, gate = self._guarded_target()
         # Flushes/compactions/write-backs run on background threads in
         # the real stores; exclude their inline cost from the
         # client-observed latency (throughput still includes it).
@@ -568,7 +569,7 @@ class TraceReplayer:
         window = batch = None
         if (self.batch_size or 1) > 1:
             window = batch = _BatchWindow(
-                target, self.batch_size, injector, trace.op_codes,
+                target, self.batch_size, gate, trace.op_codes,
                 sink if measure else None,
                 progress.count if progress is not None else None,
             )
@@ -663,13 +664,13 @@ class TraceReplayer:
                                         delete(key)
                             break
                         except TransientStoreError:
-                            if injector is None:
+                            if gate is None or gate.hook is None:
                                 raise
                             failed_ops += 1
-                            injector.abandon_op()
+                            gate.abandon_op()
                     fold()
             except InjectedCrash as crash:
-                if injector is None:
+                if gate is None or gate.hook is None:
                     raise
                 crashed_at = operations = crash.op_index
             if window is not None:
@@ -686,9 +687,9 @@ class TraceReplayer:
             latencies_ns=latencies,
             histograms=histograms,
             failed_ops=failed_ops,
-            retries=retrier.retries if retrier is not None else 0,
-            injected_faults=injector.injected.total_faults if injector is not None else 0,
-            injected_delay_s=injector.injected.injected_delay_s if injector is not None else 0.0,
+            retries=gate.retries if gate is not None else 0,
+            injected_faults=gate.injected.total_faults if gate is not None else 0,
+            injected_delay_s=gate.injected.injected_delay_s if gate is not None else 0.0,
             crashed_at=crashed_at,
         )
 

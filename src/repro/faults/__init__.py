@@ -5,9 +5,10 @@ package supplies the machinery the happy-path harness lacks:
 
 * :class:`FaultPlan` / :class:`FaultSchedule` -- deterministic, seeded
   schedules of transient errors, latency spikes, stalls, and crashes
-* :class:`FaultInjectingConnector` -- applies a plan to any connector
-* :class:`RetryPolicy` / :class:`RetryingConnector` -- bounded retries
-  with exponential backoff + jitter and a per-op deadline
+* :class:`RetryPolicy` -- bounded retries with exponential backoff +
+  jitter and a per-op deadline
+* :class:`GatedConnector` -- applies a schedule (or any hook) and a
+  retry policy to any connector
 * :func:`evaluate_crash_recovery` -- kill an LSM-family store
   mid-replay, time ``recover()``, and verify contents against an
   uninterrupted run
@@ -29,7 +30,7 @@ from .corruption import (
     tear_blob,
 )
 from .errors import FaultInjectionError, InjectedCrash, TransientStoreError
-from .injector import FaultInjectingConnector, FaultStats
+from .gate import FaultStats, GatedConnector
 from .plan import FaultPlan, FaultSchedule, OpFaults, load_fault_plan
 from .recovery import (
     RECOVERABLE_STORES,
@@ -38,7 +39,7 @@ from .recovery import (
     crash_recovery_matrix,
     evaluate_crash_recovery,
 )
-from .retry import RetryPolicy, RetryingConnector
+from .retry import RetryPolicy
 
 __all__ = [
     "CLUSTER_ACTIONS",
@@ -49,16 +50,15 @@ __all__ = [
     "DiskFaultPlan",
     "DiskFaultStats",
     "DiskFullError",
-    "FaultInjectingConnector",
     "FaultInjectionError",
     "FaultPlan",
     "FaultSchedule",
     "FaultStats",
+    "GatedConnector",
     "InjectedCrash",
     "OpFaults",
     "RECOVERABLE_STORES",
     "RetryPolicy",
-    "RetryingConnector",
     "TransientStoreError",
     "check_recoverable",
     "crash_recovery_matrix",

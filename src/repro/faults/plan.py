@@ -21,6 +21,7 @@ from typing import Iterator, List, Optional, Union
 
 from .cluster import ClusterFaultPlan
 from .corruption import DiskFaultPlan
+from .errors import InjectedCrash, TransientStoreError
 
 
 @dataclass(frozen=True)
@@ -37,6 +38,18 @@ class OpFaults:
     @property
     def any(self) -> bool:
         return bool(self.transient_errors or self.delay_s or self.crash)
+
+    @property
+    def blocking(self) -> bool:
+        """The op needs a turn of its own (it may raise); a draw that
+        only delays can join a batch run."""
+        return bool(self.transient_errors or self.crash)
+
+
+#: what :meth:`FaultSchedule.next_op` returns for every op nothing
+#: happens to (the gate's :meth:`FaultSchedule.draw` returns ``None``)
+_CLEAN = OpFaults()
+_CRASH = OpFaults(crash=True)
 
 
 @dataclass(frozen=True)
@@ -155,30 +168,30 @@ class FaultPlan:
 
 
 class FaultSchedule:
-    """Streaming view of a plan's per-operation fault decisions.
+    """A plan's per-operation fault decisions: the fault hook of a
+    :class:`~repro.faults.gate.GatedConnector`.
 
     Decisions are drawn in operation order from ``Random(plan.seed)``,
-    so the sequence is fully determined by the plan.  Retried
-    operations must *not* advance the schedule -- the injector calls
-    :meth:`next_op` once per logical operation.
+    so the sequence is fully determined by the plan.  The gate draws
+    once per logical operation (:meth:`draw`) and takes the op's
+    :meth:`turn` before each attempt; :meth:`next_op` is the same
+    sequence for inspection, drawn by the schedule's own cursor.
     """
 
     def __init__(self, plan: FaultPlan) -> None:
         self.plan = plan
         self._rng = random.Random(plan.seed)
-        self._index = 0
+        self._cursor = 0
+        #: op whose transient-error burst is being spent, and what is left
+        self._burst_at = -1
+        self._burst_left = 0
 
-    @property
-    def index(self) -> int:
-        """Index of the next logical operation."""
-        return self._index
-
-    def next_op(self) -> OpFaults:
+    def draw(self, index: int) -> Optional[OpFaults]:
+        """The faults of logical op ``index`` (``None`` when there are
+        none).  Must be called once per op, in op order."""
         plan = self.plan
-        index = self._index
-        self._index = index + 1
-        if plan.crash_at is not None and index == plan.crash_at:
-            return OpFaults(crash=True)
+        if index == plan.crash_at:
+            return _CRASH
         rng = self._rng
         transient = 0
         if plan.transient_error_rate and rng.random() < plan.transient_error_rate:
@@ -188,7 +201,32 @@ class FaultSchedule:
             delay_s += plan.latency_spike_ms / 1000.0
         if plan.stall_every and index and index % plan.stall_every == 0:
             delay_s += plan.stall_ms / 1000.0
-        return OpFaults(transient_errors=transient, delay_s=delay_s)
+        if transient or delay_s:
+            return OpFaults(transient_errors=transient, delay_s=delay_s)
+        return None
+
+    def turn(self, faults: OpFaults, index: int) -> float:
+        """Op ``index``'s turn: raise its crash, or one error of its
+        burst per attempt until the burst is spent; then return its
+        delay."""
+        if faults.crash:
+            raise InjectedCrash(index)
+        if faults.transient_errors:
+            if index != self._burst_at:
+                self._burst_at = index
+                self._burst_left = faults.transient_errors
+            if self._burst_left:
+                self._burst_left -= 1
+                raise TransientStoreError(
+                    f"injected transient error (op {index})", index
+                )
+        return faults.delay_s
+
+    def next_op(self) -> OpFaults:
+        index = self._cursor
+        self._cursor = index + 1
+        faults = self.draw(index)
+        return _CLEAN if faults is None else faults
 
     def __iter__(self) -> Iterator[OpFaults]:
         while True:

@@ -1,14 +1,14 @@
 """Bounded retries with exponential backoff and jitter.
 
-:class:`RetryPolicy` is the single retry mechanism of the harness: the
-replayer wraps connectors with :class:`RetryingConnector` to absorb
+:class:`RetryPolicy` is the single retry mechanism of the harness: a
+:class:`~repro.faults.gate.GatedConnector` runs its loop to absorb
 injected transient errors, and :class:`~repro.kvstores.remote.RemoteStoreClient`
 uses the same policy to reconnect after socket timeouts.  Delays grow
 exponentially (``base * multiplier**attempt``), are capped at
 ``max_delay_s``, and carry proportional jitter so synchronized clients
 do not retry in lockstep.  A ``seed`` makes the jitter deterministic
-for tests; an ``op_timeout_s`` bounds the total time (sleeps included)
-one logical operation may consume before the last error is re-raised.
+for tests; an ``op_timeout_s`` bounds the time (sleeps included) one
+logical operation may spend retrying before the last error is re-raised.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Tuple, Type
 
-from ..obs import tracing
 from .errors import TransientStoreError
 
 
@@ -32,7 +31,7 @@ class RetryPolicy:
     max_delay_s: float = 0.25
     #: fraction of the delay added/removed at random (0 disables)
     jitter: float = 0.25
-    #: total wall-clock budget per operation, sleeps included
+    #: wall-clock budget per operation from its first failure, sleeps included
     op_timeout_s: Optional[float] = None
     #: seed for deterministic jitter (None -> nondeterministic)
     seed: Optional[int] = None
@@ -74,207 +73,49 @@ class RetryPolicy:
         sleep: Callable[[float], None] = time.sleep,
         clock: Callable[[], float] = time.monotonic,
         on_retry: Optional[Callable[[int, BaseException], None]] = None,
+        failed: Optional[BaseException] = None,
     ):
         """Invoke ``fn(*args)``, retrying on the configured errors.
 
         ``on_retry(attempt, error)`` fires before each backoff sleep;
         callers use it to count retries or reconnect a transport.
+        ``failed`` is the error of a first attempt the caller already
+        made, so a caller pays for this loop only once an op fails.
         Non-retryable exceptions propagate immediately; the final
         retryable error is re-raised once attempts or the per-op
         deadline are exhausted.
+
+        The budget (attempts, and the deadline counted from the first
+        failure) belongs to one logical op: it starts afresh whenever a retryable error names a different
+        ``op_index`` than the one before (a resumable batch call
+        failing at its next member), so a batch gets as far as per-op
+        calls would.  Errors without an ``op_index`` share one budget.
         """
         retryable = retry_on if retry_on is not None else self.retry_on
-        deadline = (
-            clock() + self.op_timeout_s if self.op_timeout_s is not None else None
-        )
-        delays = self.base_delays()
+        timeout = self.op_timeout_s
+        error = failed
+        op_index = delays = deadline = None
         attempt = 0
         while True:
-            try:
-                return fn(*args)
-            except retryable as error:
-                attempt += 1
+            if error is None:
                 try:
-                    delay = self._jittered(next(delays))
-                except StopIteration:
-                    raise error
-                if deadline is not None and clock() + delay > deadline:
-                    raise error
-                if on_retry is not None:
-                    on_retry(attempt, error)
-                if delay:
-                    sleep(delay)
-
-
-class RetryingConnector:
-    """Connector facade that retries each operation under a policy.
-
-    Wraps any connector-shaped object (including
-    :class:`~repro.faults.injector.FaultInjectingConnector` and
-    :class:`~repro.kvstores.remote.RemoteStoreClient`) and counts the
-    retries and give-ups it performed, so replay results can report
-    how hard the store had to be driven to get through the fault
-    schedule.
-    """
-
-    def __init__(
-        self,
-        inner,
-        policy: RetryPolicy,
-        retry_on: Optional[Tuple[Type[BaseException], ...]] = None,
-        sleep: Callable[[float], None] = time.sleep,
-    ) -> None:
-        self._inner = inner
-        self._policy = policy
-        self._retry_on = retry_on
-        self._sleep = sleep
-        self.retries = 0
-        self.giveups = 0
-        self.name = inner.name
-
-    @property
-    def inner(self):
-        return self._inner
-
-    def _call(self, fn, *args):
-        def count(attempt: int, error: BaseException) -> None:
-            self.retries += 1
-            tracing.instant(
-                "retry.attempt", attempt=attempt, error=type(error).__name__
-            )
-
-        try:
-            return self._policy.call(
-                fn, *args, retry_on=self._retry_on, sleep=self._sleep, on_retry=count
-            )
-        except BaseException:
-            self.giveups += 1
-            raise
-
-    # -- connector API -------------------------------------------------------
-
-    def get(self, key: bytes):
-        return self._call(self._inner.get, key)
-
-    def put(self, key: bytes, value: bytes) -> None:
-        self._call(self._inner.put, key, value)
-
-    def merge(self, key: bytes, operand: bytes) -> None:
-        self._call(self._inner.merge, key, operand)
-
-    def delete(self, key: bytes) -> None:
-        self._call(self._inner.delete, key)
-
-    def _call_batch(self, fn, arg):
-        """Retry a resumable batch call with a per-member budget.
-
-        A batch call re-raises for each faulting member in turn; under
-        the plain :meth:`_call` the whole batch would share one
-        ``max_attempts`` budget, so large batches would give up where
-        per-op replay retries through.  Here the budget (attempts and
-        per-op deadline) resets whenever the faulting member changes
-        (identified by the error's ``op_index``), which makes batched
-        fault tolerance identical to per-op replay.  Errors without an
-        ``op_index`` (e.g. a remote transport failure) keep the shared
-        whole-call budget.
-        """
-        policy = self._policy
-        retryable = self._retry_on if self._retry_on is not None else policy.retry_on
-        clock = time.monotonic
-        member: object = None
-        delays = None
-        deadline: Optional[float] = None
-        while True:
-            try:
-                return fn(arg)
-            except retryable as error:
-                error_member = getattr(error, "op_index", None)
-                if delays is None or (
-                    error_member is not None and error_member != member
-                ):
-                    member = error_member
-                    delays = policy.base_delays()
-                    deadline = (
-                        clock() + policy.op_timeout_s
-                        if policy.op_timeout_s is not None
-                        else None
-                    )
-                try:
-                    delay = policy._jittered(next(delays))
-                except StopIteration:
-                    self.giveups += 1
-                    raise error
-                if deadline is not None and clock() + delay > deadline:
-                    self.giveups += 1
-                    raise error
-                self.retries += 1
-                tracing.instant(
-                    "retry.attempt",
-                    member=error_member,
-                    error=type(error).__name__,
-                )
-                if delay:
-                    self._sleep(delay)
-
-    def multi_get(self, keys):
-        return self._call_batch(self._inner.multi_get, keys)
-
-    def apply_batch(self, ops) -> None:
-        self._call_batch(self._inner.apply_batch, ops)
-
-    def take_background_ns(self) -> int:
-        return self._inner.take_background_ns()
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def close(self) -> None:
-        self._inner.close()
-
-    def pipeline(self, depth: int, on_complete):
-        """Pipelined session with per-submit retries.
-
-        Injected faults fire at submit time (before the op enters the
-        inner window -- see ``FaultInjectingConnector.pipeline``), so
-        retrying ``submit`` under the policy never double-enqueues an
-        op.  ``flush``/``drain`` pass through unguarded: a remote
-        window's transport recovery already runs under the client's own
-        retry policy, and nesting budgets would retry forever."""
-        return _RetryingPipeline(self, self._inner.pipeline(depth, on_complete))
-
-
-class _RetryingPipeline:
-    """Retries each submit under the owner's policy, then delegates."""
-
-    def __init__(self, retrier: RetryingConnector, inner) -> None:
-        self._retrier = retrier
-        self._inner = inner
-
-    @property
-    def depth(self) -> int:
-        return self._inner.depth
-
-    @property
-    def pending(self) -> int:
-        return self._inner.pending
-
-    @property
-    def flushes(self) -> int:
-        return self._inner.flushes
-
-    @property
-    def coalesced_ops(self) -> int:
-        return self._inner.coalesced_ops
-
-    def submit(self, opcode: int, key: bytes, value: bytes,
-               arrival_ns: int) -> None:
-        self._retrier._call(self._inner.submit, opcode, key, value, arrival_ns)
-
-    def flush(self) -> None:
-        self._inner.flush()
-
-    def drain(self) -> None:
-        self._inner.drain()
-
-    def close(self) -> None:
-        self._inner.close()
+                    return fn(*args)
+                except retryable as exc:
+                    error = exc
+            failing = getattr(error, "op_index", None)
+            if delays is None or (failing is not None and failing != op_index):
+                op_index = failing
+                delays = self.base_delays()
+                deadline = clock() + timeout if timeout is not None else None
+            attempt += 1
+            delay = next(delays, None)
+            if delay is None:
+                raise error
+            delay = self._jittered(delay)
+            if deadline is not None and clock() + delay > deadline:
+                raise error
+            if on_retry is not None:
+                on_retry(attempt, error)
+            if delay:
+                sleep(delay)
+            error = None

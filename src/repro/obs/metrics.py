@@ -248,9 +248,10 @@ class ReplayProgress:
 
     ``record`` is called once per measured operation with its latency;
     the lock keeps the ops counter and interval histogram consistent
-    when sharded workers share one progress object.  Fault sources
-    (injector, retrier) attach themselves so the sampler can report
-    live fault counts without touching the replay loop.
+    when sharded workers share one progress object.  Each replay's
+    :class:`~repro.faults.GatedConnector` attaches itself so the
+    sampler can report live fault counts without touching the replay
+    loop.
     """
 
     __slots__ = (
@@ -270,7 +271,7 @@ class ReplayProgress:
         self._histogram_cls = LatencyHistogram
         self._interval = LatencyHistogram()
         self._lock = threading.Lock()
-        self._fault_sources: List[Tuple[Any, Any]] = []
+        self._fault_sources: List[Any] = []
 
     def record(self, elapsed_ns: int) -> None:
         with self._lock:
@@ -289,22 +290,16 @@ class ReplayProgress:
             self._interval = self._histogram_cls()
             return self.ops, interval
 
-    def attach_fault_sources(self, injector, retrier) -> None:
+    def attach_fault_sources(self, gate) -> None:
         with self._lock:
-            self._fault_sources.append((injector, retrier))
+            self._fault_sources.append(gate)
 
     def fault_counts(self) -> Tuple[int, int]:
-        """(faults injected, retries spent) across attached sources."""
-        faults = 0
-        retries = 0
+        """(faults injected, retries spent) across attached gates."""
         with self._lock:
-            sources = list(self._fault_sources)
-        for injector, retrier in sources:
-            if injector is not None:
-                faults += injector.injected.total_faults
-            if retrier is not None:
-                retries += retrier.retries
-        return faults, retries
+            gates = list(self._fault_sources)
+        faults = sum(gate.injected.total_faults for gate in gates)
+        return faults, sum(gate.retries for gate in gates)
 
 
 class Sampler:

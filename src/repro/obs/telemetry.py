@@ -78,8 +78,14 @@ class ReplayTelemetry:
         sampler: Optional[Sampler] = None
         view: Optional[ProgressView] = None
         if self.wants_progress:
+            from ..faults.gate import GatedConnector  # deferred: cycle
+
             registry = MetricsRegistry()
-            register_store(registry, connector)
+            # the gauges are the gated connector's, not the gate's
+            register_store(
+                registry,
+                connector.inner if isinstance(connector, GatedConnector) else connector,
+            )
             progress = ReplayProgress(total_ops)
             if self.progress_stream is not None:
                 view = ProgressView(self.progress_stream, store=name)

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.cluster import (
-    ChaosConnector,
+    ChaosHook,
     ClusterConfig,
     ClusterConnector,
     StoreCluster,
@@ -16,7 +16,14 @@ from repro.core import (
     SourceConfig,
     generate_workload_trace,
 )
-from repro.faults import ClusterAction, ClusterFaultPlan, FaultPlan, RetryPolicy
+from repro.faults import (
+    ClusterAction,
+    ClusterFaultPlan,
+    FaultPlan,
+    GatedConnector,
+    RetryPolicy,
+)
+from repro.obs import ReplayTelemetry, read_series
 
 FAST_RETRY = RetryPolicy(max_attempts=5, base_delay_s=0.0, jitter=0.0)
 
@@ -85,13 +92,14 @@ class TestChaosConnector:
         )
         with StoreCluster(config) as cluster:
             with ClusterConnector(cluster, retry_policy=FAST_RETRY) as inner:
-                chaos = ChaosConnector(inner, cluster, plan.schedule(2, 100))
+                hook = ChaosHook(inner, cluster, plan.schedule(2, 100))
+                chaos = GatedConnector(inner, hook)
                 for i in range(10):  # ops 0..9: before the offset
                     chaos.put(b"k%02d" % i, b"v")
-                assert chaos.kills == 0
+                assert hook.kills == 0
                 chaos.put(b"k10", b"v")  # op index 10: fires first
-                assert chaos.kills == 1
-                assert chaos.executed[0][1] == "kill"
+                assert hook.kills == 1
+                assert hook.executed[0][1] == "kill"
                 chaos.close()
 
     def test_finish_skips_unreached_actions(self):
@@ -101,11 +109,12 @@ class TestChaosConnector:
         )
         with StoreCluster(config) as cluster:
             with ClusterConnector(cluster, retry_policy=FAST_RETRY) as inner:
-                chaos = ChaosConnector(inner, cluster, plan.schedule(2, 20_000))
+                hook = ChaosHook(inner, cluster, plan.schedule(2, 20_000))
+                chaos = GatedConnector(inner, hook)
                 chaos.put(b"k", b"v")
-                chaos.finish()
-                assert chaos.kills == 0
-                assert len(chaos.skipped) == 1
+                hook.finish()
+                assert hook.kills == 0
+                assert len(hook.skipped) == 1
                 chaos.close()
 
 
@@ -194,6 +203,67 @@ class TestEvaluateClusterRecovery:
         assert result.replay.operations == len(trace)
         assert result.mismatches >= 0  # honest accounting, no assertion of 0
         assert result.recovered_ok == (result.mismatches == 0)
+
+
+class TestActionsAcrossModes:
+    """A chaos action fires at its planned op offset in every replay
+    mode: inside a batch it waits only for the members before it."""
+
+    def test_batch_and_pipeline_fire_where_sync_does(self):
+        trace = generate_workload_trace(
+            "sliding-holistic", [SourceConfig(num_events=2_000, seed=9)]
+        )
+        chaos = ClusterFaultPlan(
+            actions=(
+                ClusterAction(at=1_001, action="kill", target="replica:0"),
+                ClusterAction(at=2_003, action="kill", target="primary:1"),
+                ClusterAction(at=3_007, action="kill", target="replica:2"),
+            )
+        )
+        executed = {}
+        for mode, options in (
+            ("sync", {}),
+            ("batch", {"batch_size": 16}),
+            ("pipeline", {"pipeline_depth": 8}),
+        ):
+            result = evaluate_cluster_recovery(
+                trace, partitions=3, replicas=1, ack="all",
+                chaos=chaos, retry_policy=FAST_RETRY, **options,
+            )
+            assert result.mismatches == 0, mode
+            executed[mode] = result.actions_executed
+        assert [at for at, _, _ in executed["sync"]] == [1_001, 2_003, 3_007]
+        assert executed["batch"] == executed["sync"]
+        assert executed["pipeline"] == executed["sync"]
+
+
+class TestChaosTelemetry:
+    def test_cluster_gauges_reach_the_series(self, trace, tmp_path):
+        """The telemetry session registers the cluster connector under
+        the chaos gate, so its failover and reconnect gauges sample."""
+        metrics_path = str(tmp_path / "chaos.jsonl")
+        chaos = ClusterFaultPlan(
+            actions=(
+                ClusterAction(at=len(trace) // 2, action="kill", target="primary:1"),
+            )
+        )
+        result = evaluate_cluster_recovery(
+            trace, partitions=3, replicas=1, ack="all", chaos=chaos,
+            retry_policy=FAST_RETRY,
+            telemetry=ReplayTelemetry(metrics_path=metrics_path),
+        )
+        assert result.recovered_ok
+        _header, samples = read_series(metrics_path)
+        gauges = samples[-1]["gauges"]
+        assert gauges["cluster.failovers"] >= 1
+        assert "cluster.chain_repairs" in gauges
+        assert "cluster.isolated" in gauges
+        nodes = [f"p{p}r{r}" for p in range(3) for r in range(2)]
+        reconnects = sorted(
+            name for name in gauges
+            if name.startswith("cluster.") and name.endswith(".reconnects")
+        )
+        assert reconnects == sorted(f"cluster.{node}.reconnects" for node in nodes)
 
 
 class TestEvaluatorIntegration:

@@ -15,7 +15,7 @@ import pytest
 from repro.core import TraceReplayer
 from repro.faults import FaultPlan, RetryPolicy
 from repro.faults.errors import InjectedCrash, TransientStoreError
-from repro.faults.injector import FaultInjectingConnector
+from repro.faults.gate import GatedConnector
 from repro.kvstores import create_connector
 from repro.obs import ReplayTelemetry, read_series
 from repro.trace import AccessTrace, OpType
@@ -135,8 +135,8 @@ class TestCallerBuiltInjector:
     @pytest.mark.parametrize("loop", ["per-op", "batched", "pipelined"])
     def test_transient_error_propagates(self, trace, loop, policy):
         plan = FaultPlan(seed=1, transient_error_rate=0.05, error_burst=10)
-        connector = FaultInjectingConnector(
-            create_connector("memory"), plan, sleep=lambda _: None
+        connector = GatedConnector(
+            create_connector("memory"), plan.schedule(), sleep=lambda _: None
         )
         replayer = TraceReplayer(connector, retry_policy=policy, **LOOPS[loop])
         with pytest.raises(TransientStoreError):
@@ -145,8 +145,8 @@ class TestCallerBuiltInjector:
     @pytest.mark.parametrize("policy", [None, RETRY], ids=["bare", "retry-only"])
     @pytest.mark.parametrize("loop", ["per-op", "batched", "pipelined"])
     def test_crash_propagates(self, trace, loop, policy):
-        connector = FaultInjectingConnector(
-            create_connector("memory"), FaultPlan(crash_at=100)
+        connector = GatedConnector(
+            create_connector("memory"), FaultPlan(crash_at=100).schedule()
         )
         replayer = TraceReplayer(connector, retry_policy=policy, **LOOPS[loop])
         with pytest.raises(InjectedCrash):

@@ -4,8 +4,8 @@ import pytest
 
 from repro.core import SourceConfig, TraceReplayer, generate_workload_trace
 from repro.faults import (
-    FaultInjectingConnector,
     FaultPlan,
+    GatedConnector,
     InjectedCrash,
     RetryPolicy,
     TransientStoreError,
@@ -27,8 +27,8 @@ def trace():
 class TestInjection:
     def test_transient_error_raised_then_op_succeeds(self):
         plan = FaultPlan(seed=1, transient_error_rate=1.0, error_burst=2)
-        connector = FaultInjectingConnector(
-            connect(InMemoryStore()), plan, sleep=no_sleep
+        connector = GatedConnector(
+            connect(InMemoryStore()), plan.schedule(), sleep=no_sleep
         )
         with pytest.raises(TransientStoreError):
             connector.put(b"k", b"v")
@@ -45,8 +45,8 @@ class TestInjection:
         plan = FaultPlan(
             seed=2, transient_error_rate=0.5, error_burst=2, crash_at=40
         )
-        connector = FaultInjectingConnector(
-            connect(InMemoryStore()), plan, sleep=no_sleep
+        connector = GatedConnector(
+            connect(InMemoryStore()), plan.schedule(), sleep=no_sleep
         )
         executed = 0
         with pytest.raises(InjectedCrash) as excinfo:
@@ -63,8 +63,8 @@ class TestInjection:
 
     def test_crash_is_sticky(self):
         plan = FaultPlan(seed=0, crash_at=0)
-        connector = FaultInjectingConnector(
-            connect(InMemoryStore()), plan, sleep=no_sleep
+        connector = GatedConnector(
+            connect(InMemoryStore()), plan.schedule(), sleep=no_sleep
         )
         for _ in range(3):
             with pytest.raises(InjectedCrash):
@@ -73,8 +73,8 @@ class TestInjection:
     def test_latency_spikes_sleep_and_are_counted(self):
         plan = FaultPlan(seed=3, latency_spike_rate=1.0, latency_spike_ms=2.0)
         slept = []
-        connector = FaultInjectingConnector(
-            connect(InMemoryStore()), plan, sleep=slept.append
+        connector = GatedConnector(
+            connect(InMemoryStore()), plan.schedule(), sleep=slept.append
         )
         for i in range(10):
             connector.put(f"k{i}".encode(), b"v")

@@ -3,10 +3,9 @@
 import pytest
 
 from repro.faults import (
-    FaultInjectingConnector,
     FaultPlan,
+    GatedConnector,
     RetryPolicy,
-    RetryingConnector,
     TransientStoreError,
 )
 from repro.kvstores import InMemoryStore, connect
@@ -111,14 +110,14 @@ class TestRetryingConnector:
     def _faulted_connector(self, plan):
         store = InMemoryStore()
         inner = connect(store)
-        injector = FaultInjectingConnector(inner, plan, sleep=no_sleep)
+        injector = GatedConnector(inner, plan.schedule(), sleep=no_sleep)
         return store, injector
 
     def test_retries_absorb_bursts_and_contents_match_unfaulted_run(self):
         plan = FaultPlan(seed=21, transient_error_rate=0.3, error_burst=2)
         store, injector = self._faulted_connector(plan)
         policy = RetryPolicy(max_attempts=4, base_delay_s=0.0)
-        connector = RetryingConnector(injector, policy, sleep=no_sleep)
+        connector = GatedConnector(injector, retry=policy, sleep=no_sleep)
         for i in range(500):
             connector.put(f"k{i % 50}".encode(), f"v{i}".encode())
         # Every write eventually landed, despite the injected bursts.
@@ -132,7 +131,7 @@ class TestRetryingConnector:
         plan = FaultPlan(seed=21, transient_error_rate=0.5, error_burst=5)
         _, injector = self._faulted_connector(plan)
         policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-        connector = RetryingConnector(injector, policy, sleep=no_sleep)
+        connector = GatedConnector(injector, retry=policy, sleep=no_sleep)
         failures = 0
         for i in range(100):
             try:
@@ -145,7 +144,7 @@ class TestRetryingConnector:
     def test_passthrough_of_reads_and_background_accounting(self):
         store, injector = self._faulted_connector(FaultPlan(seed=1))
         policy = RetryPolicy(max_attempts=2, base_delay_s=0.0)
-        connector = RetryingConnector(injector, policy, sleep=no_sleep)
+        connector = GatedConnector(injector, retry=policy, sleep=no_sleep)
         connector.put(b"a", b"1")
         connector.merge(b"a", b"2")
         assert connector.get(b"a") == b"12"

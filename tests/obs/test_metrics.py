@@ -7,6 +7,7 @@ import time
 import pytest
 
 from repro.core.histogram import LatencyHistogram
+from repro.faults import FaultStats
 from repro.kvstores import create_store
 from repro.obs.metrics import (
     MetricsRegistry,
@@ -147,19 +148,16 @@ class TestReplayProgress:
         assert interval.total == 0
 
     def test_fault_counts_sum_attached_sources(self):
-        class Injected:
-            total_faults = 3
-
-        class Injector:
-            injected = Injected()
-
-        class Retrier:
+        class Gate:
             retries = 5
+
+            def __init__(self, errors):
+                self.injected = FaultStats(transient_errors=errors)
 
         progress = ReplayProgress(total=1)
         assert progress.fault_counts() == (0, 0)
-        progress.attach_fault_sources(Injector(), Retrier())
-        progress.attach_fault_sources(None, Retrier())
+        progress.attach_fault_sources(Gate(3))
+        progress.attach_fault_sources(Gate(0))
         assert progress.fault_counts() == (3, 10)
 
 
