@@ -67,7 +67,8 @@ class LRUCache(Generic[K, V]):
         self._entries[key] = value
         self._sizes[key] = size
         self._used += size
-        self._evict_to_fit()
+        if self._used > self.capacity_bytes:
+            self._evict_to_fit()
 
     def invalidate(self, key: K) -> None:
         value = self._entries.pop(key, None)

@@ -30,24 +30,28 @@ class BloomFilter:
         self._bits = bytearray((self.num_bits + 7) // 8)
 
     # Probe i sets bit (h1 + i*h2) mod m = (a + i*b) mod m, a = h1 mod m,
-    # b = h2 mod m: the textbook bits, stepped in small ints per probe.
+    # b = h2 mod m (h1, h2: the digest's low and high 64 bits, little
+    # endian); add_all sets them all in one numpy pass.
 
     def add(self, key: bytes) -> None:
         self.add_all((key,))
 
     def add_all(self, keys: Iterable[bytes]) -> None:
-        m = self.num_bits
-        probes = range(self.num_hashes)
-        bits = self._bits
-        for key in keys:
-            h = int.from_bytes(blake2b(key, digest_size=16).digest(), "little")
-            bit = (h & _MASK64) % m
-            step = ((h >> 64) | 1) % m
-            for _ in probes:
-                bits[bit >> 3] |= 1 << (bit & 7)
-                bit += step
-                if bit >= m:
-                    bit -= m
+        if not self.num_hashes:
+            return
+        import numpy as np  # here, so that importing repro loads no numpy
+
+        digests = b"".join([blake2b(key, digest_size=16).digest() for key in keys])
+        m = np.uint64(self.num_bits)
+        h = np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
+        a = h[:, 0] % m
+        b = (h[:, 1] | np.uint64(1)) % m
+        probes = np.arange(self.num_hashes, dtype=np.uint64)
+        positions = (a[:, None] + b[:, None] * probes) % m
+        bitmap = np.zeros(len(self._bits) * 8, dtype=bool)
+        bitmap[positions.ravel()] = True
+        bits = np.frombuffer(self._bits, dtype=np.uint8)
+        bits |= np.packbits(bitmap, bitorder="little")
 
     def may_contain(self, key: bytes) -> bool:
         m = self.num_bits

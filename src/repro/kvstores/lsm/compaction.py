@@ -1,5 +1,5 @@
-"""Compaction machinery: k-way merging of sorted runs with merge-operator
-and tombstone resolution.
+"""Compaction machinery: merging sorted runs of encoded records, with
+merge-operator and tombstone resolution for the keys that need it.
 
 The merge rules follow RocksDB semantics:
 
@@ -14,18 +14,11 @@ The merge rules follow RocksDB semantics:
 
 from __future__ import annotations
 
-import heapq
 import itertools
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from ..api import MergeOperator
-from .record import Record, RecordKind
-
-
-def merged_record_stream(tables: Sequence) -> Iterator[Record]:
-    """K-way merge of SSTable record streams, ordered by (key, sequence)."""
-    streams = [table.iter_records() for table in tables]
-    return heapq.merge(*streams, key=lambda r: (r.key, r.sequence))
+from .record import Entry, Record, RecordKind, decode_record
 
 
 def resolve_key_records(
@@ -86,39 +79,46 @@ def resolve_key_records(
     return folded
 
 
-def compact_records(
-    records: Iterable[Record],
+def compaction_runs(
+    entries: Iterable[Entry],
     merge_operator: MergeOperator,
     at_bottom: bool,
-) -> Iterator[Record]:
-    """Stream compaction over records sorted by (key, sequence)."""
-    for _, group in itertools.groupby(records, key=lambda r: r.key):
-        yield from resolve_key_records(list(group), merge_operator, at_bottom)
+    target_file_size: int,
+    tally: List[int],
+) -> Iterator[List[Entry]]:
+    """Compact a (key, sequence)-ordered entry stream into output-file
+    sized runs.
 
-
-def split_into_runs(
-    records: Iterable[Record], target_file_size: int
-) -> Iterator[List[Record]]:
-    """Partition an ordered record stream into output-file-sized chunks.
-
-    Records for the same key never straddle a chunk boundary, keeping
-    level files non-overlapping.
+    A key with one record keeps its encoded bytes unless it is a MERGE
+    or DELETE at the bottom; the other keys' records are decoded and
+    passed to :func:`resolve_key_records`.  ``tally`` gains the number
+    of records copied and of records resolved.  A run is cut at a key
+    change once it holds ``target_file_size`` bytes, so one key's
+    records never straddle two files and levels stay disjoint.
     """
-    chunk: List[Record] = []
-    chunk_bytes = 0
-    for record in records:
-        if (
-            chunk
-            and chunk_bytes >= target_file_size
-            and record.key != chunk[-1].key
-        ):
-            yield chunk
-            chunk = []
-            chunk_bytes = 0
-        chunk.append(record)
-        chunk_bytes += record.encoded_size
-    if chunk:
-        yield chunk
+    run: List[Entry] = []
+    run_bytes = 0
+    group: List[Entry] = []  # the records of one key
+    # a last entry with no key ends the last key's group
+    for entry in itertools.chain(entries, ((None, 0, 0, b""),)):
+        if group and entry[0] != group[0][0]:
+            if len(group) == 1 and (group[0][2] == RecordKind.PUT or not at_bottom):
+                tally[0] += 1
+            else:
+                tally[1] += len(group)
+                records = [decode_record(e[3])[0] for e in group]
+                resolved = resolve_key_records(records, merge_operator, at_bottom)
+                group = [(r.key, r.sequence, r.kind, r.encode()) for r in resolved]
+            if group and run and run_bytes >= target_file_size:
+                yield run
+                run, run_bytes = [], 0
+            for e in group:
+                run.append(e)
+                run_bytes += len(e[3])
+            group = []
+        group.append(entry)
+    if run:
+        yield run
 
 
 class CompactionStats:

@@ -109,6 +109,31 @@ def index_records(buf: bytes) -> Tuple[List[bytes], List[int]]:
     return keys, offsets
 
 
+#: ``(key, sequence, kind byte, encoded record)``: a record, not decoded
+Entry = Tuple[bytes, int, int, bytes]
+
+
+def encoded_records(buf: bytes) -> List[Entry]:
+    """Every back-to-back record in ``buf`` as an :data:`Entry`: the
+    walk of :func:`index_records`, raising where it would and also on a
+    record cut short, since its bytes are copied as they are."""
+    entries: List[Entry] = []
+    unpack = _HEADER.unpack_from
+    offset = 0
+    end = len(buf)
+    while offset < end:
+        kind, sequence, klen, vlen = unpack(buf, offset)
+        if kind > 2:
+            raise ValueError(f"{kind} is not a valid RecordKind")
+        start = offset + HEADER_SIZE
+        stop = start + klen + vlen
+        if stop > end:
+            raise ValueError(f"record at {offset} overruns the block")
+        entries.append((buf[start : start + klen], sequence, kind, buf[offset:stop]))
+        offset = stop
+    return entries
+
+
 def find_records(buf: bytes, key: bytes) -> Tuple[List[int], Optional[bytes]]:
     """Offsets of the records in ``buf`` whose key is ``key``, and the
     last record's key (``None`` for an empty ``buf``).

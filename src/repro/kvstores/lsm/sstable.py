@@ -42,7 +42,8 @@ from ..integrity import (
 )
 from ..storage import Storage
 from .bloom import BloomFilter
-from .record import Record, RecordKind, decode_all, decode_record, find_records, index_records
+from .record import Entry, Record, RecordKind, decode_all, decode_record, encoded_records
+from .record import find_records, index_records
 
 # bloom_off, bloom_len, index_off, index_len, bloom_crc, index_crc,
 # checksum kind, pad, magic
@@ -230,6 +231,14 @@ class SSTable:
             self._verify_block(handle, raw)
             yield from decode_all(raw)
 
+    def iter_entries(self) -> Iterator[Entry]:
+        """Compaction's scan: every record as an :data:`~.record.Entry`,
+        one verified block at a time, decoding none."""
+        for handle in self._index:
+            raw = self._storage.read_range(self.blob_name, handle.offset, handle.length)
+            self._verify_block(handle, raw)
+            yield from encoded_records(raw)
+
     def overlaps(self, smallest: bytes, largest: bytes) -> bool:
         return not (self.largest_key < smallest or self.smallest_key > largest)
 
@@ -303,9 +312,15 @@ class SSTable:
         )
 
 
-def build_sstable(
+def build_sstable(file_id: int, records: Iterable[Record], storage: Storage, **options):
+    """Serialize sorted ``records``: :func:`write_sstable` of their encodings."""
+    entries = ((r.key, r.sequence, r.kind, r.encode()) for r in records)
+    return write_sstable(file_id, entries, storage, **options)
+
+
+def write_sstable(
     file_id: int,
-    records: Iterable[Record],
+    entries: Iterable[Entry],
     storage: Storage,
     block_size: int = DEFAULT_BLOCK_SIZE,
     bits_per_key: int = 10,
@@ -313,16 +328,17 @@ def build_sstable(
     checksum_kind: ChecksumKind = DEFAULT_CHECKSUM_KIND,
     cooperate=None,
 ) -> Optional[SSTable]:
-    """Serialize sorted ``records`` into a new SSTable blob.
+    """Write sorted encoded ``entries`` as a new SSTable blob.
 
-    ``records`` must already be sorted by (key, sequence).  Returns
-    ``None`` when there are no records.  ``checksum_kind`` is recorded
-    in the footer; under NONE every stored CRC is 0.  ``cooperate``,
-    when given, is called between chunks of the bloom-filter build --
-    the one long loop that runs after the record stream is exhausted --
-    so a background worker can periodically yield the interpreter to
-    foreground writers instead of holding it for a multi-millisecond
-    stretch on large tables.
+    ``entries`` must already be sorted by (key, sequence); their bytes
+    land in the blocks as they are.  Returns ``None`` when there are
+    none.  ``checksum_kind`` is recorded in the footer; under NONE
+    every stored CRC is 0.  ``cooperate``, when given, is called
+    between chunks of the bloom-filter build -- the one long loop that
+    runs after the entry stream is exhausted -- so a background worker
+    can periodically yield the interpreter to foreground writers
+    instead of holding it for a multi-millisecond stretch on large
+    tables.
     """
     blocks: List[bytes] = []
     index: List[BlockHandle] = []
@@ -348,9 +364,7 @@ def build_sstable(
         current_first = None
 
     delete = RecordKind.DELETE
-    for record in records:
-        kind, sequence, key, _ = record
-        encoded = record.encode()
+    for key, sequence, kind, encoded in entries:
         if current and len(current) + len(encoded) > block_size:
             cut_block()
         if current_first is None:
@@ -359,7 +373,7 @@ def build_sstable(
         keys.append(key)
         if sequence > max_sequence:
             max_sequence = sequence
-        if kind is delete:
+        if kind == delete:
             num_tombstones += 1
             if oldest_tombstone_seq is None or sequence < oldest_tombstone_seq:
                 oldest_tombstone_seq = sequence
@@ -371,11 +385,9 @@ def build_sstable(
 
     keys = list(dict.fromkeys(keys))  # a key's versions set the same bits
     bloom = BloomFilter(len(keys), bits_per_key)
-    if cooperate is None:
-        bloom.add_all(keys)
-    else:
-        for start in range(0, len(keys), 256):
-            bloom.add_all(keys[start:start + 256])
+    for start in range(0, len(keys), 256):  # bounds add_all's temporaries
+        bloom.add_all(keys[start:start + 256])
+        if cooperate is not None:
             cooperate()
 
     data = b"".join(blocks)

@@ -32,6 +32,7 @@ Two maintenance modes (``LSMConfig.background``):
 from __future__ import annotations
 
 import heapq
+import operator
 import re
 import threading
 import time
@@ -62,13 +63,7 @@ from ..integrity import (
     timed_scrub,
 )
 from ..storage import MemoryStorage, Storage, StorageError
-from .compaction import (
-    CompactionStats,
-    compact_records,
-    merged_record_stream,
-    pick_overlapping,
-    split_into_runs,
-)
+from .compaction import CompactionStats, compaction_runs, pick_overlapping
 from .memtable import Memtable
 from .policies import CompactionTask, resolve_policy
 from .record import (
@@ -80,7 +75,7 @@ from .record import (
     frame_records,
     wal_header,
 )
-from .sstable import SSTable, build_sstable, open_sstable
+from .sstable import SSTable, build_sstable, open_sstable, write_sstable
 
 #: numbered WAL segment blobs used by background mode ("wal-000001");
 #: inline mode keeps the single legacy "wal-current" blob
@@ -184,7 +179,7 @@ class RocksLSMStore(KVStore):
         self.merge_operator = merge_operator or AppendMergeOperator()
         self.storage = storage if storage is not None else MemoryStorage()
         self.block_cache: LRUCache = LRUCache(
-            self.config.block_cache_size, sizer=lambda blk: blk.size_bytes
+            self.config.block_cache_size, sizer=operator.attrgetter("size_bytes")
         )
         self.stats = _BlockCacheStats(self.block_cache)
         self.compaction_stats = CompactionStats()
@@ -867,13 +862,15 @@ class RocksLSMStore(KVStore):
             level=target_level,
             inputs=len(inputs),
             bytes_in=sum(t.data_size for t in inputs),
-        ):
-            self._run_compaction_inner(inputs, target_level)
+        ) as sp:
+            copied, resolved = self._run_compaction_inner(inputs, target_level)
+            sp.add(copied=copied, resolved=resolved)
 
     def _run_compaction_inner(
         self, inputs: List[SSTable], target_level: int
-    ) -> None:
-        """Merge ``inputs`` into new output tables (``_new_outputs``).
+    ) -> List[int]:
+        """Merge ``inputs`` into new output tables (``_new_outputs``);
+        return the number of records copied and of records resolved.
 
         Pure build phase: the tree is not modified, so in background
         mode it runs without the mutex and readers keep serving from
@@ -881,11 +878,13 @@ class RocksLSMStore(KVStore):
         """
         with self._mutex:
             at_bottom = self._is_bottom(target_level, inputs)
-        stream = self._cooperative(merged_record_stream(inputs))
-        compacted = compact_records(stream, self.merge_operator, at_bottom)
+        entries = self._cooperative(heapq.merge(*(t.iter_entries() for t in inputs)))
+        tally = [0, 0]
         outputs: List[SSTable] = []
-        for run in split_into_runs(compacted, self.config.target_file_size):
-            table = build_sstable(
+        for run in compaction_runs(
+            entries, self.merge_operator, at_bottom, self.config.target_file_size, tally
+        ):
+            table = write_sstable(
                 self._take_file_id(),
                 self._cooperative(iter(run)),
                 self.storage,
@@ -897,6 +896,7 @@ class RocksLSMStore(KVStore):
             if table is not None:
                 outputs.append(table)
         self._new_outputs = outputs
+        return tally
 
     def _install_compaction(self, inputs: List[SSTable], task: CompactionTask) -> bool:
         """Atomically swap compaction inputs for outputs in the tree."""

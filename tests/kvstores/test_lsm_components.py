@@ -5,11 +5,7 @@ import pytest
 
 from repro.kvstores import AppendMergeOperator
 from repro.kvstores.lsm.bloom import BloomFilter
-from repro.kvstores.lsm.compaction import (
-    compact_records,
-    resolve_key_records,
-    split_into_runs,
-)
+from repro.kvstores.lsm.compaction import compaction_runs, resolve_key_records
 from repro.kvstores.lsm.memtable import Memtable
 from repro.kvstores.lsm.record import Record, RecordKind, decode_all, decode_record
 from repro.kvstores.lsm.sstable import build_sstable, open_sstable
@@ -18,6 +14,21 @@ from repro.kvstores.storage import MemoryStorage
 
 def rec(kind, seq, key, value=b""):
     return Record(kind, seq, key, value)
+
+
+def entries(records):
+    return [(r.key, r.sequence, r.kind, r.encode()) for r in records]
+
+
+def decoded(run):
+    return [decode_record(entry[3])[0] for entry in run]
+
+
+class UnfoldedAppend(AppendMergeOperator):
+    """Append semantics with no partial merge: operands stay apart."""
+
+    def partial_merge(self, left, right):
+        return None
 
 
 class TestRecord:
@@ -268,8 +279,15 @@ class TestCompactionResolution:
             rec(RecordKind.PUT, 2, b"a", b"2"),
             rec(RecordKind.PUT, 3, b"b", b"3"),
         ]
-        out = list(compact_records(iter(records), self.op, at_bottom=False))
-        assert [(r.key, r.value) for r in out] == [(b"a", b"2"), (b"b", b"3")]
+        tally = [0, 0]
+        runs = list(
+            compaction_runs(entries(records), self.op, False, 1 << 20, tally)
+        )
+        assert len(runs) == 1
+        assert [(r.key, r.value) for r in decoded(runs[0])] == [(b"a", b"2"), (b"b", b"3")]
+        # b's lone record is copied as it is; a's two are resolved
+        assert runs[0][1] == entries(records)[2]
+        assert tally == [1, 2]
 
     def test_split_into_runs_respects_key_boundaries(self):
         records = [
@@ -278,11 +296,16 @@ class TestCompactionResolution:
             rec(RecordKind.MERGE, 3, b"b", b"y" * 50),
             rec(RecordKind.PUT, 4, b"c", b"z" * 50),
         ]
-        runs = list(split_into_runs(iter(records), target_file_size=80))
+        runs = list(
+            compaction_runs(
+                entries(records), UnfoldedAppend(), False, 80, [0, 0]
+            )
+        )
         # No run may split records of the same key.
         for run in runs:
-            keys = [r.key for r in run]
+            keys = [entry[0] for entry in run]
             for other in runs:
                 if other is not run:
-                    assert not set(keys) & {r.key for r in other}
+                    assert not set(keys) & {entry[0] for entry in other}
         assert sum(len(r) for r in runs) == 4
+        assert [len(r) for r in runs] == [3, 1]

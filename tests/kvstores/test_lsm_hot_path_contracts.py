@@ -1,5 +1,6 @@
 """Contracts of the LSM's per-key helpers: checksum dispatch, range
-reads of in-memory blobs, and the cache counters a store reports."""
+reads of in-memory blobs, the cache counters a store reports, a
+compaction that copies what it need not resolve, and the bloom build."""
 
 import zlib
 
@@ -7,7 +8,9 @@ import pytest
 
 from repro.core.replayer import synthesize_value
 from repro.kvstores.integrity import ChecksumKind, checksum, crc32c
-from repro.kvstores.lsm import LetheStore, RocksLSMStore
+from repro.kvstores.lsm import LetheStore, LSMConfig, RocksLSMStore
+from repro.kvstores.lsm import compaction, record, sstable
+from repro.kvstores.lsm.bloom import BloomFilter
 from repro.kvstores.storage import MemoryStorage
 from repro.obs.metrics import MetricsRegistry, register_store
 from repro.trace import OpType
@@ -114,3 +117,59 @@ def test_store_stats_report_the_block_cache(store):
     register_store(registry, store)
     sample = registry.sample()
     assert (sample["ops.cache_hits"], sample["ops.cache_misses"]) == pinned
+
+
+def test_compaction_of_lone_records_decodes_none(monkeypatch):
+    """Keys with one record each are copied as encoded bytes: no
+    record of any compaction input is decoded."""
+    decoded = []
+
+    def counting(buf, offset=0):
+        decoded.append(offset)
+        return record.decode_record(buf, offset)
+
+    store = RocksLSMStore(
+        LSMConfig(write_buffer_size=4096, target_file_size=8192, l0_compaction_trigger=2),
+        storage=MemoryStorage(),
+    )
+    for module in (compaction, record, sstable):
+        monkeypatch.setattr(module, "decode_record", counting)
+    for i in range(3000):
+        store.put(b"key%06d" % (i * 7919 % 3000), b"v" * 40)
+    store.flush()
+    assert store.compaction_stats.compactions > 0
+    assert store.compaction_stats.records_in > 3000
+    assert decoded == []
+    monkeypatch.undo()
+    assert store.get(b"key%06d" % 1234) == b"v" * 40
+
+
+KEYS = [b"bloom-key-%d" % i for i in range(1000)]
+
+
+def test_bloom_add_all_in_chunks_sets_the_same_bits():
+    """The cooperative build feeds 256-key chunks; the bitmap equals
+    one call's."""
+    whole = BloomFilter(len(KEYS))
+    whole.add_all(KEYS)
+    chunked = BloomFilter(len(KEYS))
+    for start in range(0, len(KEYS), 256):
+        chunked.add_all(KEYS[start:start + 256])
+    assert chunked.encode() == whole.encode()
+
+
+def test_bloom_without_bits_per_key_sets_nothing():
+    bloom = BloomFilter(len(KEYS), bits_per_key=0)
+    empty = bloom.encode()
+    bloom.add_all(KEYS)
+    assert bloom.encode() == empty
+    assert bloom.may_contain(b"anything")
+
+
+def test_bloom_add_all_of_no_keys_leaves_the_bitmap():
+    bloom = BloomFilter(len(KEYS))
+    bloom.add_all(KEYS[:10])
+    before = bloom.encode()
+    bloom.add_all([])
+    bloom.add_all(iter(()))
+    assert bloom.encode() == before

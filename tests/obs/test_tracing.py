@@ -5,6 +5,8 @@ import threading
 
 import pytest
 
+from repro.kvstores.lsm import LSMConfig, RocksLSMStore
+from repro.kvstores.storage import MemoryStorage
 from repro.obs import tracing
 from repro.obs.tracing import SpanTracer
 
@@ -15,6 +17,19 @@ def no_global_tracer():
     tracing.uninstall()
     yield
     tracing.uninstall()
+
+
+def compacting_store():
+    """An inline LSM that has compacted: every key written twice, so
+    compactions both copy lone records and resolve overwritten keys."""
+    store = RocksLSMStore(
+        LSMConfig(write_buffer_size=2048, target_file_size=2048, l0_compaction_trigger=2),
+        storage=MemoryStorage(),
+    )
+    for i in range(800):
+        store.put(b"k%04d" % (i % 500), b"v" * 30)
+    store.flush()
+    return store
 
 
 class FakeClock:
@@ -36,6 +51,21 @@ class TestNoOpDefault:
         assert a is b  # no allocation on the disabled path
         with a as sp:
             sp.add(anything=1)  # must be a no-op, not an error
+        # a store's compactions add their counts to the same null span
+        store = compacting_store()
+        assert store.compaction_stats.compactions > 0
+        assert tracing.active() is None
+
+    def test_compaction_span_says_what_was_copied(self):
+        with tracing.tracing() as tracer:
+            store = compacting_store()
+        spans = [s for s in tracer.spans() if s[0] == "lsm.compaction"]
+        assert len(spans) == store.compaction_stats.compactions > 0
+        copied = sum(args["copied"] for *_, args in spans)
+        resolved = sum(args["resolved"] for *_, args in spans)
+        # every input record is either copied as bytes or resolved
+        assert copied + resolved == store.compaction_stats.records_in
+        assert copied > 0 and resolved > 0
 
     def test_instant_is_noop_when_off(self):
         tracing.instant("retry.attempt", attempt=1)  # must not raise
