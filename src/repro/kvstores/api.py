@@ -205,21 +205,17 @@ class KVStore(abc.ABC):
 
     # -- background-work accounting ----------------------------------------
 
-    def take_background_ns(self) -> int:
-        """Return and reset time spent on *background* maintenance work
-        during recent operations (flushes, compactions).
-
-        Real stores run this work on background threads, so it does not
-        appear in client-observed operation latency.  Our single-thread
-        implementations perform it inline; the performance evaluator
-        subtracts it from per-op latencies to model the threaded
-        behaviour (throughput still pays the full cost).  Stores that
-        *do* run maintenance on worker threads (the LSM's background
-        mode) report only the time writers spent blocked on the
-        write-stall gate -- the client-visible share -- and must make
-        this method thread-safe.
-        """
-        return 0
+    # Return and reset the time spent on *background* maintenance work
+    # (flushes, compactions) during recent operations.  Real stores run
+    # it on background threads, out of client-observed latency; our
+    # single-thread stores run it inline, and the evaluator subtracts
+    # it from per-op latencies to model the threaded behaviour
+    # (throughput still pays the full cost).  Stores whose maintenance
+    # runs on worker threads (the LSM's background mode) report only
+    # writer stalls -- the client-visible share -- and must make this
+    # thread-safe.  A store with no maintenance can only return 0, so
+    # the default is ``int`` itself: a C call, not a Python frame.
+    take_background_ns = staticmethod(int)
 
     # -- optional operations ---------------------------------------------
 

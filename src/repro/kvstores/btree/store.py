@@ -72,7 +72,8 @@ class BTreeStore(KVStore):
     # ------------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.gets += 1
         leaf, _ = self._descend(key)
         index = bisect.bisect_left(leaf.keys, key)
@@ -83,7 +84,8 @@ class BTreeStore(KVStore):
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.puts += 1
         self.stats.bytes_written += len(key) + len(value)
         split = self._insert(self._root_id, key, value, self._height)
@@ -93,7 +95,8 @@ class BTreeStore(KVStore):
             self._height += 1
 
     def delete(self, key: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.deletes += 1
         if not self.config.rebalance_on_delete:
             leaf, page_id = self._descend(key)

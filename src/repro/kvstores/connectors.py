@@ -99,10 +99,17 @@ class PipelineSession:
 
 
 class StoreConnector:
-    """Uniform four-operation facade over a concrete store."""
+    """Uniform four-operation facade over a concrete store.
+
+    An op it does not translate is bound to the store's own method (one
+    frame per call); the forwarding methods below look the op up per
+    call, and deleting an instance patch falls back to them."""
 
     def __init__(self, store: KVStore) -> None:
         self.store = store
+        for name in ("get", "put", "merge", "delete", "take_background_ns"):
+            if getattr(type(self), name) is getattr(StoreConnector, name):
+                setattr(self, name, getattr(store, name))
 
     @property
     def name(self) -> str:

@@ -70,7 +70,8 @@ class FasterStore(KVStore):
 
     def get(self, key: bytes) -> Optional[bytes]:
         """FASTER ``read``: index probe, then one log access."""
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.gets += 1
         address = self.index.lookup(key)
         if address is None:
@@ -83,7 +84,8 @@ class FasterStore(KVStore):
 
     def put(self, key: bytes, value: bytes) -> None:
         """FASTER ``upsert``: in-place when mutable, else append (RCU)."""
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.puts += 1
         address = self.index.lookup(key)
         if address is not None and self.log.can_update_in_place(address, len(value)):
@@ -98,7 +100,8 @@ class FasterStore(KVStore):
 
     def delete(self, key: bytes) -> None:
         """Append a tombstone and point the index at it."""
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.deletes += 1
         if key not in self.index:
             return
@@ -113,7 +116,8 @@ class FasterStore(KVStore):
         now -- an O(current value size) copy when the bucket has grown
         past in-place headroom.
         """
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.merges += 1
         address = self.index.lookup(key)
         existing: Optional[bytes] = None

@@ -36,6 +36,7 @@ store rejects them at construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import TYPE_CHECKING, Dict, List, Optional, Tuple, Type
 
 if TYPE_CHECKING:
@@ -144,6 +145,14 @@ class TieredPolicy(CompactionPolicy):
         return None
 
 
+def _overlap_depth(tables: List["SSTable"]) -> int:
+    """Sorted runs in an L1+ level: the most of its tables covering one
+    key, so a level of disjoint tables (one merge's outputs) is one run."""
+    edges = sorted([(t.smallest_key, 0, 1) for t in tables]
+                   + [(t.largest_key, 1, -1) for t in tables])
+    return max(accumulate(step for _, _, step in edges), default=0)
+
+
 class UniversalPolicy(CompactionPolicy):
     """Universal compaction: tiered ingestion with global safety valves.
 
@@ -167,7 +176,7 @@ class UniversalPolicy(CompactionPolicy):
         cfg = store.config
         levels = store._levels
         nonempty = [idx for idx, level in enumerate(levels) if level]
-        total_runs = sum(len(level) for level in levels)
+        total_runs = len(levels[0]) + sum(map(_overlap_depth, levels[1:]))
         if nonempty and total_runs > 1:
             deepest = nonempty[-1]
             base = sum(t.data_size for t in levels[deepest])

@@ -236,17 +236,20 @@ class RocksLSMStore(KVStore):
     # ------------------------------------------------------------------
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.puts += 1
         self._write(Record(RecordKind.PUT, self._next_sequence(), key, value))
 
     def delete(self, key: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.deletes += 1
         self._write(Record(RecordKind.DELETE, self._next_sequence(), key, b""))
 
     def merge(self, key: bytes, operand: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.merges += 1
         self._write(Record(RecordKind.MERGE, self._next_sequence(), key, operand))
 
@@ -596,7 +599,8 @@ class RocksLSMStore(KVStore):
     # ------------------------------------------------------------------
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.gets += 1
         if self._bg is None:
             return self._get_resolved(key)

@@ -30,22 +30,26 @@ class InMemoryStore(KVStore):
         self._merge_operator = merge_operator or AppendMergeOperator()
 
     def get(self, key: bytes) -> Optional[bytes]:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.gets += 1
         return self._data.get(key)
 
     def put(self, key: bytes, value: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.puts += 1
         self._data[key] = value
 
     def delete(self, key: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.deletes += 1
         self._data.pop(key, None)
 
     def merge(self, key: bytes, operand: bytes) -> None:
-        self._check_open()
+        if self._closed:
+            self._check_open()
         self.stats.merges += 1
         existing = self._data.get(key)
         self._data[key] = self._merge_operator.full_merge(existing, (operand,))

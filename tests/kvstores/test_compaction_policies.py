@@ -13,6 +13,8 @@ Plus the registry surface itself and Lethe's veto of overlapping-run
 policies (FADE requires disjoint levels).
 """
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.kvstores.lsm import (
@@ -164,6 +166,59 @@ class TestTreeShapes:
         # whole merged runs, so data lives in far fewer, larger files
         assert store.stats.compactions > 0
         assert sum(store.level_file_counts()[1:]) >= 1
+
+
+class TestUniversalRunCount:
+    """An L1+ level counts as many sorted runs as it has tables covering
+    one key: a full merge's disjoint outputs are one run, not a run per
+    file, so the merge does not pick itself again."""
+
+    @staticmethod
+    def picker_view(level_one):
+        levels = [[] for _ in range(7)]
+        levels[1] = level_one
+        return SimpleNamespace(
+            config=LSMConfig(compaction_policy="universal"), _levels=levels
+        )
+
+    @staticmethod
+    def table(smallest, largest):
+        return SimpleNamespace(
+            smallest_key=smallest, largest_key=largest, data_size=4096
+        )
+
+    def test_disjoint_tables_are_one_run(self):
+        level_one = [self.table(b"k%d0" % i, b"k%d9" % i) for i in range(8)]
+        assert UniversalPolicy().pick(self.picker_view(level_one)) is None
+
+    def test_stacked_tables_still_hit_the_run_cap(self):
+        level_one = [self.table(b"a", b"z") for _ in range(8)]
+        task = UniversalPolicy().pick(self.picker_view(level_one))
+        assert task is not None and task.reason == "run-count"
+
+    def test_tables_sharing_a_boundary_key_both_cover_it(self):
+        level_one = [self.table(b"a", b"m") for _ in range(4)]
+        level_one += [self.table(b"m", b"z") for _ in range(4)]
+        task = UniversalPolicy().pick(self.picker_view(level_one))
+        assert task is not None and task.reason == "run-count"
+
+    def test_load_past_a_full_merge_finishes(self):
+        store = RocksLSMStore(
+            LSMConfig(compaction_policy="universal"), storage=MemoryStorage()
+        )
+        pick, calls = store._policy.pick, []
+
+        def bounded_pick(tree):
+            calls.append(None)
+            if len(calls) > 200:
+                raise AssertionError("universal compaction keeps picking")
+            return pick(tree)
+
+        store._policy.pick = bounded_pick
+        for i in range(8000):
+            store.put(b"k%08d" % i, bytes(256))
+        assert store.stats.compactions > 0
+        assert store.get(b"k%08d" % 4321) == bytes(256)
 
 
 class TestLethePolicyVeto:
