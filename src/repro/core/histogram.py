@@ -54,8 +54,8 @@ class LatencyHistogram:
         """Record every value; the same state as :meth:`record` on each.
 
         Folds the chunk in one pass: a ``Counter`` over the values, one
-        bucket lookup per *distinct* value (ns latencies repeat heavily
-        within a chunk), and one min/max/sum per chunk.
+        inline :meth:`_index` per *distinct* value (ns latencies repeat
+        heavily within a chunk), and one min/max/sum per chunk.
         """
         tally = Counter(values)
         if not tally:
@@ -66,9 +66,14 @@ class LatencyHistogram:
                 tally[0] += tally.pop(value)
             low = 0
         counts = self._counts
-        index = self._index
+        subbuckets, sub_bits, last = self.subbuckets, self._sub_bits, len(counts) - 1
         for value, count in tally.items():
-            counts[index(value)] += count
+            if value >= subbuckets:
+                exponent = value.bit_length() - sub_bits
+                value = exponent * subbuckets + (value >> exponent)
+                if value > last:
+                    value = last
+            counts[value] += count
         if self.min_value < 0 or low < self.min_value:
             self.min_value = low
         high = max(tally)

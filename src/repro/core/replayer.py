@@ -169,32 +169,41 @@ class ReplayStopped(Exception):
     """
 
 
-_VALUE_CACHE: Dict[int, bytes] = {}
 #: cache bounds: a trace with many distinct value sizes must not grow
 #: the cache without limit.  Oldest-inserted entries are evicted first
 #: (dict insertion order); values above the byte budget are never
 #: cached at all.
 _VALUE_CACHE_MAX_ENTRIES = 1024
 _VALUE_CACHE_MAX_BYTES = 32 * 1024 * 1024
-_value_cache_bytes = 0
+#: payload byte ``i`` is ``(i * 131 + 17) & 0xFF``, periodic in 256
+_VALUE_PERIOD = bytes((i * 131 + 17) & 0xFF for i in range(256))
+
+
+class _ValueCache(dict):
+    """Deterministic payloads by size: a hit is one C-level lookup, no
+    Python frame; a miss builds and caches within the bounds above."""
+
+    nbytes = 0  # bytes held by the cached values
+
+    def __missing__(self, size: int) -> bytes:
+        value = (_VALUE_PERIOD * (size // 256 + 1))[:size]
+        if size <= _VALUE_CACHE_MAX_BYTES:
+            while self and (
+                len(self) >= _VALUE_CACHE_MAX_ENTRIES
+                or self.nbytes + size > _VALUE_CACHE_MAX_BYTES
+            ):
+                self.nbytes -= len(self.pop(next(iter(self))))
+            self[size] = value
+            self.nbytes += size
+        return value
+
+
+_VALUE_CACHE = _ValueCache()
 
 
 def synthesize_value(size: int) -> bytes:
     """Deterministic payload of ``size`` bytes (cached per size)."""
-    global _value_cache_bytes
-    value = _VALUE_CACHE.get(size)
-    if value is None:
-        value = bytes((i * 131 + 17) & 0xFF for i in range(size))
-        if size <= _VALUE_CACHE_MAX_BYTES:
-            cache = _VALUE_CACHE
-            while cache and (
-                len(cache) >= _VALUE_CACHE_MAX_ENTRIES
-                or _value_cache_bytes + size > _VALUE_CACHE_MAX_BYTES
-            ):
-                _value_cache_bytes -= len(cache.pop(next(iter(cache))))
-            cache[size] = value
-            _value_cache_bytes += size
-    return value
+    return _VALUE_CACHE[size]
 
 
 #: waits shorter than this are spun; longer waits sleep most of it away
@@ -545,6 +554,8 @@ class TraceReplayer:
         :class:`_BatchWindow` (``batch_size``) or to the connector's
         ``pipeline()`` session (``pipeline_depth``; depth 1 for a
         telemetry session without latency, whose completions count).
+        A payload is one lookup in the value cache, taken before the
+        clock starts, so a sample times the store call alone.
 
         Faults are handled outside the ``for`` bodies (see
         :attr:`fault_plan`): a failed op leaves its body, is counted
@@ -587,7 +598,7 @@ class TraceReplayer:
         put = target.put
         merge = target.merge
         delete = target.delete
-        synth = synthesize_value
+        values = _VALUE_CACHE
         keys = trace.unique_keys()
         columns = zip(trace.op_codes, trace.key_ids, trace.value_sizes)
         operations = len(trace)
@@ -610,7 +621,7 @@ class TraceReplayer:
                                             _throttle(next_dispatch)
                                         next_dispatch += interval
                                     key = keys[kid]
-                                    value = b"" if code == 0 or code == 3 else synth(size)
+                                    value = b"" if code == 0 or code == 3 else values[size]
                                     submit(code, key, value, timer() if measure else 0)
                             elif interval:
                                 for code, kid, size in chunk:
@@ -620,15 +631,19 @@ class TraceReplayer:
                                         _throttle(next_dispatch)
                                     next_dispatch += interval
                                     key = keys[kid]
-                                    if measure:
-                                        begin = timer()
                                     if code == 0:
+                                        begin = timer()
                                         get(key)
                                     elif code == 1:
-                                        put(key, synth(size))
+                                        value = values[size]
+                                        begin = timer()
+                                        put(key, value)
                                     elif code == 2:
-                                        merge(key, synth(size))
+                                        value = values[size]
+                                        begin = timer()
+                                        merge(key, value)
                                     else:
+                                        begin = timer()
                                         delete(key)
                                     if measure:
                                         elapsed_ns = timer() - begin - take_background()
@@ -638,14 +653,19 @@ class TraceReplayer:
                                     if stop is not None and stop():
                                         raise ReplayStopped
                                     key = keys[kid]
-                                    begin = timer()
                                     if code == 0:
+                                        begin = timer()
                                         get(key)
                                     elif code == 1:
-                                        put(key, synth(size))
+                                        value = values[size]
+                                        begin = timer()
+                                        put(key, value)
                                     elif code == 2:
-                                        merge(key, synth(size))
+                                        value = values[size]
+                                        begin = timer()
+                                        merge(key, value)
                                     else:
+                                        begin = timer()
                                         delete(key)
                                     elapsed_ns = timer() - begin - take_background()
                                     sink[code](elapsed_ns if elapsed_ns > 0 else 0)
@@ -657,9 +677,9 @@ class TraceReplayer:
                                     if code == 0:
                                         get(key)
                                     elif code == 1:
-                                        put(key, synth(size))
+                                        put(key, values[size])
                                     elif code == 2:
-                                        merge(key, synth(size))
+                                        merge(key, values[size])
                                     else:
                                         delete(key)
                             break

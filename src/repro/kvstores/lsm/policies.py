@@ -115,6 +115,14 @@ class LeveledPolicy(CompactionPolicy):
         return None
 
 
+def _overlap_depth(tables: List["SSTable"]) -> int:
+    """Sorted runs in an L1+ level: the most of its tables covering one
+    key, so a level of disjoint tables (one merge's outputs) is one run."""
+    edges = sorted([(t.smallest_key, 0, 1) for t in tables]
+                   + [(t.largest_key, 1, -1) for t in tables])
+    return max(accumulate(step for _, _, step in edges), default=0)
+
+
 class TieredPolicy(CompactionPolicy):
     """Size-tiered compaction: merge a level's runs wholesale.
 
@@ -134,7 +142,7 @@ class TieredPolicy(CompactionPolicy):
         trigger = cfg.tier_trigger or cfg.l0_compaction_trigger
         for level in range(cfg.max_levels - 1):
             runs = store._levels[level]
-            if len(runs) >= trigger:
+            if (_overlap_depth(runs) if level else len(runs)) >= trigger:
                 return CompactionTask(
                     inputs=list(runs),
                     target_level=level + 1,
@@ -143,14 +151,6 @@ class TieredPolicy(CompactionPolicy):
                     reason="tier-full",
                 )
         return None
-
-
-def _overlap_depth(tables: List["SSTable"]) -> int:
-    """Sorted runs in an L1+ level: the most of its tables covering one
-    key, so a level of disjoint tables (one merge's outputs) is one run."""
-    edges = sorted([(t.smallest_key, 0, 1) for t in tables]
-                   + [(t.largest_key, 1, -1) for t in tables])
-    return max(accumulate(step for _, _, step in edges), default=0)
 
 
 class UniversalPolicy(CompactionPolicy):

@@ -88,6 +88,22 @@ class TestRecordMany:
             sequential.record(value)
         assert folded.to_dict() == sequential.to_dict()
 
+    @pytest.mark.parametrize("geometry", GEOMETRIES)
+    def test_last_bucket_clamp(self, geometry):
+        """Values around the last bucket land where ``record`` puts
+        them: the edges and everything past them in the last bucket."""
+        folded = LatencyHistogram(**geometry)
+        sequential = LatencyHistogram(**geometry)
+        low = (folded.subbuckets - 1) << folded.max_exponent
+        top = low << 1 | (1 << folded.max_exponent) - 1
+        # below the last bucket, its two edges, then two past it
+        edge = [low - 1, low, top, top + 1, 2**80]
+        folded.record_many(edge)
+        for value in edge:
+            sequential.record(value)
+        assert folded.to_dict() == sequential.to_dict()
+        assert folded._counts[-1] == 4
+
     @pytest.mark.parametrize("empty", [[], iter(())], ids=["list", "generator"])
     def test_empty_input_changes_nothing(self, empty):
         histogram = LatencyHistogram()

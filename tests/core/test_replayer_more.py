@@ -1,7 +1,9 @@
 """Additional replayer behaviours: GC control, background exclusion,
-value synthesis determinism."""
+value synthesis determinism, what one latency sample times."""
 
 import gc
+
+import pytest
 
 from repro.core import (
     GadgetConfig,
@@ -10,6 +12,7 @@ from repro.core import (
     generate_workload_trace,
     synthesize_value,
 )
+from repro.core import replayer
 from repro.kvstores import create_connector
 from repro.trace import AccessTrace, OpType
 
@@ -63,6 +66,76 @@ class TestSynthesizeValue:
 
     def test_distinct_sizes_distinct_objects(self):
         assert synthesize_value(8) != synthesize_value(9)
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, 17, 255, 256, 257, 1000, 65537, 1 << 20]
+    )
+    def test_bytes_follow_the_formula(self, size):
+        expected = bytes((i * 131 + 17) & 0xFF for i in range(size))
+        assert synthesize_value(size) == expected
+
+
+class CounterClock:
+    """The replayer's ``time``: each read of the clock advances it 1 ns,
+    so a sample is the clock reads it spans plus what else moved it."""
+
+    def __init__(self):
+        self.ns = 0
+
+    def perf_counter_ns(self):
+        self.ns += 1
+        return self.ns
+
+    def perf_counter(self):
+        return self.perf_counter_ns() / 1e9
+
+
+def mixed_trace(ops=400):
+    trace = AccessTrace()
+    kinds = (OpType.PUT, OpType.GET, OpType.MERGE, OpType.DELETE)
+    for i in range(ops):
+        trace.record(kinds[i % 4], b"k%d" % (i % 37), 8 + i % 5)
+    return trace
+
+
+class TestWhatOneSampleTimes:
+    @pytest.mark.parametrize("service_rate", [None, 1e9], ids=["closed", "paced"])
+    def test_payload_lookup_is_outside_the_sample(self, monkeypatch, service_rate):
+        """A payload lookup that moves the clock a millisecond shows in
+        no sample: the clock starts after it, at the store call."""
+        clock = CounterClock()
+
+        class SlowValues(dict):
+            def __getitem__(self, size):
+                clock.ns += 10**6
+                return bytes(size)
+
+            get = __getitem__
+
+        monkeypatch.setattr(replayer, "time", clock)
+        monkeypatch.setattr(replayer, "_VALUE_CACHE", SlowValues())
+        trace = mixed_trace()
+        result = TraceReplayer(
+            create_connector("memory"), service_rate=service_rate
+        ).replay(trace)
+        assert clock.ns > len(trace) // 2 * 10**6
+        for op, count in trace.op_counts().items():
+            samples = result.latencies_ns[op]
+            assert len(samples) == count
+            assert max(samples) < 10**6, op
+
+    def test_value_cache_stays_bounded_through_the_walk(self, monkeypatch):
+        cache = replayer._ValueCache()
+        monkeypatch.setattr(replayer, "_VALUE_CACHE", cache)
+        trace = AccessTrace()
+        for size in range(1, 3 * replayer._VALUE_CACHE_MAX_ENTRIES + 1):
+            trace.record(OpType.PUT, b"k", 16 * size)
+        connector = create_connector("memory")
+        TraceReplayer(connector).replay(trace)
+        assert connector.get(b"k") == synthesize_value(16 * len(trace))
+        assert 0 < len(cache) <= replayer._VALUE_CACHE_MAX_ENTRIES
+        assert cache.nbytes == sum(map(len, cache.values()))
+        assert cache.nbytes <= replayer._VALUE_CACHE_MAX_BYTES
 
 
 class TestReplayEdgeCases:

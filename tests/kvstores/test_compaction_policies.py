@@ -221,6 +221,30 @@ class TestUniversalRunCount:
         assert store.get(b"k%08d" % 4321) == bytes(256)
 
 
+class TestTieredRunCount:
+    """A tier merge's output files are one run at their level: an L1+
+    level counts its key-overlap depth, so a merge writing
+    ``tier_trigger`` or more files does not fire the next level."""
+
+    def test_disjoint_tables_are_one_run(self):
+        level_one = [
+            TestUniversalRunCount.table(b"k%d0" % i, b"k%d9" % i) for i in range(8)
+        ]
+        view = TestUniversalRunCount.picker_view(level_one)
+        view.config = LSMConfig(compaction_policy="tiered")
+        assert TieredPolicy().pick(view) is None
+
+    def test_load_stays_off_the_last_level(self):
+        store = RocksLSMStore(
+            LSMConfig(compaction_policy="tiered"), storage=MemoryStorage()
+        )
+        for i in range(20000):
+            store.put(b"k%08d" % (i * 7919 % 20000), bytes(256))
+        store.flush()
+        assert store.level_file_counts()[-1] == 0
+        assert store.stats.compactions < 20
+
+
 class TestLethePolicyVeto:
     @pytest.mark.parametrize("policy", ["tiered", "universal"])
     def test_overlapping_run_policies_rejected(self, policy):

@@ -5,16 +5,16 @@ own method, so the replay walk reaches the store in one Python frame.
 These tests pin that contract: which ops are the store's own, which
 stay the connector's, that an instance patch and its removal leave a
 working op, that the store server still reaches a store patched after
-it started, that a replay runs no forwarding, probe or closed-check
-frame per op on the memory store, and that every store still refuses
-every op once closed.
+it started, that a replay runs no forwarding, probe, closed-check,
+payload or histogram-bucket frame per op on the memory store, and that
+every store still refuses every op once closed.
 """
 
 import sys
 
 import pytest
 
-from repro.core import Driver, TraceReplayer, make_workload
+from repro.core import Driver, TraceReplayer, make_workload, synthesize_value
 from repro.kvstores import (
     STORE_NAMES,
     BTreeStore,
@@ -126,8 +126,12 @@ def test_server_reaches_a_store_patched_after_start(hang_guard):
 
 
 def test_replay_on_memory_runs_one_frame_per_op(borg_tasks):
-    """No forwarding, background-probe or closed-check frame per op."""
+    """No forwarding, background-probe, closed-check, payload or
+    histogram-bucket frame per op: once every payload size is cached,
+    the store's op is the one Python frame an op runs."""
     trace = Driver(make_workload("sliding-incremental"), [borg_tasks]).run()[:4000]
+    for size in set(trace.value_sizes):
+        synthesize_value(size)
     connector = connect(InMemoryStore())
     replayer = TraceReplayer(connector, use_histograms=True)
     codes = {}
@@ -144,10 +148,14 @@ def test_replay_on_memory_runs_one_frame_per_op(borg_tasks):
     names = {code.co_name for code in codes}
     assert "take_background_ns" not in names
     assert "_check_open" not in names
+    assert not names & {"synthesize_value", "__missing__", "_index"}
     forwarding = {getattr(StoreConnector, op).__code__ for op in OPS}
     assert not forwarding & set(codes)
     store_ops = sum(codes.get(getattr(InMemoryStore, op).__code__, 0) for op in OPS)
     assert store_ops == len(trace)
+    # the rest is per replay (set-up, result, one histogram fold per op
+    # type), 82 frames here: no per-op frame hides in it
+    assert sum(codes.values()) - store_ops < 100
 
 
 @pytest.mark.parametrize("name", STORE_NAMES)
