@@ -6,10 +6,9 @@ the crc32 partitioner shared with ``shard_trace``) into a real cluster:
 
 * :class:`ClusterConfig` -- partitions x replication factor x ack level
 * :class:`StoreCluster` -- spawns and supervises the in-process server
-  fleet (kill / restart / add nodes)
+  fleet (kill / restart)
 * :class:`ClusterConnector` -- the client: consistent-hash routing,
-  cross-partition batch splitting, chain configuration, failover,
-  online partition migration
+  cross-partition batch splitting, chain configuration, failover
 * :class:`ChaosHook` / :func:`evaluate_cluster_recovery` -- fire a
   :class:`~repro.faults.ClusterFaultPlan` mid-replay and report what
   clients actually observed (recovery time, lost-ack window, tail

@@ -34,8 +34,8 @@ class ClusterConfig:
     #: ack level for replicated writes, one of :data:`ACK_LEVELS`
     ack: str = "all"
     #: embedded store backing every node (memory / rocksdb / lethe /
-    #: berkeleydb; restart-resync and migration need a scan-capable
-    #: store, which excludes faster)
+    #: berkeleydb; restart-resync needs a scan-capable store, which
+    #: excludes faster)
     store: str = "memory"
     #: per-node store overrides forwarded to ``create_store``
     store_config: Dict[str, object] = field(default_factory=dict)

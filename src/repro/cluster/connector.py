@@ -1,4 +1,4 @@
-"""The cluster client: routing, batch splitting, failover, rebalance.
+"""The cluster client: routing, batch splitting, failover.
 
 :class:`ClusterConnector` implements the connector surface the trace
 replayer and evaluator already speak, against N server chains:
@@ -19,10 +19,6 @@ replayer and evaluator already speak, against N server chains:
   RetryPolicy` attempt budget; per-endpoint clients deliberately get
   *no* retry policy of their own, so a failover never nests one retry
   budget inside another.
-* **Rebalance** -- :meth:`begin_migration` dual-writes to the target
-  while a snapshot copies, :meth:`complete_migration` cuts the chain
-  head over atomically (from the single client's perspective, which
-  is the harness's write model).
 """
 
 from __future__ import annotations
@@ -32,7 +28,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from zlib import crc32
 
 from ..faults.retry import RetryPolicy
-from ..kvstores.api import OP_DELETE, OP_GET, OP_MERGE, OP_PUT, BatchOp
+from ..kvstores.api import OP_GET, OP_MERGE, OP_PUT, BatchOp
 from ..kvstores.connectors import PipelineSession
 from ..kvstores.remote import (
     _BATCH_ALL_OK,
@@ -46,20 +42,7 @@ from ..kvstores.remote import (
 from ..obs import tracing
 from .manager import StoreCluster
 
-_WRITE_OPS = frozenset((OP_PUT, OP_MERGE, OP_DELETE))
 _COPY_BATCH = 256  # ops per apply_batch frame during snapshot copy
-
-
-class _Migration:
-    """In-flight partition move: dual-write target + catch-up state."""
-
-    __slots__ = ("target", "dirty")
-
-    def __init__(self, target: str) -> None:
-        self.target = target
-        #: keys already dual-written; the snapshot copy skips them so a
-        #: stale snapshot value never clobbers a newer dual-write
-        self.dirty: Set[bytes] = set()
 
 
 class ClusterConnector:
@@ -80,7 +63,7 @@ class ClusterConnector:
         self.partitions = config.partitions
         self.name = f"cluster:{config.store}:{config.label}"
         #: live chains, primary first; owned by this connector after
-        #: construction (failover and cutover rewrite them)
+        #: construction (failover and resync rewrite them)
         self._chains: List[List[str]] = [
             cluster.chain(p) for p in range(config.partitions)
         ]
@@ -91,11 +74,9 @@ class ClusterConnector:
         self._connects: Dict[str, int] = {}
         #: endpoints the client is partitioned away from (chaos action)
         self._isolated: Set[str] = set()
-        self._migrations: Dict[int, _Migration] = {}
         # -- observability counters (metrics gauges read these) --
         self.failovers = 0  # repairs that changed a primary
         self.chain_repairs = 0  # all repairs, promotion or not
-        self.migrations_completed = 0
         self.failover_ms: List[float] = []  # per-repair wall time
         # pipelined-mode gauges (zero for synchronous use)
         self.pipeline_flushes = 0
@@ -187,48 +168,62 @@ class ClusterConnector:
 
     # -- failover ------------------------------------------------------------
 
-    def _max_attempts(self) -> int:
-        if self._retry_policy is not None:
-            return self._retry_policy.max_attempts
-        # no policy: one try per chain member plus one against the
-        # repaired chain is enough to survive a single failure
-        return max(len(chain) for chain in self._chains) + 1
-
     def _on_primary(self, partition: int, fn: Callable[[RemoteStoreClient], object]):
-        """Run ``fn`` against the partition's primary, repairing the
-        chain and retrying on failure.
+        """Run ``fn`` against the partition's primary; on failure,
+        repair the chain and retry (see :meth:`_fail_over`)."""
+        name = self._chains[partition][0]
+        try:
+            return fn(self._client(name))
+        except RemoteStoreError as exc:
+            # the failed client's socket may be wedged; a fresh
+            # connection is part of the repair
+            self._forget_client(name)
+            failed = exc
+        return self._fail_over(partition, fn, failed)
 
-        The attempt budget is the retry policy's ``max_attempts`` (a
-        failover consumes attempts from the same budget as a transient
-        error would -- it cannot silently retry forever), and the
-        policy's backoff paces the retries.
+    def _fail_over(self, partition: int, fn, failed: RemoteStoreError):
+        """Retry a failed primary op under the retry policy, repairing
+        the chain before each backoff sleep.
+
+        A failover consumes attempts from the same budget as a
+        transient error would -- it cannot silently retry forever --
+        and sleeps the policy's jittered backoff within its
+        ``op_timeout_s``.  With no policy, the budget is one try per
+        chain member plus one against the repaired chain (enough to
+        survive a single failure), with no delay.
         """
-        attempts = self._max_attempts()
-        delays = (
-            iter(self._retry_policy.base_delays())
-            if self._retry_policy is not None
-            else iter(())
-        )
-        last: Optional[RemoteStoreError] = None
-        for attempt in range(attempts):
+        policy = self._retry_policy
+        if policy is None:
+            policy = RetryPolicy(
+                max_attempts=max(len(chain) for chain in self._chains) + 1,
+                base_delay_s=0.0,
+            )
+        errors = [failed]
+
+        def attempt():
+            name = self._chains[partition][0]
             try:
-                client = self._client(self._chains[partition][0])
-                return fn(client)
+                return fn(self._client(name))
             except RemoteStoreError as exc:
-                last = exc
-                # the failed client's socket may be wedged; a fresh
-                # connection is part of the repair
-                self._forget_client(self._chains[partition][0])
-                if attempt + 1 >= attempts:
-                    break
-                self._repair(partition, cause=exc)
-                delay = next(delays, 0.0)
-                if delay:
-                    time.sleep(delay)
-        raise RemoteStoreError(
-            f"partition {partition} unavailable after {attempts} attempts "
-            f"(chain {self._chains[partition]}): {last}"
-        )
+                self._forget_client(name)
+                errors.append(exc)
+                raise
+
+        try:
+            return policy.call(
+                attempt,
+                failed=failed,
+                retry_on=(RemoteStoreError,),
+                on_retry=lambda _n, exc: self._repair(partition, cause=exc),
+                sleep=time.sleep,
+            )
+        except RemoteStoreError as exc:
+            if exc is not errors[-1]:
+                raise  # the repair itself failed: no live replica
+            raise RemoteStoreError(
+                f"partition {partition} unavailable after {len(errors)} attempts "
+                f"(chain {self._chains[partition]}): {exc}"
+            ) from exc
 
     def _probe(self, name: str) -> bool:
         """Is a node answering pings?  Always over a fresh connection:
@@ -275,7 +270,7 @@ class ClusterConnector:
             span.add(chain=",".join(live), promoted=promoted)
         self.failover_ms.append((time.perf_counter() - began) * 1000.0)
 
-    # -- topology operations (chaos / rebalance) -----------------------------
+    # -- topology operations (chaos / resync) --------------------------------
 
     def isolate(self, name: str) -> None:
         """Partition this client away from one endpoint (the node
@@ -312,122 +307,6 @@ class ClusterConnector:
             "cluster.attach", server=name, partition=partition, keys=len(snapshot)
         )
 
-    # -- online rebalancing --------------------------------------------------
-
-    def begin_migration(self, partition: int, target: str) -> None:
-        """Start moving a partition to ``target``: every subsequent
-        write to the partition is dual-written there while the old
-        chain keeps serving."""
-        if partition in self._migrations:
-            raise RuntimeError(f"partition {partition} is already migrating")
-        if target in self._chains[partition]:
-            raise ValueError(f"{target} is already in partition {partition}'s chain")
-        self._client(target).admin("ping")  # fail fast if unreachable
-        self._migrations[partition] = _Migration(target)
-        tracing.instant("cluster.migrate_begin", partition=partition, target=target)
-
-    def complete_migration(self, partition: int) -> None:
-        """Copy the snapshot (skipping dual-written keys) and cut over:
-        the target becomes the primary, the old replicas its chain, and
-        the old primary is demoted out.
-
-        With a single writer (the harness's model) the cutover is
-        atomic by construction: no op is in flight while the map entry
-        swaps.
-        """
-        migration = self._migrations.get(partition)
-        if migration is None:
-            raise RuntimeError(f"partition {partition} is not migrating")
-        with tracing.span(
-            "cluster.migrate_cutover", partition=partition, target=migration.target
-        ):
-            snapshot = self._on_primary(partition, lambda c: c.admin_scan())
-            target_client = self._client(migration.target)
-            chunk: List[BatchOp] = []
-            copied = 0
-            for key, value in snapshot:
-                if key in migration.dirty:
-                    continue  # dual-write already delivered a newer value
-                chunk.append((OP_PUT, key, value))
-                copied += 1
-                if len(chunk) >= _COPY_BATCH:
-                    target_client.apply_batch(chunk)
-                    chunk = []
-            if chunk:
-                target_client.apply_batch(chunk)
-            old_chain = self._chains[partition]
-            old_primary = old_chain[0]
-            self._chains[partition] = [migration.target] + old_chain[1:]
-            del self._migrations[partition]
-            self._configure_chain(partition)
-            # the demoted primary must stop forwarding into the chain
-            try:
-                self._client(old_primary).admin(
-                    "configure", {"downstream": None, "sync": False}
-                )
-            except RemoteStoreError:
-                pass  # it may be gone; the new chain no longer needs it
-            self.migrations_completed += 1
-            tracing.instant(
-                "cluster.migrate_done",
-                partition=partition,
-                copied=copied,
-                dual_written=len(migration.dirty),
-            )
-
-    def migrate(self, partition: int, target: str) -> None:
-        """One-shot migration (empty dual-write window)."""
-        self.begin_migration(partition, target)
-        self.complete_migration(partition)
-
-    def _after_write(self, partition: int, opcode: int, key: bytes, value: bytes) -> None:
-        """Dual-write one op to a migration target (if migrating)."""
-        migration = self._migrations.get(partition)
-        if migration is None:
-            return
-        client = self._client(migration.target)
-        if opcode == OP_MERGE:
-            # the target may lack the merge base; read-repair the
-            # materialized value from the primary instead of replaying
-            # the operand
-            current = self._on_primary(partition, lambda c: c.get(key))
-            if current is None:
-                client.delete(key)
-            else:
-                client.put(key, current)
-        elif opcode == OP_PUT:
-            client.put(key, value)
-        else:
-            client.delete(key)
-        migration.dirty.add(key)
-
-    def _after_write_batch(self, partition: int, group: Sequence[BatchOp]) -> None:
-        """Dual-write a batch: non-merge keys take their final op,
-        merge-touched keys read-repair their materialized value."""
-        migration = self._migrations.get(partition)
-        if migration is None:
-            return
-        direct: Dict[bytes, BatchOp] = {}
-        merge_keys: Set[bytes] = set()
-        for opcode, key, value in group:
-            if opcode == OP_MERGE:
-                direct.pop(key, None)
-                merge_keys.add(key)
-            elif opcode in _WRITE_OPS:
-                merge_keys.discard(key)  # a later put/delete supersedes
-                direct[key] = (opcode, key, value)
-        client = self._client(migration.target)
-        if direct:
-            client.apply_batch(list(direct.values()))
-            migration.dirty.update(direct)
-        for key in merge_keys:
-            current = self._on_primary(partition, lambda c, k=key: c.get(k))
-            if current is None:
-                client.delete(key)
-            else:
-                client.put(key, current)
-            migration.dirty.add(key)
-
     # -- connector surface ---------------------------------------------------
 
     def _partition(self, key: bytes) -> int:
@@ -440,17 +319,14 @@ class ClusterConnector:
     def put(self, key: bytes, value: bytes) -> None:
         partition = self._partition(key)
         self._on_primary(partition, lambda c: c.put(key, value))
-        self._after_write(partition, OP_PUT, key, value)
 
     def merge(self, key: bytes, operand: bytes) -> None:
         partition = self._partition(key)
         self._on_primary(partition, lambda c: c.merge(key, operand))
-        self._after_write(partition, OP_MERGE, key, operand)
 
     def delete(self, key: bytes) -> None:
         partition = self._partition(key)
         self._on_primary(partition, lambda c: c.delete(key))
-        self._after_write(partition, OP_DELETE, key, b"")
 
     # -- scatter-gather fan-out ---------------------------------------------
 
@@ -573,12 +449,10 @@ class ClusterConnector:
         if len(groups) == 1:
             ((partition, group),) = groups.items()
             self._on_primary(partition, lambda c, g=group: c.apply_batch(g))
-            self._after_write_batch(partition, group)
             return
         scattered = self._scatter(groups)
         for partition, group in groups.items():
             self._gather_write(partition, scattered, group)
-            self._after_write_batch(partition, group)
 
     def pipeline(self, depth: int, on_complete) -> "_ClusterPipeline":
         """Open a pipelined session: submitted ops accumulate into a
@@ -586,8 +460,8 @@ class ClusterConnector:
         :class:`_ClusterPipeline`)."""
         return _ClusterPipeline(self, depth, on_complete)
 
-    def take_background_ns(self) -> int:
-        return 0
+    #: no store runs in this process, so no background time: a C call
+    take_background_ns = staticmethod(int)
 
     def flush(self) -> None:
         pass  # durability is the servers' business; nothing buffered here
@@ -676,7 +550,6 @@ class _ClusterPipeline(PipelineSession):
         scattered: Dict[int, Optional[RemoteStoreClient]],
         items: List[Tuple[int, bytes, bytes, int]],
     ) -> None:
-        conn = self._conn
         client = scattered.get(partition)
         replies = None
         if client is not None:
@@ -706,11 +579,6 @@ class _ClusterPipeline(PipelineSession):
             # transport death or a store-level rejection:
             # repair + per-op replay of ONLY this partition's sub-batch
             self._replay_members(partition, items)
-        writes = [
-            (op, key, value) for op, key, value, _ in items if op in _WRITE_OPS
-        ]
-        if writes:
-            conn._after_write_batch(partition, writes)
 
     def _replay_members(
         self, partition: int, items: List[Tuple[int, bytes, bytes, int]]

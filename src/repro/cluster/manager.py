@@ -79,9 +79,8 @@ class StoreCluster:
     """The server fleet for one :class:`ClusterConfig`.
 
     Nodes are named ``p{partition}r{position}`` (``p0r0`` is partition
-    0's initial primary, ``p0r1`` its first replica); migration targets
-    added later via :meth:`add_node` are named ``m0``, ``m1``, ...
-    Names are stable across restarts even though ports are not.
+    0's initial primary, ``p0r1`` its first replica).  Names are
+    stable across restarts even though ports are not.
     """
 
     def __init__(
@@ -99,7 +98,6 @@ class StoreCluster:
         self._merge_operator = merge_operator
         self._storage_root = storage_root
         self._nodes: Dict[str, ClusterNode] = {}
-        self._extra = 0  # add_node counter
         self._stopped = False
         for partition in range(config.partitions):
             for position in range(config.replicas + 1):
@@ -173,17 +171,6 @@ class StoreCluster:
         if node.alive:
             raise RuntimeError(f"cluster node {name} is already running")
         return node.start().address
-
-    def add_node(self, partition: int = -1) -> str:
-        """Spin up an empty node (a migration target or spare) and
-        return its name.  ``partition`` records intent only; the node
-        serves whatever keys the connector sends it."""
-        name = f"m{self._extra}"
-        self._extra += 1
-        node = ClusterNode(name, partition, self._factory_for(name))
-        self._nodes[name] = node
-        node.start()
-        return name
 
     # -- lifecycle -----------------------------------------------------------
 

@@ -140,8 +140,7 @@ class StoreConnector:
         """Range scan passthrough (stores without scan support raise
         :class:`~repro.kvstores.api.UnsupportedOperationError`); the
         store server's admin ``scan`` command -- which feeds replica
-        resync and partition migration -- reaches the store through
-        this."""
+        resync -- reaches the store through this."""
         return self.store.scan(start, end)
 
     def flush(self) -> None:

@@ -26,10 +26,6 @@ class HashIndex:
         self.updates += 1
         self._slots[key] = address
 
-    def remove(self, key: bytes) -> None:
-        self.updates += 1
-        self._slots.pop(key, None)
-
     def __len__(self) -> int:
         return len(self._slots)
 

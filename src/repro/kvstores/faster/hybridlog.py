@@ -187,9 +187,6 @@ class HybridLog:
     def is_mutable(self, address: int) -> bool:
         return address >= self.read_only_boundary
 
-    def is_in_memory(self, address: int) -> bool:
-        return address in self._memory
-
     # ------------------------------------------------------------------
     # Operations
     # ------------------------------------------------------------------
@@ -328,27 +325,12 @@ class HybridLog:
         self._seal_segment()
 
     # ------------------------------------------------------------------
-    # Log compaction (garbage collection of sealed segments)
+    # Sealed segments
     # ------------------------------------------------------------------
 
     def sealed_segments(self) -> List[str]:
         """Sealed segment blobs, oldest first."""
         return list(self._segments)
-
-    def segment_records(self, blob: str) -> List[Tuple[int, "LogRecord"]]:
-        """Decode every (address, record) stored in a sealed segment."""
-        raw = self.storage.read(blob)
-        kind = segment_checksum_kind(raw, blob)
-        entries = sorted(
-            (offset, address)
-            for address, (name, offset) in self._disk_index.items()
-            if name == blob
-        )
-        out: List[Tuple[int, LogRecord]] = []
-        for offset, address in entries:
-            record, _ = decode_segment_record(raw, offset, kind, blob)
-            out.append((address, record))
-        return out
 
     def scrub(self) -> ScrubReport:
         """Verify every sealed segment record-by-record.
@@ -374,17 +356,6 @@ class HybridLog:
                 except CorruptionError as exc:
                     report.add(ScrubFinding(blob, exc.offset, exc.detail))
         return report
-
-    def drop_segment(self, blob: str) -> int:
-        """Delete a sealed segment; returns the bytes reclaimed."""
-        reclaimed = self.storage.size(blob) if self.storage.exists(blob) else 0
-        self.storage.delete(blob)
-        for address in [
-            a for a, (name, _) in self._disk_index.items() if name == blob
-        ]:
-            del self._disk_index[address]
-        self._segments = [s for s in self._segments if s != blob]
-        return reclaimed
 
     # ------------------------------------------------------------------
     # Introspection

@@ -279,39 +279,6 @@ class FasterStore(KVStore):
         spent, self.log.background_ns = self.log.background_ns, 0
         return spent
 
-    def compact_log(self, max_segments: int = 1) -> dict:
-        """FASTER-style log compaction over the oldest sealed segments.
-
-        Records the hash index still points at are copied to the log
-        tail (and re-indexed); dead versions and tombstones whose key
-        has since been rewritten are dropped with their segment.
-        Returns counters describing the work done.
-        """
-        self._check_open()
-        live_copied = 0
-        dead_dropped = 0
-        bytes_reclaimed = 0
-        for blob in self.log.sealed_segments()[:max_segments]:
-            for address, record in self.log.segment_records(blob):
-                if self.index.lookup(record.key) != address:
-                    dead_dropped += 1  # superseded version
-                elif record.tombstone:
-                    # Newest version is a delete: retire the key fully.
-                    self.index.remove(record.key)
-                    dead_dropped += 1
-                else:
-                    new_address = self.log.append(
-                        LogRecord(record.key, record.value)
-                    )
-                    self.index.update(record.key, new_address)
-                    live_copied += 1
-            bytes_reclaimed += self.log.drop_segment(blob)
-        return {
-            "live_copied": live_copied,
-            "dead_dropped": dead_dropped,
-            "bytes_reclaimed": bytes_reclaimed,
-        }
-
     def __len__(self) -> int:
         return len(self.index)
 

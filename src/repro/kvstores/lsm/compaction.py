@@ -132,16 +132,6 @@ class CompactionStats:
         self.bytes_out = 0
         self.tombstones_dropped = 0
 
-    def as_dict(self) -> dict:
-        return {
-            "compactions": self.compactions,
-            "records_in": self.records_in,
-            "records_out": self.records_out,
-            "bytes_in": self.bytes_in,
-            "bytes_out": self.bytes_out,
-            "tombstones_dropped": self.tombstones_dropped,
-        }
-
 
 def pick_overlapping(
     tables: Sequence, smallest: bytes, largest: bytes

@@ -78,8 +78,8 @@ OP_BATCH = 5
 #: ``scan``), value = JSON arguments; the reply is a ``REPLY_VALUE``
 #: frame whose payload is command-specific (JSON, except ``scan`` which
 #: returns :data:`_HEADER`-framed key/value pairs).  The cluster
-#: layer drives replication chains, failover probes, and partition
-#: migration entirely through this opcode, so reconfiguration is
+#: layer drives replication chains, failover probes, and replica
+#: resync entirely through this opcode, so reconfiguration is
 #: serialized on the server's event loop like any other request.
 OP_ADMIN = 6
 
@@ -1306,7 +1306,7 @@ class RemoteStoreClient:
 
         Used by the cluster layer for liveness probes (``ping``),
         replication-chain reconfiguration (``configure``), counter
-        harvesting (``stats``), and migration snapshots (``scan``).
+        harvesting (``stats``), and resync snapshots (``scan``).
         Honours the client's retry policy like any data operation.
         """
         body = json.dumps(payload).encode("utf-8") if payload else b""

@@ -166,3 +166,9 @@ class TestConnectorSurface:
     def test_name_carries_topology_label(self, cluster):
         with ClusterConnector(cluster) as connector:
             assert connector.name == "cluster:memory:3x2@all"
+
+    def test_background_probe_is_a_c_call(self, cluster):
+        """No store runs in the client process, so the replayer's
+        per-op background probe is ``int`` itself: no Python frame."""
+        with ClusterConnector(cluster) as connector:
+            assert connector.take_background_ns is int

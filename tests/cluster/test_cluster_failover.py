@@ -1,4 +1,7 @@
-"""Replication chains, failover, and online rebalancing."""
+"""Replication chains and failover."""
+
+import threading
+import time
 
 import pytest
 
@@ -147,54 +150,93 @@ class TestFailover:
                 assert primary in connector.chain(0)
 
 
-class TestRebalance:
-    def test_migrate_moves_partition_with_content(self):
-        with make_cluster() as cluster:
-            with ClusterConnector(cluster, retry_policy=FAST_RETRY) as connector:
-                for i in range(60):
-                    connector.put(b"k%02d" % i, b"v%02d" % i)
-                target = cluster.add_node(partition=0)
-                old_replicas = connector.chain(0)[1:]
-                connector.migrate(0, target)
-                assert connector.migrations_completed == 1
-                assert connector.chain(0) == [target] + old_replicas
-                for i in range(60):
-                    assert connector.get(b"k%02d" % i) == b"v%02d" % i
+@pytest.fixture
+def sleeps(monkeypatch):
+    """Record the client thread's ``time.sleep`` calls instead of
+    sleeping (server threads keep the real one)."""
+    recorded = []
+    real_sleep = time.sleep
+    main = threading.main_thread()
 
-    def test_dual_write_covers_migration_window(self):
-        with make_cluster() as cluster:
-            with ClusterConnector(cluster, retry_policy=FAST_RETRY) as connector:
-                connector.put(b"old", b"before")
-                target = cluster.add_node(partition=0)
-                connector.begin_migration(0, target)
-                # writes during the window land on old primary AND target
-                dirty = []
-                for i in range(30):
-                    key = b"w%02d" % i
-                    if connector._partition(key) == 0:
-                        connector.put(key, b"dual")
-                        dirty.append(key)
-                assert dirty, "need at least one partition-0 key"
-                for key in dirty:
-                    assert read_node_directly(cluster, target, key) == b"dual"
-                connector.complete_migration(0)
-                assert connector.chain(0)[0] == target
-                for key in dirty:
-                    assert connector.get(key) == b"dual"
-                if connector._partition(b"old") == 0:
-                    assert connector.get(b"old") == b"before"
+    def fake_sleep(seconds):
+        if threading.current_thread() is main:
+            recorded.append(seconds)
+        else:
+            real_sleep(seconds)
 
-    def test_merge_during_migration_read_repairs(self):
-        with make_cluster() as cluster:
+    monkeypatch.setattr(time, "sleep", fake_sleep)
+    return recorded
+
+
+def always_failing(calls):
+    """An op that reaches a live primary and fails every time."""
+
+    def fn(client):
+        calls.append(client)
+        raise RemoteStoreError("injected failure")
+
+    return fn
+
+
+class TestFailoverBackoff:
+    """A failover retries through ``RetryPolicy.call``: its jittered
+    backoff, its attempt budget and its ``op_timeout_s``."""
+
+    def test_seeded_policy_sleeps_its_jittered_schedule(self, sleeps):
+        policy = RetryPolicy(max_attempts=4, base_delay_s=0.001, seed=11)
+        twin = RetryPolicy(max_attempts=4, base_delay_s=0.001, seed=11)
+        expected = []
+        with pytest.raises(RemoteStoreError):
+            twin.call(
+                always_failing([]), None,
+                retry_on=(RemoteStoreError,), sleep=expected.append,
+            )
+        with make_cluster(partitions=1) as cluster:
+            with ClusterConnector(cluster, retry_policy=policy) as connector:
+                with pytest.raises(RemoteStoreError, match="unavailable after 4"):
+                    connector._on_primary(0, always_failing([]))
+        assert len(expected) == 3
+        assert expected != list(twin.base_delays())  # jitter applied
+        assert sleeps == expected
+
+    def test_no_policy_never_sleeps(self, sleeps):
+        with make_cluster(partitions=1) as cluster:
+            with ClusterConnector(cluster) as connector:
+                connector.put(b"k", b"v")
+                cluster.kill(connector.chain(0)[0])
+                assert connector.get(b"k") == b"v"  # failed over
+                assert connector.failovers == 1
+                calls = []
+                with pytest.raises(RemoteStoreError, match="unavailable after 2"):
+                    # one survivor: chain length 1, budget 1 + 1
+                    connector._on_primary(0, always_failing(calls))
+                assert len(calls) == 2
+        assert sleeps == []
+
+    def test_exhausted_budget_names_partition_attempts_and_chain(self, sleeps):
+        with make_cluster(partitions=1) as cluster:
             with ClusterConnector(cluster, retry_policy=FAST_RETRY) as connector:
-                key = next(
-                    b"m%03d" % i
-                    for i in range(1000)
-                    if connector._partition(b"m%03d" % i) == 0
-                )
-                connector.merge(key, b"a")
-                target = cluster.add_node(partition=0)
-                connector.begin_migration(0, target)
-                connector.merge(key, b"b")  # materialized value dual-written
-                connector.complete_migration(0)
-                assert connector.get(key) == b"ab"
+                calls = []
+                with pytest.raises(
+                    RemoteStoreError,
+                    match=r"^partition 0 unavailable after 4 attempts "
+                    r"\(chain \['p0r0', 'p0r1'\]\): injected failure$",
+                ):
+                    connector._on_primary(0, always_failing(calls))
+                assert len(calls) == 4
+                assert connector.chain_repairs == 3  # one per retry
+        assert sleeps == []  # a zero-delay policy never sleeps
+
+    def test_op_timeout_stops_before_the_budget(self, sleeps):
+        # delays 0.05 then 0.2 s; the second would overrun 0.1 s
+        policy = RetryPolicy(
+            max_attempts=10, base_delay_s=0.05, multiplier=4.0,
+            jitter=0.0, op_timeout_s=0.1,
+        )
+        with make_cluster(partitions=1) as cluster:
+            with ClusterConnector(cluster, retry_policy=policy) as connector:
+                calls = []
+                with pytest.raises(RemoteStoreError, match="unavailable after 2"):
+                    connector._on_primary(0, always_failing(calls))
+                assert len(calls) == 2
+        assert sleeps == [0.05]

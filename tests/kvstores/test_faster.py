@@ -12,13 +12,6 @@ class TestHashIndex:
         index.update(b"k", 42)
         assert index.lookup(b"k") == 42
 
-    def test_remove(self):
-        index = HashIndex()
-        index.update(b"k", 1)
-        index.remove(b"k")
-        assert index.lookup(b"k") is None
-        assert len(index) == 0
-
     def test_probe_counter(self):
         index = HashIndex()
         index.lookup(b"a")

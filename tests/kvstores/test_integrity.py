@@ -636,13 +636,6 @@ class TestFasterSegmentFraming:
             assert store.get(b"k%04d" % i) == b"v" * 48
         assert store.scrub().clean
 
-    def test_compaction_over_checksummed_segments(self):
-        store, _ = self._spilled()
-        before = len(store.log.sealed_segments())
-        out = store.compact_log(max_segments=2)
-        assert out["live_copied"] + out["dead_dropped"] > 0
-        assert len(store.log.sealed_segments()) <= before
-
 
 class TestScrubDefaults:
     def test_memory_store_scrub_is_clean_noop(self):
