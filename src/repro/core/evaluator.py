@@ -459,16 +459,19 @@ class PerformanceEvaluator:
         """Hash-partitioned replay: one store instance per shard, on
         threads or (``spec.processes``) in worker processes attached to
         the trace through shared memory."""
+        shared = dict(
+            num_workers=spec.shards,
+            service_rate=spec.service_rate,
+            fault_plan=spec.fault_plan,
+            retry_policy=policy,
+            batch_size=spec.batch_size,
+        )
         if not spec.processes:
             replayer = ShardedReplayer(
                 lambda: self._connector(store_name, spec),
-                num_workers=spec.shards,
-                service_rate=spec.service_rate,
-                fault_plan=spec.fault_plan,
-                retry_policy=policy,
-                batch_size=spec.batch_size,
                 pipeline_depth=spec.pipeline_depth,
                 telemetry=telemetry,
+                **shared,
             )
             try:
                 return replayer.replay(trace)
@@ -482,12 +485,8 @@ class PerformanceEvaluator:
                 store_name, storage_root=spec.storage_root,
                 **self._store_config(store_name, spec),
             ),
-            num_workers=spec.shards,
-            service_rate=spec.service_rate,
-            fault_plan=spec.fault_plan,
-            retry_policy=policy,
-            batch_size=spec.batch_size,
             metrics_dir=f"{metrics}.shards" if metrics else None,
+            **shared,
         )
         result = replayer.replay(trace)
         if metrics and replayer.last_metrics_path:

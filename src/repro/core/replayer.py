@@ -752,7 +752,8 @@ def shard_trace(trace: AccessTrace, num_shards: int) -> List[AccessTrace]:
 
 
 def _raise_shard_errors(errors: Sequence[BaseException]) -> None:
-    """Raise the first worker error without dropping its siblings.
+    """Raise the first error (the lowest failing shard's, in the
+    coordinator's order) without dropping its siblings.
 
     Python 3.9 has no ``ExceptionGroup``, so the extra failures ride
     along as a ``shard_errors`` attribute on the raised exception (and
@@ -812,8 +813,92 @@ class ShardedReplayResult:
         return summary
 
 
-class ShardedReplayer:
-    """Replays a trace across N workers, one key partition each.
+class _ShardCoordinator:
+    """What every fan-out shares: the argument checks, the per-shard
+    :class:`TraceReplayer` recipe and the tail of ``replay``.
+
+    A transport -- threads in :class:`ShardedReplayer`, worker processes
+    in :class:`~repro.core.mp_replay.ProcessShardedReplayer` -- starts
+    one worker per :func:`shard_indices` bucket, builds each worker's
+    replayer with :meth:`_shard_replayer`, and hands ``{shard: result}``
+    and ``{shard: error}`` to :meth:`_gather`.
+    """
+
+    def __init__(
+        self,
+        num_workers: int,
+        service_rate: Optional[float],
+        measure_latency: bool,
+        use_histograms: bool,
+        fault_plan,
+        retry_policy,
+        batch_size: Optional[int],
+        pipeline_depth: Optional[int],
+    ) -> None:
+        if num_workers <= 0:
+            raise ValueError("num_workers must be positive")
+        if fault_plan is not None and fault_plan.crash_at is not None:
+            raise ValueError(
+                "crash points are single-threaded experiments; use "
+                "repro.faults.evaluate_crash_recovery instead of a "
+                "sharded replay"
+            )
+        self.num_workers = num_workers
+        #: the aggregate target; each shard throttles to its share
+        self.service_rate = service_rate
+        self.measure_latency = measure_latency
+        self.use_histograms = use_histograms
+        #: each shard replays under a per-shard derived plan
+        #: (:meth:`~repro.faults.FaultPlan.for_shard`), so fault
+        #: timelines are a function of (seed, shard) alone -- identical
+        #: across thread interleavings, across process-based replays,
+        #: and across every store under comparison
+        self.fault_plan = fault_plan
+        self.retry_policy = retry_policy
+        #: micro-batch size applied by every shard
+        self.batch_size = batch_size
+        #: in-flight window depth applied by every shard
+        self.pipeline_depth = pipeline_depth
+
+    def _shard_replayer(
+        self, index: int, connector, stop_check, disable_gc: bool
+    ) -> TraceReplayer:
+        """Shard ``index``'s replayer: its share of the rate, its derived
+        fault plan and a private retry-policy copy (the policy carries a
+        jitter RNG that shards must not share)."""
+        plan, policy = self.fault_plan, self.retry_policy
+        return TraceReplayer(
+            connector,
+            service_rate=(
+                self.service_rate / self.num_workers if self.service_rate else None
+            ),
+            measure_latency=self.measure_latency,
+            disable_gc=disable_gc,
+            use_histograms=self.use_histograms,
+            fault_plan=plan.for_shard(index) if plan is not None else None,
+            retry_policy=dataclasses.replace(policy) if policy is not None else None,
+            batch_size=self.batch_size,
+            pipeline_depth=self.pipeline_depth,
+            stop_check=stop_check,
+        )
+
+    @staticmethod
+    def _gather(
+        started: float,
+        results: Dict[int, ReplayResult],
+        errors: Dict[int, BaseException],
+    ) -> ShardedReplayResult:
+        """Wall-clock since ``started``; then the lowest shard's error is
+        raised with its siblings attached, else the results in shard
+        order."""
+        elapsed = time.perf_counter() - started
+        _raise_shard_errors([errors[index] for index in sorted(errors)])
+        shard_results = [results[index] for index in sorted(results)]
+        return ShardedReplayResult(shard_results[0].store, shard_results, elapsed)
+
+
+class ShardedReplayer(_ShardCoordinator):
+    """Replays a trace across N worker threads, one key partition each.
 
     ``connectors`` selects the deployment mode:
 
@@ -825,8 +910,7 @@ class ShardedReplayer:
       tolerate concurrent calls),
     * a **sequence of connectors** -- one per worker, caller-managed.
 
-    A ``service_rate`` is the aggregate target; each worker throttles
-    to its share.  Worker latencies land in per-shard histograms that
+    Worker latencies land in per-shard histograms that
     :class:`ShardedReplayResult` merges losslessly.
 
     Note: on CPython with the GIL, wall-clock gains appear only when
@@ -853,35 +937,16 @@ class ShardedReplayer:
         pipeline_depth: Optional[int] = None,
         telemetry=None,
     ) -> None:
-        if num_workers <= 0:
-            raise ValueError("num_workers must be positive")
-        if fault_plan is not None and fault_plan.crash_at is not None:
-            raise ValueError(
-                "crash points are single-threaded experiments; use "
-                "repro.faults.evaluate_crash_recovery instead of a "
-                "sharded replay"
-            )
-        self.num_workers = num_workers
-        self.service_rate = service_rate
-        self.measure_latency = measure_latency
+        super().__init__(
+            num_workers, service_rate, measure_latency, use_histograms,
+            fault_plan, retry_policy, batch_size, pipeline_depth,
+        )
+        #: one GC toggle around the whole fan-out, not one per shard
         self.disable_gc = disable_gc
-        self.use_histograms = use_histograms
-        #: each worker replays under a per-shard derived plan
-        #: (:meth:`~repro.faults.FaultPlan.for_shard`), so fault
-        #: timelines are a function of (seed, shard) alone -- identical
-        #: across thread interleavings, across process-based replays,
-        #: and across every store under comparison
-        self.fault_plan = fault_plan
-        self.retry_policy = retry_policy
-        #: micro-batch size applied by every worker to its shard
-        self.batch_size = batch_size
-        #: in-flight window depth applied by every worker to its shard
-        self.pipeline_depth = pipeline_depth
         #: optional :class:`~repro.obs.ReplayTelemetry` recording the
         #: whole fan-out; all workers share one progress object (the
         #: lock-protected recorder) and appear as separate trace lanes.
         self.telemetry = telemetry
-        self._shared_progress = None
         if callable(connectors):
             self._connectors = [connectors() for _ in range(num_workers)]
             self._owns_connectors = True
@@ -911,63 +976,33 @@ class ShardedReplayer:
     def replay(self, trace: AccessTrace) -> ShardedReplayResult:
         telemetry = self.telemetry
         if telemetry is None:
-            return self._run(trace)
+            return self._run(trace, None)
         with telemetry.session(self._connectors[0], len(trace)) as progress:
-            self._shared_progress = progress
-            try:
-                return self._run(trace)
-            finally:
-                self._shared_progress = None
+            return self._run(trace, progress)
 
-    def _run(self, trace: AccessTrace) -> ShardedReplayResult:
+    def _run(self, trace: AccessTrace, progress) -> ShardedReplayResult:
         shards = shard_trace(trace, self.num_workers)
-        per_worker_rate = (
-            self.service_rate / self.num_workers if self.service_rate else None
-        )
-        results: List[Optional[ReplayResult]] = [None] * self.num_workers
-        errors: List[BaseException] = []
-        errors_lock = threading.Lock()
+        results: Dict[int, ReplayResult] = {}
+        errors: Dict[int, BaseException] = {}
         stop_flag = threading.Event()
         start_barrier = threading.Barrier(self.num_workers)
 
         def worker(index: int) -> None:
-            # Per-worker policy copies: RetryPolicy carries a jitter
-            # RNG that must not be shared across threads.
-            policy = (
-                dataclasses.replace(self.retry_policy)
-                if self.retry_policy is not None
-                else None
-            )
-            replayer = TraceReplayer(
-                self._connectors[index],
-                service_rate=per_worker_rate,
-                measure_latency=self.measure_latency,
-                disable_gc=False,  # GC is managed once for the fan-out
-                use_histograms=self.use_histograms,
-                fault_plan=(
-                    self.fault_plan.for_shard(index)
-                    if self.fault_plan is not None
-                    else None
-                ),
-                retry_policy=policy,
-                batch_size=self.batch_size,
-                pipeline_depth=self.pipeline_depth,
-                stop_check=stop_flag.is_set,
-            )
-            # all workers tee into the session's shared (lock-
-            # protected) progress; their distinct thread identities
-            # still give one trace lane per shard
-            replayer._progress = self._shared_progress
             try:
+                replayer = self._shard_replayer(
+                    index, self._connectors[index], stop_flag.is_set,
+                    disable_gc=False,
+                )
+                # all workers tee into the session's shared (lock-
+                # protected) progress; their distinct thread identities
+                # still give one trace lane per shard
+                replayer._progress = progress
                 start_barrier.wait()
                 results[index] = replayer.replay(shards[index])
-            except ReplayStopped:
+            except (ReplayStopped, threading.BrokenBarrierError):
                 pass  # a sibling failed; this shard unwound on request
-            except threading.BrokenBarrierError:
-                pass  # a sibling aborted startup before we began
             except BaseException as exc:  # surface worker failures
-                with errors_lock:
-                    errors.append(exc)
+                errors[index] = exc
                 # wake siblings promptly wherever they are: parked at
                 # the barrier (abort) or deep in their replay loop
                 # (stop flag, polled per op/batch)
@@ -991,10 +1026,4 @@ class ShardedReplayer:
         finally:
             if self.disable_gc and gc_was_enabled:
                 gc.enable()
-        elapsed = time.perf_counter() - started
-        _raise_shard_errors(errors)
-        return ShardedReplayResult(
-            store=self._connectors[0].name,
-            shard_results=[result for result in results if result is not None],
-            elapsed_s=elapsed,
-        )
+        return self._gather(started, results, errors)
