@@ -119,6 +119,16 @@ def checksum(data: bytes, kind: ChecksumKind = DEFAULT_CHECKSUM_KIND) -> int:
     return fn(data) & 0xFFFFFFFF
 
 
+def checksum_fn(kind: ChecksumKind) -> Callable[[bytes], int]:
+    """The function :func:`checksum` dispatches to for ``kind``: resolve
+    it once and call it per record, with no dispatch per call.  Every
+    one returns an unsigned 32-bit value."""
+    try:
+        return _CHECKSUM_FNS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown checksum kind: {kind!r}") from None
+
+
 def resolve_checksum_kind(name: Optional[str]) -> ChecksumKind:
     """Map a store-config string to a :class:`ChecksumKind`.
 

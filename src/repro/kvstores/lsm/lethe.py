@@ -53,11 +53,12 @@ class LetheStore(RocksLSMStore):
         storage: Optional[Storage] = None,
         clock=time.monotonic,
     ) -> None:
+        config = config or LetheConfig()
         self._tombstone_stamp: Dict[int, float] = {}
         self._clock = clock
-        self._writes_since_fade = 0
+        self._fade_at = config.fade_check_interval
         self.fade_compactions = 0
-        super().__init__(config or LetheConfig(), merge_operator, storage)
+        super().__init__(config, merge_operator, storage)
 
     @property
     def lethe_config(self) -> LetheConfig:
@@ -77,24 +78,12 @@ class LetheStore(RocksLSMStore):
     # Hooks into the base store
     # ------------------------------------------------------------------
 
-    def _write(self, record) -> None:
-        super()._write(record)
-        self._writes_since_fade += 1
-        if self._writes_since_fade >= self.config.fade_check_interval:
-            self._writes_since_fade = 0
-            self._request_fade()
-
-    def _note_batch_writes(self, count: int) -> None:
-        # Group-committed batches bypass the per-record _write hook;
-        # account every member so FADE cadence matches per-op replay.
-        self._writes_since_fade += count
-        if self._writes_since_fade >= self.config.fade_check_interval:
-            self._writes_since_fade = 0
-            self._request_fade()
-
     def _request_fade(self) -> None:
-        """Run a FADE pass inline, or queue it for the compaction
-        worker in background mode."""
+        """The base store's write path counted ``fade_check_interval``
+        writes since the last pass (batch members each count one): run
+        a FADE pass inline, or queue it for the compaction worker in
+        background mode."""
+        self._fade_at = self._writes + self.lethe_config.fade_check_interval
         if self._bg is not None:
             self._bg.request_fade()
             return

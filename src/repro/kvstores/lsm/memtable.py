@@ -18,46 +18,35 @@ amplification that lets in-place stores beat LSMs on such workloads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List
 
 from .record import HEADER_SIZE, Record, RecordKind
 
 
 class Memtable:
-    def __init__(self) -> None:
-        self._entries: Dict[bytes, List[Record]] = {}
-        self._approximate_bytes = 0
+    """A key's records sit in :attr:`entries` as a stack, oldest first.
 
-    @property
-    def approximate_bytes(self) -> int:
-        return self._approximate_bytes
+    The store's single-record write applies the stack rule and the
+    arena accounting inline, on these two attributes; :meth:`add_all`
+    is the same rule for a batch of records.
+    """
+
+    def __init__(self) -> None:
+        self.entries: Dict[bytes, List[Record]] = {}
+        #: arena bytes: every record written, superseded or not
+        self.approximate_bytes = 0
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self.entries)
 
     def __bool__(self) -> bool:
-        return bool(self._entries)
-
-    def add(self, record: Record) -> None:
-        kind, _, key, value = record
-        # Arena accounting: every write consumes buffer space.
-        self._approximate_bytes += HEADER_SIZE + len(key) + len(value)
-        stack = self._entries.get(key)
-        if stack is None:
-            self._entries[key] = [record]
-            return
-        if kind is RecordKind.MERGE:
-            stack.append(record)
-        else:
-            # PUT and DELETE supersede every older record for the key
-            # (the arena bytes of superseded records stay allocated).
-            stack.clear()
-            stack.append(record)
+        return bool(self.entries)
 
     def add_all(self, records: List[Record]) -> None:
-        """Bulk :meth:`add`: one pass with hoisted lookups, the
-        memtable half of the group-commit write path."""
-        entries = self._entries
+        """Add ``records`` in order: a MERGE stacks on the key's
+        records, a PUT or DELETE supersedes them (their arena bytes stay
+        allocated)."""
+        entries = self.entries
         get = entries.get
         merge = RecordKind.MERGE
         added = 0
@@ -72,16 +61,9 @@ class Memtable:
             else:
                 stack.clear()
                 stack.append(record)
-        self._approximate_bytes += added
-
-    def lookup(self, key: bytes) -> Optional[List[Record]]:
-        """Return the pending record stack for ``key`` (oldest first)."""
-        return self._entries.get(key)
+        self.approximate_bytes += added
 
     def sorted_records(self) -> Iterator[Record]:
         """Yield all records in (key, sequence) order for flushing."""
-        for key in sorted(self._entries):
-            yield from self._entries[key]
-
-    def items(self) -> Iterator[Tuple[bytes, List[Record]]]:
-        return iter(self._entries.items())
+        for key in sorted(self.entries):
+            yield from self.entries[key]

@@ -35,8 +35,9 @@ class RecordKind(IntEnum):
 #: which the store's ``is`` checks rely on
 _KINDS = tuple(RecordKind)
 
-_HEADER = struct.Struct("<BQII")
-HEADER_SIZE = _HEADER.size
+#: ``kind | seq | klen | vlen``, the header of every encoded record
+RECORD_HEADER = struct.Struct("<BQII")
+HEADER_SIZE = RECORD_HEADER.size
 
 
 class Record(NamedTuple):
@@ -51,14 +52,10 @@ class Record(NamedTuple):
 
     def encode(self) -> bytes:
         return (
-            _HEADER.pack(self.kind, self.sequence, len(self.key), len(self.value))
+            RECORD_HEADER.pack(self.kind, self.sequence, len(self.key), len(self.value))
             + self.key
             + self.value
         )
-
-    @property
-    def encoded_size(self) -> int:
-        return HEADER_SIZE + len(self.key) + len(self.value)
 
 
 def decode_record(buf: bytes, offset: int = 0) -> Tuple[Record, int]:
@@ -67,7 +64,7 @@ def decode_record(buf: bytes, offset: int = 0) -> Tuple[Record, int]:
     Raises ``struct.error`` for a header cut short and ``ValueError``
     for a kind byte that names no :class:`RecordKind`.
     """
-    kind, sequence, klen, vlen = _HEADER.unpack_from(buf, offset)
+    kind, sequence, klen, vlen = RECORD_HEADER.unpack_from(buf, offset)
     if kind > 2:
         raise ValueError(f"{kind} is not a valid RecordKind")
     start = offset + HEADER_SIZE
@@ -95,7 +92,7 @@ def index_records(buf: bytes) -> Tuple[List[bytes], List[int]]:
     """
     keys: List[bytes] = []
     offsets: List[int] = []
-    unpack = _HEADER.unpack_from
+    unpack = RECORD_HEADER.unpack_from
     offset = 0
     end = len(buf)
     while offset < end:
@@ -118,7 +115,7 @@ def encoded_records(buf: bytes) -> List[Entry]:
     walk of :func:`index_records`, raising where it would and also on a
     record cut short, since its bytes are copied as they are."""
     entries: List[Entry] = []
-    unpack = _HEADER.unpack_from
+    unpack = RECORD_HEADER.unpack_from
     offset = 0
     end = len(buf)
     while offset < end:
@@ -142,7 +139,7 @@ def find_records(buf: bytes, key: bytes) -> Tuple[List[int], Optional[bytes]]:
     where it would, with no index kept: keys are compared as they pass.
     """
     found: List[int] = []
-    unpack = _HEADER.unpack_from
+    unpack = RECORD_HEADER.unpack_from
     offset = 0
     end = len(buf)
     stored = None
@@ -166,7 +163,7 @@ WAL_MAGIC = b"GWAL"
 WAL_VERSION = 2
 _WAL_HEADER = struct.Struct("<4sBBH")  # magic, version, checksum kind, pad
 WAL_HEADER_SIZE = _WAL_HEADER.size
-_FRAME = struct.Struct("<II")  # crc32 of payload, payload length
+WAL_FRAME = struct.Struct("<II")  # crc32 of payload, payload length
 
 
 def wal_header(kind: ChecksumKind) -> bytes:
@@ -175,9 +172,13 @@ def wal_header(kind: ChecksumKind) -> bytes:
 
 
 def frame_record(record: Record, kind: ChecksumKind) -> bytes:
-    """Frame one record for a WAL append."""
+    """Frame one record for a WAL append.
+
+    The definition of a frame: the store's write path encodes these
+    same bytes inline (``RocksLSMStore._write``), and recovery re-frames
+    replayed records with it."""
     payload = record.encode()
-    return _FRAME.pack(checksum(payload, kind), len(payload)) + payload
+    return WAL_FRAME.pack(checksum(payload, kind), len(payload)) + payload
 
 
 def frame_records(records: Sequence[Record], kind: ChecksumKind) -> bytes:
@@ -190,7 +191,7 @@ def frame_records(records: Sequence[Record], kind: ChecksumKind) -> bytes:
     never a partial one -- the group-commit durability contract.
     """
     payload = b"".join(record.encode() for record in records)
-    return _FRAME.pack(checksum(payload, kind), len(payload)) + payload
+    return WAL_FRAME.pack(checksum(payload, kind), len(payload)) + payload
 
 
 @dataclass
@@ -243,12 +244,12 @@ def decode_wal(buf: bytes) -> WalDecodeResult:
     offset = WAL_HEADER_SIZE
     end = len(buf)
     while offset < end:
-        if offset + _FRAME.size > end:
+        if offset + WAL_FRAME.size > end:
             result.truncated = True
             result.corruption = f"torn frame header at offset {offset}"
             return result
-        crc, length = _FRAME.unpack_from(buf, offset)
-        start = offset + _FRAME.size
+        crc, length = WAL_FRAME.unpack_from(buf, offset)
+        start = offset + WAL_FRAME.size
         if start + length > end:
             result.truncated = True
             result.corruption = f"torn record at offset {offset}"

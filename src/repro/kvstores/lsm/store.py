@@ -32,6 +32,7 @@ Two maintenance modes (``LSMConfig.background``):
 from __future__ import annotations
 
 import heapq
+import math
 import operator
 import re
 import threading
@@ -59,6 +60,7 @@ from ..integrity import (
     CorruptionError,
     ScrubFinding,
     ScrubReport,
+    checksum_fn,
     resolve_checksum_kind,
     timed_scrub,
 )
@@ -68,6 +70,8 @@ from .memtable import Memtable
 from .policies import CompactionTask, resolve_policy
 from .record import (
     HEADER_SIZE,
+    RECORD_HEADER,
+    WAL_FRAME,
     Record,
     RecordKind,
     decode_wal,
@@ -88,6 +92,16 @@ _WAL_SEGMENT_RE = re.compile(r"^wal-(\d{6,})$")
 #: duty cycle above realistic maintenance demand (~20-25%).
 _COOP_SLICE_S = 300e-6
 _COOP_SLEEP_S = 100e-6
+
+# The point-op path's constants, bound once: ``_write`` encodes the WAL
+# frame and builds the record without a Python frame for either.
+_PUT = RecordKind.PUT
+_MERGE = RecordKind.MERGE
+_DELETE = RecordKind.DELETE
+_new_record = tuple.__new__
+_pack_header = RECORD_HEADER.pack
+_pack_frame = WAL_FRAME.pack
+_FRAME_SIZE = WAL_FRAME.size
 
 
 def _block_cache_counter(name: str) -> property:
@@ -201,6 +215,10 @@ class RocksLSMStore(KVStore):
         self._write_stall_count = 0
         self._write_stall_ns = 0
         self.checksum_kind = resolve_checksum_kind(self.config.checksum)
+        self._checksum = checksum_fn(self.checksum_kind)
+        #: writes applied (batch members each count one); a FADE pass
+        #: is due when this reaches ``_fade_at``
+        self._writes = 0
         #: tables removed from the tree after failing a checksum
         self.quarantined: List[SSTable] = []
         self._policy = resolve_policy(self.config.compaction_policy)
@@ -228,6 +246,10 @@ class RocksLSMStore(KVStore):
         elif self.config.enable_wal and not self.storage.exists(self._wal_name):
             self._reset_wal()
 
+    #: the write count at which :meth:`_request_fade` next runs: never
+    #: reached here, Lethe keeps its own
+    _fade_at: float = math.inf
+
     def _validate_policy(self) -> None:
         """Subclass hook: veto incompatible compaction policies."""
 
@@ -239,23 +261,70 @@ class RocksLSMStore(KVStore):
         if self._closed:
             self._check_open()
         self.stats.puts += 1
-        self._write(Record(RecordKind.PUT, self._next_sequence(), key, value))
+        self._write(_PUT, key, value)
 
     def delete(self, key: bytes) -> None:
         if self._closed:
             self._check_open()
         self.stats.deletes += 1
-        self._write(Record(RecordKind.DELETE, self._next_sequence(), key, b""))
+        self._write(_DELETE, key, b"")
 
     def merge(self, key: bytes, operand: bytes) -> None:
         if self._closed:
             self._check_open()
         self.stats.merges += 1
-        self._write(Record(RecordKind.MERGE, self._next_sequence(), key, operand))
+        self._write(_MERGE, key, operand)
 
-    def _next_sequence(self) -> int:
-        self._sequence += 1
-        return self._sequence
+    def _write(self, kind: RecordKind, key: bytes, value: bytes) -> None:
+        """Apply one write: sequence, WAL frame, memtable, rotation.
+
+        One body for both maintenance modes (background mode holds the
+        tree mutex and counts segment bytes).  The frame is
+        :func:`~.record.frame_record`'s bytes, encoded inline, and the
+        memtable update is :meth:`Memtable.add_all`'s rule for one
+        record, so a write runs no Python frame below this one until
+        the storage append.
+        """
+        mutex = None if self._bg is None else self._mutex
+        if mutex is not None:
+            mutex.acquire()
+        try:
+            self._sequence = sequence = self._sequence + 1
+            record = _new_record(Record, (kind, sequence, key, value))
+            size = HEADER_SIZE + len(key) + len(value)
+            config = self.config
+            if config.enable_wal:
+                payload = _pack_header(kind, sequence, len(key), len(value)) + key + value
+                self.storage.append(
+                    self._wal_name, _pack_frame(self._checksum(payload), size) + payload
+                )
+                framed = _FRAME_SIZE + size
+                if mutex is not None:
+                    self._segment_bytes[self._wal_name] += framed
+                self._wal_bytes += framed
+                self.stats.bytes_written += framed
+            memtable = self._memtable
+            # Arena accounting: every write consumes buffer space.
+            memtable.approximate_bytes = used = memtable.approximate_bytes + size
+            entries = memtable.entries
+            stack = entries.get(key) if kind is _MERGE else None
+            if stack is None:
+                # PUT and DELETE supersede every older record for the key
+                entries[key] = [record]
+            else:
+                stack.append(record)
+            if used >= config.write_buffer_size:
+                if mutex is None:
+                    self._rotate_memtable()
+                else:
+                    self._rotate_background()
+                    self._stall_for_room()
+            self._writes = writes = self._writes + 1
+        finally:
+            if mutex is not None:
+                mutex.release()
+        if writes >= self._fade_at:
+            self._request_fade()
 
     def apply_batch(self, ops: Sequence[BatchOp]) -> None:
         """Group commit: one checksummed WAL frame for the whole batch.
@@ -290,40 +359,31 @@ class RocksLSMStore(KVStore):
                     f"apply_batch is write-only; cannot apply opcode {opcode}"
                 )
         self._sequence = sequence
-        if self._bg is not None:
-            self._apply_batch_background(records)
-            self._note_batch_writes(len(records))
-            return
-        if self.config.enable_wal:
-            with tracing.span("lsm.wal_commit", records=len(records)) as sp:
-                encoded = frame_records(records, self.checksum_kind)
-                self.storage.append(self._wal_name, encoded)
-                sp.add(bytes=len(encoded))
-            self._wal_bytes += len(encoded)
-            stats.bytes_written += len(encoded)
-        self._memtable.add_all(records)
-        if self._memtable.approximate_bytes >= self.config.write_buffer_size:
-            self._rotate_memtable()
-        self._note_batch_writes(len(records))
-
-    def _apply_batch_background(self, records: List[Record]) -> None:
+        background = self._bg is not None
         with self._mutex:
             if self.config.enable_wal:
                 with tracing.span("lsm.wal_commit", records=len(records)) as sp:
                     encoded = frame_records(records, self.checksum_kind)
                     self.storage.append(self._wal_name, encoded)
                     sp.add(bytes=len(encoded))
-                self._segment_bytes[self._wal_name] += len(encoded)
+                if background:
+                    self._segment_bytes[self._wal_name] += len(encoded)
                 self._wal_bytes += len(encoded)
-                self.stats.bytes_written += len(encoded)
+                stats.bytes_written += len(encoded)
             self._memtable.add_all(records)
             if self._memtable.approximate_bytes >= self.config.write_buffer_size:
-                self._rotate_background()
-                self._stall_for_room()
+                if background:
+                    self._rotate_background()
+                    self._stall_for_room()
+                else:
+                    self._rotate_memtable()
+            self._writes += len(records)
+        if self._writes >= self._fade_at:
+            self._request_fade()
 
-    def _note_batch_writes(self, count: int) -> None:
-        """Hook for subclasses that account per-write work (Lethe's
-        FADE counter); called once per applied batch."""
+    def _request_fade(self) -> None:
+        """Subclass hook: the write count reached ``_fade_at`` (Lethe
+        runs or queues a FADE pass and moves the threshold)."""
 
     def _reset_wal(self) -> None:
         """(Re)create the WAL holding only its format header."""
@@ -346,32 +406,6 @@ class RocksLSMStore(KVStore):
             self._wal_bytes -= self._segment_bytes.pop(name, 0)
         if self._wal_bytes < 0:
             self._wal_bytes = 0
-
-    def _write(self, record: Record) -> None:
-        if self._bg is not None:
-            self._write_background(record)
-            return
-        if self.config.enable_wal:
-            encoded = frame_record(record, self.checksum_kind)
-            self.storage.append(self._wal_name, encoded)
-            self._wal_bytes += len(encoded)
-            self.stats.bytes_written += len(encoded)
-        self._memtable.add(record)
-        if self._memtable.approximate_bytes >= self.config.write_buffer_size:
-            self._rotate_memtable()
-
-    def _write_background(self, record: Record) -> None:
-        with self._mutex:
-            if self.config.enable_wal:
-                encoded = frame_record(record, self.checksum_kind)
-                self.storage.append(self._wal_name, encoded)
-                self._segment_bytes[self._wal_name] += len(encoded)
-                self._wal_bytes += len(encoded)
-                self.stats.bytes_written += len(encoded)
-            self._memtable.add(record)
-            if self._memtable.approximate_bytes >= self.config.write_buffer_size:
-                self._rotate_background()
-                self._stall_for_room()
 
     def _rotate_memtable(self) -> None:
         if not self._memtable:
@@ -602,10 +636,19 @@ class RocksLSMStore(KVStore):
         if self._closed:
             self._check_open()
         self.stats.gets += 1
-        if self._bg is None:
-            return self._get_resolved(key)
-        with self._mutex:
-            return self._get_resolved(key)
+        if self._bg is not None:
+            with self._mutex:
+                return self._get_resolved(key, self._memtable.entries.get(key))
+        stack = self._memtable.entries.get(key)
+        if stack:
+            # The newest record of the active memtable decides the key
+            # unless it is a merge operand.
+            kind, _, _, value = stack[-1]
+            if kind is _PUT:
+                return value
+            if kind is _DELETE:
+                return None
+        return self._get_resolved(key, stack)
 
     def multi_get(self, keys) -> List[Optional[bytes]]:
         """Vectored get: probe keys in sorted order.
@@ -618,39 +661,32 @@ class RocksLSMStore(KVStore):
         """
         self._check_open()
         self.stats.gets += len(keys)
-        if self._bg is None:
-            resolve = self._get_resolved
-            resolved = {key: resolve(key) for key in sorted(set(keys))}
-            return [resolved[key] for key in keys]
         with self._mutex:
             resolve = self._get_resolved
-            resolved = {key: resolve(key) for key in sorted(set(keys))}
+            active = self._memtable.entries.get
+            resolved = {key: resolve(key, active(key)) for key in sorted(set(keys))}
             return [resolved[key] for key in keys]
 
-    def _get_resolved(self, key: bytes) -> Optional[bytes]:
+    def _get_resolved(
+        self, key: bytes, stack: Optional[List[Record]]
+    ) -> Optional[bytes]:
+        """Resolve ``key`` from its record ``stack`` in the active
+        memtable (None when it has none) down through the immutables,
+        newest first, and the tables."""
         operands: List[bytes] = []
-        resolved, value = self._lookup_memtables(key, operands)
-        if resolved:
-            return value
-        resolved, value = self._lookup_tables(key, operands)
-        # no put or tombstone: the merge operands alone make the value
-        return value if resolved else self._apply_tombstone(operands)
-
-    def _lookup_memtables(
-        self, key: bytes, operands: List[bytes]
-    ) -> Tuple[bool, Optional[bytes]]:
-        stack = self._memtable.lookup(key)
         if stack:
             resolved, value = self._resolve_newest_first(stack, operands)
             if resolved:
-                return True, value
+                return value
         for memtable in reversed(self._immutables):
-            stack = memtable.lookup(key)
+            stack = memtable.entries.get(key)
             if stack:
                 resolved, value = self._resolve_newest_first(stack, operands)
                 if resolved:
-                    return True, value
-        return False, None
+                    return value
+        resolved, value = self._lookup_tables(key, operands)
+        # no put or tombstone: the merge operands alone make the value
+        return value if resolved else self._apply_tombstone(operands)
 
     def _resolve_newest_first(
         self, records: List[Record], operands: List[bytes]
@@ -1097,18 +1133,16 @@ class RocksLSMStore(KVStore):
         with self._mutex:
             active = set(self._active_segments)
             names = [n for n in self._discover_wal_segments() if n not in active]
-            replayed = 0
             replayed_records: List[Record] = []
             survivors: List[str] = []
             damaged_at: Optional[int] = None
             for index, name in enumerate(names):
                 buf = self.storage.read(name)
                 decoded = decode_wal(buf)
+                self._memtable.add_all(decoded.records)
                 for record in decoded.records:
-                    self._memtable.add(record)
                     self._sequence = max(self._sequence, record.sequence)
-                    replayed_records.append(record)
-                    replayed += 1
+                replayed_records.extend(decoded.records)
                 survivors.append(name)
                 if decoded.truncated:
                     self.integrity.detected += 1
@@ -1171,7 +1205,7 @@ class RocksLSMStore(KVStore):
                     self._segment_bytes[name] = size
                     total += size
                 self._wal_bytes = total
-        return replayed
+        return len(replayed_records)
 
     # ------------------------------------------------------------------
     # Integrity

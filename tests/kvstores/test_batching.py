@@ -26,7 +26,7 @@ from repro.kvstores.integrity import CorruptionError
 from repro.kvstores.lsm import LetheConfig, LetheStore, LSMConfig, RocksLSMStore
 from repro.kvstores.lsm.bloom import BloomFilter
 from repro.kvstores.lsm.record import (
-    _FRAME,
+    WAL_FRAME,
     WAL_HEADER_SIZE,
     Record,
     RecordKind,
@@ -154,9 +154,9 @@ def wal_frames(store):
     offset = WAL_HEADER_SIZE
     frames = []
     while offset < len(data):
-        _, length = _FRAME.unpack_from(data, offset)
+        _, length = WAL_FRAME.unpack_from(data, offset)
         frames.append(length)
-        offset += _FRAME.size + length
+        offset += WAL_FRAME.size + length
     return frames
 
 
@@ -218,17 +218,19 @@ def test_lethe_fade_counts_batch_members_like_per_op():
     ops = [(OP_PUT, b"k%d" % i, b"v") for i in range(20)]
     apply_per_op(per_op, ops)
     # Batch size divides the interval, so the check fires at the same
-    # write counts as per-op replay: resets at 8 and 16, 4 writes left.
+    # write counts as per-op replay: at 8 and 16, the next one at 24.
     apply_batched(batched, ops, batch_size=4)
-    assert per_op._writes_since_fade == batched._writes_since_fade == 4
+    assert per_op._writes == batched._writes == 20
+    assert per_op._fade_at == batched._fade_at == 24
     per_op.close()
     batched.close()
 
     # A batch that crosses the interval mid-batch still triggers the
-    # fade check (at batch granularity), resetting the counter.
+    # fade check (at batch granularity): the next one is due 8 writes
+    # after the batch.
     crossing = make(8)
     crossing.apply_batch([(OP_PUT, b"k%d" % i, b"v") for i in range(11)])
-    assert crossing._writes_since_fade == 0
+    assert crossing._fade_at == 19
     crossing.close()
 
 

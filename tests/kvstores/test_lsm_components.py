@@ -1,8 +1,6 @@
 """Tests for LSM building blocks: records, bloom filters, memtables,
 SSTables, and compaction resolution."""
 
-import pytest
-
 from repro.kvstores import AppendMergeOperator
 from repro.kvstores.lsm.bloom import BloomFilter
 from repro.kvstores.lsm.compaction import compaction_runs, resolve_key_records
@@ -36,7 +34,7 @@ class TestRecord:
         record = rec(RecordKind.PUT, 42, b"key", b"value")
         decoded, offset = decode_record(record.encode())
         assert decoded == record
-        assert offset == record.encoded_size
+        assert offset == len(record.encode())
 
     def test_decode_all(self):
         records = [
@@ -82,32 +80,32 @@ class TestBloomFilter:
 class TestMemtable:
     def test_put_lookup(self):
         table = Memtable()
-        table.add(rec(RecordKind.PUT, 1, b"a", b"v"))
-        stack = table.lookup(b"a")
+        table.add_all([rec(RecordKind.PUT, 1, b"a", b"v")])
+        stack = table.entries[b"a"]
         assert len(stack) == 1
         assert stack[0].value == b"v"
 
     def test_put_supersedes_older_records(self):
         table = Memtable()
-        table.add(rec(RecordKind.PUT, 1, b"a", b"old"))
-        table.add(rec(RecordKind.MERGE, 2, b"a", b"m"))
-        table.add(rec(RecordKind.PUT, 3, b"a", b"new"))
-        stack = table.lookup(b"a")
+        table.add_all([rec(RecordKind.PUT, 1, b"a", b"old")])
+        table.add_all([rec(RecordKind.MERGE, 2, b"a", b"m")])
+        table.add_all([rec(RecordKind.PUT, 3, b"a", b"new")])
+        stack = table.entries[b"a"]
         assert len(stack) == 1
         assert stack[0].value == b"new"
 
     def test_merges_accumulate(self):
         table = Memtable()
-        table.add(rec(RecordKind.PUT, 1, b"a", b"base"))
-        table.add(rec(RecordKind.MERGE, 2, b"a", b"x"))
-        table.add(rec(RecordKind.MERGE, 3, b"a", b"y"))
-        assert len(table.lookup(b"a")) == 3
+        table.add_all([rec(RecordKind.PUT, 1, b"a", b"base")])
+        table.add_all([rec(RecordKind.MERGE, 2, b"a", b"x")])
+        table.add_all([rec(RecordKind.MERGE, 3, b"a", b"y")])
+        assert len(table.entries[b"a"]) == 3
 
     def test_delete_collapses(self):
         table = Memtable()
-        table.add(rec(RecordKind.PUT, 1, b"a", b"v"))
-        table.add(rec(RecordKind.DELETE, 2, b"a"))
-        stack = table.lookup(b"a")
+        table.add_all([rec(RecordKind.PUT, 1, b"a", b"v")])
+        table.add_all([rec(RecordKind.DELETE, 2, b"a")])
+        stack = table.entries[b"a"]
         assert len(stack) == 1
         assert stack[0].kind is RecordKind.DELETE
 
@@ -115,22 +113,22 @@ class TestMemtable:
         """RocksDB memtables are arena-allocated: superseded records
         keep consuming buffer space until the flush."""
         table = Memtable()
-        table.add(rec(RecordKind.PUT, 1, b"a", b"x" * 100))
+        table.add_all([rec(RecordKind.PUT, 1, b"a", b"x" * 100)])
         before = table.approximate_bytes
-        table.add(rec(RecordKind.PUT, 2, b"a", b"y"))
+        table.add_all([rec(RecordKind.PUT, 2, b"a", b"y")])
         assert table.approximate_bytes > before
 
     def test_sorted_records_order(self):
         table = Memtable()
-        table.add(rec(RecordKind.PUT, 1, b"b", b"1"))
-        table.add(rec(RecordKind.PUT, 2, b"a", b"2"))
+        table.add_all([rec(RecordKind.PUT, 1, b"b", b"1")])
+        table.add_all([rec(RecordKind.PUT, 2, b"a", b"2")])
         keys = [r.key for r in table.sorted_records()]
         assert keys == [b"a", b"b"]
 
     def test_bool(self):
         table = Memtable()
         assert not table
-        table.add(rec(RecordKind.PUT, 1, b"a", b"v"))
+        table.add_all([rec(RecordKind.PUT, 1, b"a", b"v")])
         assert table
 
 

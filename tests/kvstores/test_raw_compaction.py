@@ -65,7 +65,7 @@ def split_into_runs(
             chunk = []
             chunk_bytes = 0
         chunk.append(record)
-        chunk_bytes += record.encoded_size
+        chunk_bytes += len(record.encode())
     if chunk:
         yield chunk
 
@@ -218,7 +218,7 @@ def test_a_run_of_exactly_the_target_size_is_cut(at_bottom):
         operator=OPERATORS["append"],
         at_bottom=at_bottom,
         block_size=64,
-        target_file_size=2 * records[0].encoded_size,
+        target_file_size=2 * len(records[0].encode()),
         checksum_kind=ChecksumKind.CRC32,
     )
     ref_tables, ref_blobs = reference(case)
