@@ -422,6 +422,25 @@ class _BatchWindow:
             raise crash
 
 
+def _check_window(batch_size: Optional[int], pipeline_depth: Optional[int]) -> None:
+    """Reject a window a replay cannot run: a size below 1, or a batch
+    and a pipeline together."""
+    if batch_size is not None and batch_size < 1:
+        raise ValueError("batch_size must be >= 1")
+    if pipeline_depth is not None and pipeline_depth < 1:
+        raise ValueError("pipeline_depth must be >= 1")
+    if (
+        batch_size is not None
+        and batch_size > 1
+        and pipeline_depth is not None
+        and pipeline_depth > 1
+    ):
+        raise ValueError(
+            "batch_size and pipeline_depth are alternative round-trip "
+            "amortizations; pick one"
+        )
+
+
 class TraceReplayer:
     """Replays an access trace against a store connector."""
 
@@ -439,20 +458,7 @@ class TraceReplayer:
         telemetry=None,
         stop_check: Optional[Callable[[], bool]] = None,
     ) -> None:
-        if batch_size is not None and batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if pipeline_depth is not None and pipeline_depth < 1:
-            raise ValueError("pipeline_depth must be >= 1")
-        if (
-            batch_size is not None
-            and batch_size > 1
-            and pipeline_depth is not None
-            and pipeline_depth > 1
-        ):
-            raise ValueError(
-                "batch_size and pipeline_depth are alternative round-trip "
-                "amortizations; pick one"
-            )
+        _check_window(batch_size, pipeline_depth)
         self.connector = connector
         self.service_rate = service_rate
         self.measure_latency = measure_latency
@@ -837,6 +843,9 @@ class _ShardCoordinator:
     ) -> None:
         if num_workers <= 0:
             raise ValueError("num_workers must be positive")
+        # every shard's TraceReplayer would refuse it; refuse it before
+        # a transport builds a connector or starts a worker
+        _check_window(batch_size, pipeline_depth)
         if fault_plan is not None and fault_plan.crash_at is not None:
             raise ValueError(
                 "crash points are single-threaded experiments; use "

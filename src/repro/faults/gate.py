@@ -84,6 +84,12 @@ class GatedConnector:
         self._draws: Optional[list] = None
         self._done = 0
         self._results: Optional[list] = None
+        # The probe is not gated: bind the inner one, so a replay's
+        # per-op probe runs no frame here.  An inner without a probe
+        # leaves the method below in place.
+        probe = getattr(inner, "take_background_ns", None)
+        if probe is not None:
+            self.take_background_ns = probe
 
     # -- the gate ------------------------------------------------------------
 

@@ -45,7 +45,8 @@ class LeafNode:
     current by the mutation methods below, as a real B+Tree keeps a
     page's fill in its header.  The page cache reads it in O(1) on every
     write, so callers change a leaf only through these methods, never by
-    editing ``keys`` or ``values`` directly.
+    editing ``keys`` or ``values`` directly.  (``BTreeStore.put`` runs
+    ``set_value``'s two lines inline: the overwrite is its hot path.)
     """
 
     __slots__ = ("keys", "values", "next_leaf", "size_bytes")

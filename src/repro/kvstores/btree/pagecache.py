@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import time
 from operator import attrgetter
-from typing import Optional, Set
+from typing import Dict, Optional, Set
 
 from ...obs import tracing
 from ..cache import LRUCache
@@ -42,11 +42,16 @@ class PageCache:
             sizer=attrgetter("size_bytes"),
             on_evict=self._write_back,
         )
+        #: the LRU's own entries: a hit and an update touch them here,
+        #: in this frame, moving the LRU's counters as its methods would
+        self._entries = self._cache._entries
         self._on_disk: Set[int] = set()
         self._next_page_id = 0
         self.page_ins = 0
         self.page_outs = 0
-        self.background_ns = 0
+        #: write-back nanoseconds under ``"ns"`` until popped: the
+        #: store's background probe is this dict's ``pop``
+        self.background: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
 
@@ -58,9 +63,12 @@ class PageCache:
         return page_id
 
     def get(self, page_id: int):
-        node = self._cache.get(page_id)
+        node = self._entries.get(page_id)
         if node is not None:
+            self._entries.move_to_end(page_id)
+            self._cache.hits += 1
             return node
+        self._cache.misses += 1
         if page_id not in self._on_disk:
             raise KeyError(f"unknown page: {page_id}")
         with tracing.span("btree.page_in", page=page_id) as sp:
@@ -77,7 +85,17 @@ class PageCache:
         Safe even if the page was evicted while the caller held a
         reference to the node: the object is simply re-cached.
         """
-        self._cache.put(page_id, node)
+        cache = self._cache
+        entries = self._entries
+        size = node.size_bytes
+        if page_id in entries:
+            cache._used -= cache._sizes[page_id]
+            entries.move_to_end(page_id)
+        entries[page_id] = node
+        cache._sizes[page_id] = size
+        cache._used += size
+        if cache._used > cache.capacity_bytes:
+            cache._evict_to_fit()
         self._dirty.add(page_id)
 
     def free(self, page_id: int) -> None:
@@ -138,7 +156,8 @@ class PageCache:
             with tracing.span("btree.page_out", page=page_id):
                 self._persist(page_id, node)
             self._dirty.discard(page_id)
-            self.background_ns += time.perf_counter_ns() - begin
+            background = self.background
+            background["ns"] = background.get("ns", 0) + time.perf_counter_ns() - begin
 
     def _persist(self, page_id: int, node) -> None:
         self.storage.write(self._blob(page_id), encode_page(node, self.checksum_kind))

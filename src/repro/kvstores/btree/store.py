@@ -14,8 +14,9 @@ cache.  Traits this implementation preserves:
 
 from __future__ import annotations
 
-import bisect
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from functools import partial
 from operator import itemgetter
 from typing import Iterator, List, Optional, Tuple
 
@@ -64,6 +65,9 @@ class BTreeStore(KVStore):
         self.checksum_kind = resolve_checksum_kind(self.config.checksum)
         self._pages = PageCache(self.config.cache_bytes, storage, self.checksum_kind)
         self._root_id = self._pages.allocate(LeafNode())
+        #: the background probe, a C call: pops the dirty-page
+        #: write-back time accrued since the last probe
+        self.take_background_ns = partial(self._pages.background.pop, "ns", 0)
         self._height = 1
         self._count = 0
 
@@ -75,24 +79,64 @@ class BTreeStore(KVStore):
         if self._closed:
             self._check_open()
         self.stats.gets += 1
-        leaf, _ = self._descend(key)
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            value = leaf.values[index]
+        get_page = self._pages.get
+        node = get_page(self._root_id)
+        while not node.is_leaf:
+            node = get_page(node.children[bisect_right(node.keys, key)])
+        keys = node.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            value = node.values[index]
             self.stats.bytes_read += len(value)
             return value
         return None
 
     def put(self, key: bytes, value: bytes) -> None:
+        """Walk down to the leaf, remembering the internal pages passed;
+        a split climbs that path, re-reading each parent."""
         if self._closed:
             self._check_open()
-        self.stats.puts += 1
-        self.stats.bytes_written += len(key) + len(value)
-        split = self._insert(self._root_id, key, value, self._height)
-        if split is not None:
-            new_root = InternalNode([split.separator], [self._root_id, split.right_page])
-            self._root_id = self._pages.allocate(new_root)
-            self._height += 1
+        stats = self.stats
+        stats.puts += 1
+        stats.bytes_written += len(key) + len(value)
+        pages = self._pages
+        get_page = pages.get
+        page_id = self._root_id
+        node = get_page(page_id)
+        path = []
+        while not node.is_leaf:
+            path.append(page_id)
+            page_id = node.children[bisect_right(node.keys, key)]
+            node = get_page(page_id)
+        keys = node.keys
+        index = bisect_left(keys, key)
+        if index < len(keys) and keys[index] == key:
+            # in-place overwrite: LeafNode.set_value, in this frame
+            values = node.values
+            node.size_bytes += len(value) - len(values[index])
+            values[index] = value
+        else:
+            node.insert(index, key, value)
+            self._count += 1
+        pages.update(page_id, node)
+        order = self.config.order
+        if len(keys) <= order:
+            return
+        split = self._split_leaf(node, page_id)
+        while path:
+            # The child handed us a new right sibling; register it here.
+            page_id = path.pop()
+            node = get_page(page_id)
+            index = bisect_right(node.keys, split.separator)
+            node.keys.insert(index, split.separator)
+            node.children.insert(index + 1, split.right_page)
+            pages.update(page_id, node)
+            if len(node.keys) <= order:
+                return
+            split = self._split_internal(node, page_id)
+        new_root = InternalNode([split.separator], [self._root_id, split.right_page])
+        self._root_id = pages.allocate(new_root)
+        self._height += 1
 
     def delete(self, key: bytes) -> None:
         if self._closed:
@@ -100,7 +144,7 @@ class BTreeStore(KVStore):
         self.stats.deletes += 1
         if not self.config.rebalance_on_delete:
             leaf, page_id = self._descend(key)
-            index = bisect.bisect_left(leaf.keys, key)
+            index = bisect_left(leaf.keys, key)
             if index < len(leaf.keys) and leaf.keys[index] == key:
                 leaf.remove(index)
                 self._pages.update(page_id, leaf)
@@ -135,7 +179,7 @@ class BTreeStore(KVStore):
                 or key > leaf.keys[-1]
             ):
                 leaf, _ = self._descend(key)
-            index = bisect.bisect_left(leaf.keys, key)
+            index = bisect_left(leaf.keys, key)
             if index < len(leaf.keys) and leaf.keys[index] == key:
                 value = leaf.values[index]
                 self.stats.bytes_read += len(value)
@@ -167,7 +211,7 @@ class BTreeStore(KVStore):
         self._check_open()
         leaf, _ = self._descend(start)
         while leaf is not None:
-            index = bisect.bisect_left(leaf.keys, start)
+            index = bisect_left(leaf.keys, start)
             for key, value in zip(leaf.keys[index:], leaf.values[index:]):
                 if key >= end:
                     return
@@ -189,10 +233,6 @@ class BTreeStore(KVStore):
         self.integrity.absorb(report)
         return report
 
-    def take_background_ns(self) -> int:
-        spent, self._pages.background_ns = self._pages.background_ns, 0
-        return spent
-
     def __len__(self) -> int:
         return self._count
 
@@ -204,44 +244,10 @@ class BTreeStore(KVStore):
         page_id = self._root_id
         node = self._pages.get(page_id)
         while not node.is_leaf:
-            index = bisect.bisect_right(node.keys, key)
+            index = bisect_right(node.keys, key)
             page_id = node.children[index]
             node = self._pages.get(page_id)
         return node, page_id
-
-    def _insert(
-        self, page_id: int, key: bytes, value: bytes, height: int
-    ) -> Optional[_SplitResult]:
-        node = self._pages.get(page_id)
-        if node.is_leaf:
-            return self._insert_leaf(node, page_id, key, value)
-        index = bisect.bisect_right(node.keys, key)
-        split = self._insert(node.children[index], key, value, height - 1)
-        if split is None:
-            return None
-        # The child handed us a new right sibling; register it here.
-        node = self._pages.get(page_id)
-        index = bisect.bisect_right(node.keys, split.separator)
-        node.keys.insert(index, split.separator)
-        node.children.insert(index + 1, split.right_page)
-        self._pages.update(page_id, node)
-        if len(node.keys) > self.config.order:
-            return self._split_internal(node, page_id)
-        return None
-
-    def _insert_leaf(
-        self, leaf: LeafNode, page_id: int, key: bytes, value: bytes
-    ) -> Optional[_SplitResult]:
-        index = bisect.bisect_left(leaf.keys, key)
-        if index < len(leaf.keys) and leaf.keys[index] == key:
-            leaf.set_value(index, value)  # in-place overwrite
-        else:
-            leaf.insert(index, key, value)
-            self._count += 1
-        self._pages.update(page_id, leaf)
-        if len(leaf.keys) > self.config.order:
-            return self._split_leaf(leaf, page_id)
-        return None
 
     def _split_leaf(self, leaf: LeafNode, page_id: int) -> _SplitResult:
         right = leaf.split_off(self._pages.allocate)
@@ -269,13 +275,13 @@ class BTreeStore(KVStore):
     def _delete_rebalancing(self, page_id: int, key: bytes) -> None:
         node = self._pages.get(page_id)
         if node.is_leaf:
-            index = bisect.bisect_left(node.keys, key)
+            index = bisect_left(node.keys, key)
             if index < len(node.keys) and node.keys[index] == key:
                 node.remove(index)
                 self._pages.update(page_id, node)
                 self._count -= 1
             return
-        child_pos = bisect.bisect_right(node.keys, key)
+        child_pos = bisect_right(node.keys, key)
         child_id = node.children[child_pos]
         self._delete_rebalancing(child_id, key)
         child = self._pages.get(child_id)

@@ -48,7 +48,7 @@ SEGMENT_HEADER_SIZE = _SEGMENT_HEADER.size
 _FRAME = struct.Struct("<II")  # crc32 of payload, payload length
 
 
-@dataclass
+@dataclass(init=False)
 class LogRecord:
     key: bytes
     value: bytes
@@ -58,9 +58,15 @@ class LogRecord:
     #: read-copy-update append, exactly like real FASTER.
     alloc: int = -1
 
-    def __post_init__(self) -> None:
-        if self.alloc < 0:
-            self.alloc = len(self.value)
+    def __init__(
+        self, key: bytes, value: bytes, tombstone: bool = False, alloc: int = -1
+    ) -> None:
+        # one frame per record: the generated __init__ would run
+        # __post_init__ as a second
+        self.key = key
+        self.value = value
+        self.tombstone = tombstone
+        self.alloc = len(value) if alloc < 0 else alloc
 
     @property
     def size(self) -> int:
@@ -152,6 +158,8 @@ class HybridLog:
             raise ValueError("mutable_fraction must be in (0, 1]")
         self.memory_budget = memory_budget
         self.mutable_fraction = mutable_fraction
+        #: bytes below the tail that stay updatable in place
+        self.mutable_budget = int(memory_budget * mutable_fraction)
         self.segment_size = segment_size
         self.checksum_kind = checksum_kind
         self.storage = storage if storage is not None else MemoryStorage()
@@ -172,7 +180,9 @@ class HybridLog:
         self.disk_reads = 0
         self.appends = 0
         self.in_place_updates = 0
-        self.background_ns = 0
+        #: segment-sealing nanoseconds under ``"ns"`` until popped: the
+        #: store's background probe is this dict's ``pop``
+        self.background: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     # Region boundaries
@@ -181,8 +191,7 @@ class HybridLog:
     @property
     def read_only_boundary(self) -> int:
         """Lowest address that may be updated in place."""
-        mutable_budget = int(self.memory_budget * self.mutable_fraction)
-        return max(self.head, self.tail - mutable_budget)
+        return max(self.head, self.tail - self.mutable_budget)
 
     def is_mutable(self, address: int) -> bool:
         return address >= self.read_only_boundary
@@ -193,12 +202,14 @@ class HybridLog:
 
     def append(self, record: LogRecord) -> int:
         address = self.tail
-        self.tail += record.size
+        size = RECORD_OVERHEAD + len(record.key) + record.alloc
+        self.tail = address + size
         self._memory[address] = record
         self._memory_order.append(address)
-        self._memory_bytes += record.size
+        self._memory_bytes += size
         self.appends += 1
-        self._maybe_evict()
+        if self._memory_bytes > self.memory_budget:
+            self._maybe_evict()
         return address
 
     def append_many(self, records: Sequence[LogRecord]) -> List[int]:
@@ -319,7 +330,8 @@ class HybridLog:
             self._pending_segment = []
             self._pending_map.clear()
             self._pending_bytes = 0
-        self.background_ns += time.perf_counter_ns() - begin
+        background = self.background
+        background["ns"] = background.get("ns", 0) + time.perf_counter_ns() - begin
 
     def flush(self) -> None:
         self._seal_segment()

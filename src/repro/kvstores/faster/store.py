@@ -15,6 +15,7 @@ Design traits the paper's evaluation rests on:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Dict, List, Optional
 
 from ..api import (
@@ -28,7 +29,7 @@ from ..api import (
 from ..integrity import ScrubReport, resolve_checksum_kind
 from ..storage import Storage
 from .hashindex import HashIndex
-from .hybridlog import HybridLog, LogRecord
+from .hybridlog import RECORD_OVERHEAD, HybridLog, LogRecord
 
 
 @dataclass
@@ -65,6 +66,14 @@ class FasterStore(KVStore):
             storage=storage,
             checksum_kind=self.checksum_kind,
         )
+        # The point ops read the index's slots and the log's in-memory
+        # records directly, keeping each op in one frame; they move the
+        # index's and the log's counters as their methods would.
+        self._slots = self.index._slots
+        self._memory = self.log._memory
+        #: the background probe, a C call: pops the segment-sealing
+        #: time accrued since the last probe
+        self.take_background_ns = partial(self.log.background.pop, "ns", 0)
 
     # ------------------------------------------------------------------
 
@@ -73,40 +82,53 @@ class FasterStore(KVStore):
         if self._closed:
             self._check_open()
         self.stats.gets += 1
-        address = self.index.lookup(key)
+        self.index.probes += 1
+        address = self._slots.get(key)
         if address is None:
             return None
-        record = self.log.read(address)
+        record = self._memory.get(address)
+        if record is None:  # below head: pending or sealed
+            record = self.log.read(address)
         if record.tombstone:
             return None
-        self.stats.bytes_read += record.size
+        self.stats.bytes_read += RECORD_OVERHEAD + len(record.key) + record.alloc
         return record.value
 
     def put(self, key: bytes, value: bytes) -> None:
         """FASTER ``upsert``: in-place when mutable, else append (RCU)."""
         if self._closed:
             self._check_open()
-        self.stats.puts += 1
-        address = self.index.lookup(key)
-        if address is not None and self.log.can_update_in_place(address, len(value)):
-            record = self.log.read(address)
-            if not record.tombstone:
-                self.log.update_in_place(address, value)
-                self.stats.bytes_written += len(value)
+        stats = self.stats
+        stats.puts += 1
+        index = self.index
+        index.probes += 1
+        address = self._slots.get(key)
+        log = self.log
+        if (
+            address is not None
+            and address >= log.head
+            and address >= log.tail - log.mutable_budget
+        ):
+            # the mutable region: every record from head up is in memory
+            record = self._memory[address]
+            if len(value) <= record.alloc and not record.tombstone:
+                record.value = value
+                log.in_place_updates += 1
+                stats.bytes_written += len(value)
                 return
-        new_address = self.log.append(LogRecord(key, value))
-        self.index.update(key, new_address)
-        self.stats.bytes_written += len(key) + len(value)
+        index.updates += 1
+        self._slots[key] = log.append(LogRecord(key, value))
+        stats.bytes_written += len(key) + len(value)
 
     def delete(self, key: bytes) -> None:
         """Append a tombstone and point the index at it."""
         if self._closed:
             self._check_open()
         self.stats.deletes += 1
-        if key not in self.index:
+        if key not in self._slots:
             return
-        address = self.log.append(LogRecord(key, b"", tombstone=True))
-        self.index.update(key, address)
+        self.index.updates += 1
+        self._slots[key] = self.log.append(LogRecord(key, b"", True))
         self.stats.bytes_written += len(key)
 
     def merge(self, key: bytes, operand: bytes) -> None:
@@ -118,29 +140,38 @@ class FasterStore(KVStore):
         """
         if self._closed:
             self._check_open()
-        self.stats.merges += 1
-        address = self.index.lookup(key)
+        stats = self.stats
+        stats.merges += 1
+        index = self.index
+        index.probes += 1
+        address = self._slots.get(key)
+        log = self.log
         existing: Optional[bytes] = None
         if address is not None:
-            record = self.log.read(address)
+            record = self._memory.get(address)
+            if record is None:  # below head: pending or sealed
+                record = log.read(address)
             if not record.tombstone:
                 existing = record.value
-                self.stats.bytes_read += record.size
+                stats.bytes_read += RECORD_OVERHEAD + len(record.key) + record.alloc
         merged = self.merge_operator.full_merge(existing, (operand,))
         if (
-            address is not None
-            and existing is not None
-            and self.log.can_update_in_place(address, len(merged))
+            existing is not None
+            and len(merged) <= record.alloc
+            and address >= log.head
+            and address >= log.tail - log.mutable_budget
         ):
-            self.log.update_in_place(address, merged)
+            # mutable, hence the in-memory record read above
+            record.value = merged
+            log.in_place_updates += 1
         else:
             # The merged value outgrew its record (or lives in the
             # read-only/disk region): read-copy-update appends a fresh,
             # larger record -- the log churn that makes rmw expensive
             # for growing window buckets.
-            new_address = self.log.append(LogRecord(key, merged))
-            self.index.update(key, new_address)
-        self.stats.bytes_written += len(merged)
+            index.updates += 1
+            self._slots[key] = log.append(LogRecord(key, merged))
+        stats.bytes_written += len(merged)
 
     # ------------------------------------------------------------------
     # Batched operations
@@ -274,10 +305,6 @@ class FasterStore(KVStore):
         report = self.log.scrub()
         self.integrity.absorb(report)
         return report
-
-    def take_background_ns(self) -> int:
-        spent, self.log.background_ns = self.log.background_ns, 0
-        return spent
 
     def __len__(self) -> int:
         return len(self.index)

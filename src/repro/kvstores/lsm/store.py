@@ -39,7 +39,8 @@ import threading
 import time
 import warnings
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterator, List, Optional, Sequence, Tuple
+from functools import partial
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover
     from .maintenance import MaintenanceWorkers
@@ -205,10 +206,17 @@ class RocksLSMStore(KVStore):
         self._wal_name = "wal-current"
         self._wal_bytes = 0
         self._new_outputs: List[SSTable] = []
-        self._background_ns = 0
-        #: guards _background_ns: in background mode the writer's stall
-        #: accounting and take_background_ns race across threads
+        #: background-maintenance nanoseconds under ``"ns"`` until the
+        #: probe pops them: inline mode, the flush/compaction work done
+        #: on the write path; background mode, writer *stall* time only
+        #: (worker busy time is concurrent, never charged here)
+        self._background: Dict[str, int] = {}
+        #: serializes accruals; the probe takes no lock (see
+        #: _add_background_ns)
         self._background_lock = threading.Lock()
+        #: the background probe, a C call: pops what accrued since the
+        #: last probe
+        self.take_background_ns = partial(self._background.pop, "ns", 0)
         #: tree mutex: guards memtables, levels, WAL segment lists, and
         #: stats in background mode (a no-op re-entrant lock inline)
         self._mutex = threading.RLock()
@@ -467,22 +475,12 @@ class RocksLSMStore(KVStore):
         self._add_background_ns(stalled)
 
     def _add_background_ns(self, delta: int) -> None:
+        # Pop, then set: a probe that pops between the two finds no key
+        # and takes 0, and the set carries what it would have taken, so
+        # no accrual is lost or counted twice.
         with self._background_lock:
-            self._background_ns += delta
-
-    def take_background_ns(self) -> int:
-        """Background-maintenance time attributable to recent ops.
-
-        Inline mode: the flush/compaction work performed on the write
-        path.  Background mode: writer *stall* time only -- worker busy
-        time is genuinely concurrent and never double-counted here.
-        Thread-safe either way.
-        """
-        if not self._background_ns:  # nothing accrued: skip the lock
-            return 0
-        with self._background_lock:
-            spent, self._background_ns = self._background_ns, 0
-        return spent
+            accrued = self._background
+            accrued["ns"] = accrued.pop("ns", 0) + delta
 
     @property
     def write_stall_count(self) -> int:

@@ -4,8 +4,10 @@ Mirrors YCSB's core-workload semantics (section 4 of the paper):
 
 * ``recordcount`` keys are considered preloaded; read/update requests
   draw from them immediately
-* inserts extend the key space but inserted keys are *not* reused by
-  later read/update requests (a limitation the paper calls out)
+* inserts extend the key space; under the ``latest`` distribution
+  (workload D) later reads favour the newest records, inserted ones
+  included, while every other distribution reads and updates preloaded
+  records only (a limitation the paper calls out)
 * delete operations do not exist in YCSB
 * read-modify-write issues a read followed by an update of the same key
 
@@ -87,6 +89,9 @@ class YCSBWorkload:
         self.generator = make_generator(
             self.config.request_distribution, self.config.record_count, self.rng
         )
+        #: "latest" draws up to its insertion frontier, each index a
+        #: preloaded or an already inserted record: no fold
+        self._fold = not isinstance(self.generator, LatestGenerator)
 
     @classmethod
     def core(cls, name: str, **overrides) -> "YCSBWorkload":
@@ -156,8 +161,12 @@ class YCSBWorkload:
 
     def _next_key(self) -> bytes:
         index = self.generator.next_index()
-        # Reads/updates only touch preloaded records, per YCSB semantics.
-        return self.key_for(index % self.config.record_count)
+        if self._fold:
+            # Reads/updates only touch preloaded records.  Folding a
+            # "latest" draw would send its hottest index, the newest
+            # insert, to the oldest preloaded records.
+            index %= self.config.record_count
+        return self.key_for(index)
 
     def _cumulative_proportions(self) -> Dict[str, float]:
         config = self.config

@@ -9,7 +9,12 @@ import multiprocessing
 
 import pytest
 
-from repro.core import ConnectorSpec, ProcessShardedReplayer, ShardedReplayer
+from repro.core import (
+    ConnectorSpec,
+    ProcessShardedReplayer,
+    ShardedReplayer,
+    TraceReplayer,
+)
 from repro.kvstores import create_connector
 from repro.trace import AccessTrace, OpType
 
@@ -110,3 +115,40 @@ def test_empty_histograms_leave_merged_figures_unchanged():
             assert whole.latency_percentile(percentile, op) == (
                 pruned.latency_percentile(percentile, op)
             )
+
+
+def test_a_batch_with_a_pipeline_is_refused_before_any_connector_is_built():
+    """Each shard's TraceReplayer would refuse the pair; the coordinator
+    refuses it first, with the same message, before the factory runs or
+    a thread starts."""
+    calls = []
+
+    def factory():
+        calls.append(1)
+        return create_connector("memory")
+
+    with pytest.raises(ValueError) as refused:
+        ShardedReplayer(factory, num_workers=2, batch_size=8, pipeline_depth=4)
+    with pytest.raises(ValueError) as single:
+        TraceReplayer(create_connector("memory"), batch_size=8, pipeline_depth=4)
+    assert str(refused.value) == str(single.value)
+    assert "alternative round-trip amortizations" in str(refused.value)
+    assert calls == []
+
+
+def test_a_process_fan_out_refuses_a_bad_window_before_any_worker():
+    """The process transport takes no pipeline; a batch size its shards
+    would refuse is refused in the parent, before a worker builds a
+    connector."""
+    calls = multiprocessing.get_context("fork").Value("i", 0)
+
+    def factory(index):
+        with calls.get_lock():
+            calls.value += 1
+        return create_connector("memory")
+
+    with pytest.raises(ValueError, match=r"^batch_size must be >= 1$"):
+        ProcessShardedReplayer(
+            ConnectorSpec.from_factory(factory), num_workers=2, batch_size=0
+        )
+    assert calls.value == 0

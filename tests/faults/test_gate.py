@@ -1,6 +1,8 @@
 """The gate: one op clock, one batch-member split, one retry loop, one
 sleep seam."""
 
+import sys
+
 import pytest
 
 from repro.faults import (
@@ -10,7 +12,9 @@ from repro.faults import (
     RetryPolicy,
     TransientStoreError,
 )
-from repro.kvstores import InMemoryStore, connect
+from repro.core import TraceReplayer
+from repro.kvstores import FasterStore, InMemoryStore, connect
+from repro.trace import AccessTrace, OpType
 
 CRASH = FaultPlan(crash_at=0)
 BURST = FaultPlan(seed=1, transient_error_rate=1.0, error_burst=5)
@@ -135,3 +139,38 @@ def test_clean_draws_share_one_object():
     clean = [faults for faults in draws if not faults.any]
     assert 900 < len(clean) < 1_000
     assert all(faults is clean[0] for faults in clean)
+
+
+@pytest.mark.parametrize("store_cls", [InMemoryStore, FasterStore], ids=["memory", "faster"])
+def test_a_gated_replay_runs_no_probe_frame(store_cls):
+    """The gate binds its inner connector's probe: a replay under a
+    fault plan and a retry policy probes the store without a frame of
+    the gate's."""
+    trace = AccessTrace()
+    for i in range(2_000):
+        trace.record(OpType.PUT if i % 2 else OpType.GET, b"k%d" % (i % 97), 16, i)
+    store = store_cls()
+    replayer = TraceReplayer(
+        connect(store),
+        fault_plan=FaultPlan(seed=1, transient_error_rate=0.01),
+        retry_policy=RetryPolicy(max_attempts=5, base_delay_s=0.0),
+    )
+    codes = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.add(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        result = replayer.replay(trace)
+    finally:
+        sys.setprofile(None)
+    assert result.operations == len(trace)
+    assert GatedConnector.get.__code__ in codes  # the gate did run
+    assert GatedConnector.take_background_ns.__code__ not in codes
+    assert not {code.co_name for code in codes} & {"take_background_ns"}
+    gate = GatedConnector(connect(store))
+    assert gate.take_background_ns is store.take_background_ns
+    del gate.take_background_ns  # the class method is the fallback
+    assert gate.take_background_ns() == 0

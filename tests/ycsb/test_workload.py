@@ -1,5 +1,7 @@
 """Tests for the YCSB workload generator."""
 
+from collections import Counter
+
 import pytest
 
 from repro.trace import OpType
@@ -66,6 +68,25 @@ class TestWorkloadSemantics:
         trace = workload.generate()
         read_keys = {a.key for a in trace if a.op is OpType.GET}
         assert read_keys <= preloaded
+
+    def test_read_latest_reads_the_newest_inserts(self):
+        """Workload D's most-read key is the newest insert, and every
+        read key exists by the time it is read: preloaded, or inserted
+        earlier in the trace."""
+        workload = YCSBWorkload.core("D", record_count=1000, operation_count=20_000)
+        order = workload.load_keys()  # records, oldest first
+        position = {key: i for i, key in enumerate(order)}
+        recency = Counter()  # reads by how many records are newer
+        for access in workload.generate():
+            if access.op is OpType.GET:
+                recency[len(order) - 1 - position[access.key]] += 1
+            elif access.key not in position:
+                position[access.key] = len(order)
+                order.append(access.key)
+        assert len(order) > 1500
+        assert recency.most_common(1)[0][0] == 0
+        # a zipfian over recency: the ten newest records take a third
+        assert sum(recency[r] for r in range(10)) > sum(recency.values()) / 3
 
     def test_inserts_extend_keyspace(self):
         workload = YCSBWorkload(
