@@ -1,6 +1,6 @@
 """Distributed cluster mode: partitioned + replicated store serving.
 
-Composes the remote layer's pieces (the ``selectors``-loop
+Composes the remote layer's pieces (the ``select.poll``-loop
 :class:`~repro.kvstores.remote.StoreServer`, protocol v2 ``OP_BATCH``,
 the crc32 partitioner shared with ``shard_trace``) into a real cluster:
 

@@ -12,11 +12,14 @@ this setting with the right store wrappers; this module provides them:
   embedded one (every access now pays serialization + a socket round
   trip, the external-state overhead the paper's introduction cites)
 
-The server multiplexes every connection on one ``selectors``-based
-event loop thread: N replay processes fan in over N sockets without a
-thread per connection, and store access is serialized naturally by the
-single loop (single-writer semantics per key are preserved by the
-dataflow model itself -- one task writes any given key).
+The server multiplexes every connection on one ``select.poll`` event
+loop thread: N replay processes fan in over N sockets without a thread
+per connection, and store access is serialized naturally by the single
+loop (single-writer semantics per key are preserved by the dataflow
+model itself -- one task writes any given key).  Each side of a
+synchronous op is one body: the server reads, executes and replies in
+one body per readable connection, and the client frames, sends and
+parses in one request body.
 
 There is one wire protocol, strictly ordered per connection.  A request
 is a :data:`_HEADER` (opcode, key length, value length) followed by the
@@ -44,7 +47,7 @@ Failure semantics (the robustness axis):
 from __future__ import annotations
 
 import json
-import selectors
+import select
 import socket
 import struct
 import threading
@@ -145,8 +148,9 @@ def _recv_into_exact(sock: socket.socket, buf, length: int, received: int = 0) -
     return calls
 
 
-#: size of the reusable reply buffer: a reply that fits arrives with
-#: one ``recv_into`` and is parsed where it landed
+#: size of the reusable reply buffer (and of the server's read buffer):
+#: a reply that fits arrives with one ``recv_into`` and is parsed where
+#: it landed
 _REPLY_BUF_SIZE = 1 << 16
 
 
@@ -154,20 +158,26 @@ class _ProtocolViolation(Exception):
     """A reply that cannot belong to the one request in flight."""
 
 
-def _read_reply(sock: socket.socket, view: memoryview) -> Tuple[int, bytes, int]:
+def _read_reply(
+    sock: socket.socket, view: memoryview, n: Optional[int] = None
+) -> Tuple[int, bytes, int]:
     """Read the reply to the one request in flight on ``sock``.
 
     One ``recv_into`` fills the reusable ``view``; the header is parsed
     in place and a body that fits is sliced from the same buffer.  Only
     a header split across segments, or a body that has not all arrived,
-    costs further calls.  Returns ``(status, body, recv calls)``.  With
-    exactly one request outstanding, bytes past the reply's end mean the
-    framing is broken: raises :class:`_ProtocolViolation`.
+    costs further calls.  A caller that made the first ``recv_into``
+    itself passes its count as ``n`` and the read continues from there.
+    Returns ``(status, body, recv calls made here)``.  With exactly one
+    request outstanding, bytes past the reply's end mean the framing is
+    broken: raises :class:`_ProtocolViolation`.
     """
-    n = sock.recv_into(view)
+    calls = 0
+    if n is None:
+        n = sock.recv_into(view)
+        calls = 1
     if n == 0:
         raise ConnectionError("peer closed the connection")
-    calls = 1
     head = _REPLY_HEAD.size
     if n < head:
         calls += _recv_into_exact(sock, view, head, n)
@@ -349,20 +359,30 @@ def _frame_complete(buf: bytearray) -> bool:
     return len(buf) >= _HEADER.size + body
 
 
+#: poll events that send a connection through its read body: data, and
+#: hang-up, error or a stale descriptor, which its ``recv_into`` then
+#: turns into a close
+_READABLE = select.POLLIN | select.POLLPRI | select.POLLHUP | select.POLLERR | select.POLLNVAL
+#: a connection's interest while replies wait for a short send to finish
+_READ_WRITE = select.POLLIN | select.POLLOUT
+
+
 class _Connection:
     """Per-client state on the event loop: the staged tail of an
     incomplete frame, pending output."""
 
-    __slots__ = ("sock", "inbuf", "outbuf", "close_after_flush", "writing")
+    __slots__ = ("sock", "fd", "inbuf", "outbuf", "close_after_flush", "writing")
 
     def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
+        #: kept so the poll set can drop the socket after it is closed
+        self.fd = sock.fileno()
         self.inbuf = bytearray()
         self.outbuf = bytearray()
         #: set when the last queued reply must be the connection's final
         #: word (unknown opcode, shutdown refusal): flush, then close
         self.close_after_flush = False
-        #: whether the selector watches this socket for ``EVENT_WRITE``
+        #: whether the poll set watches this socket for ``POLLOUT``
         #: (replies left over from a short send); the interest set is
         #: only touched when this flips
         self.writing = False
@@ -392,7 +412,7 @@ class _ReplicationLink:
     its reply awaited *before* the local apply, so an acked write is
     already at the next node (chain ack levels ``one``/``all``).
     ``sync=False`` pipelines frames fire-and-forget and counts acks as
-    they drain back through the server's selector; the gap between
+    they drain back through the server's poll loop; the gap between
     ``ops_sent`` and ``ops_acked`` is exactly the lost-ack window a
     primary death would leave (ack level ``none``).
 
@@ -437,8 +457,9 @@ class _ReplicationLink:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         _kernel_timeouts(sock, timeout)
         self._sock = sock
+        self._fd = sock.fileno()
         if not sync:
-            server._selector.register(sock, selectors.EVENT_READ, self)
+            server._watch(self._fd, self.drain)
             self._registered = True
 
     # -- forwarding ----------------------------------------------------------
@@ -512,7 +533,7 @@ class _ReplicationLink:
                 f"replication to {self.peer[0]}:{self.peer[1]} failed: {exc}"
             ) from exc
 
-    # -- async ack drain (selector callback) ---------------------------------
+    # -- async ack drain (poll callback) -------------------------------------
 
     def drain(self) -> None:
         """Consume acks the downstream piped back; loop-thread only."""
@@ -580,10 +601,7 @@ class _ReplicationLink:
 
     def close(self) -> None:
         if self._registered:
-            try:
-                self._server._selector.unregister(self._sock)
-            except (KeyError, ValueError, OSError):
-                pass
+            self._server._unwatch(self._fd)
             self._registered = False
         try:
             self._sock.close()
@@ -592,7 +610,7 @@ class _ReplicationLink:
 
 
 class StoreServer:
-    """Serves a store on 127.0.0.1 from one ``selectors`` event loop.
+    """Serves a store on 127.0.0.1 from one ``select.poll`` event loop.
 
     All client connections multiplex onto a single non-blocking loop
     thread, so N replay processes cost N sockets, not N threads --
@@ -600,6 +618,14 @@ class StoreServer:
     touches the store.  Requests on one connection still execute in
     arrival order, and one op executes at a time globally (the same
     serialization the old lock provided).
+
+    The loop keeps one ``select.poll`` object and an fd -> handler dict:
+    the listener, the wake socket and each replication link map to a
+    callable, each client connection to its :class:`_Connection`.  A
+    readable connection is served in one body, :meth:`_process`: one
+    ``recv_into`` the server's read buffer, every complete frame
+    executed, the replies sent optimistically.  ``POLLOUT`` is armed
+    only after a short send and dropped once the queue is empty.
 
     It serves per-op frames, :data:`OP_BATCH` and :data:`OP_ADMIN`.  An
     unknown top-level opcode is answered with ``REPLY_ERROR`` and the
@@ -615,11 +641,16 @@ class StoreServer:
         self._listener.bind(("127.0.0.1", port))
         self._listener.listen(128)
         self._listener.setblocking(False)
-        # the wake pipe lets stop() interrupt a parked select() at once
+        # the wake pipe lets stop() interrupt a parked poll() at once
         self._wake_r, self._wake_w = socket.socketpair()
         self._wake_r.setblocking(False)
-        self._selector = selectors.DefaultSelector()
+        self._poller = select.poll()
+        #: fd -> a :class:`_Connection`, or a callable run when readable
+        self._handlers: Dict[int, object] = {}
         self._connections: Dict[socket.socket, _Connection] = {}
+        #: every connection's reads land here; each read's frames are
+        #: walked over a copy of just the bytes received
+        self._readview = memoryview(bytearray(_REPLY_BUF_SIZE))
         self._closing = False
         self._killed = False
         self._stopped = False
@@ -644,8 +675,8 @@ class StoreServer:
         return self.address[1]
 
     def start(self) -> "StoreServer":
-        self._selector.register(self._listener, selectors.EVENT_READ, "listener")
-        self._selector.register(self._wake_r, selectors.EVENT_READ, "wake")
+        self._watch(self._listener.fileno(), self._accept)
+        self._watch(self._wake_r.fileno(), self._drain_wake)
         self._thread = threading.Thread(
             target=self._serve, name="store-server", daemon=True
         )
@@ -654,80 +685,96 @@ class StoreServer:
 
     # -- event loop ----------------------------------------------------------
 
+    def _watch(self, fd: int, handler: object) -> None:
+        """Poll ``fd`` for input; ``handler`` serves it."""
+        self._handlers[fd] = handler
+        self._poller.register(fd, select.POLLIN)
+
+    def _unwatch(self, fd: int) -> None:
+        if self._handlers.pop(fd, None) is not None:
+            self._poller.unregister(fd)
+
+    def _interest(self, conn: _Connection, events: int) -> None:
+        """The one place a connection's poll interest changes: ``POLLOUT``
+        joins ``POLLIN`` while replies wait on a short send."""
+        self._poller.modify(conn.fd, events)
+        conn.writing = bool(events & select.POLLOUT)
+
     def _serve(self) -> None:
-        selector = self._selector
+        poll = self._poller.poll
+        handlers = self._handlers
         while not self._closing:
-            for key, mask in selector.select():
-                data = key.data
-                if data == "listener":
-                    self._accept()
-                elif data == "wake":
-                    try:
-                        while self._wake_r.recv(4096):
-                            pass
-                    except (BlockingIOError, OSError):
-                        pass
-                elif isinstance(data, _ReplicationLink):
-                    data.drain()
-                else:
-                    conn: _Connection = data
-                    if mask & selectors.EVENT_READ:
-                        self._read(conn)
-                    if (
-                        mask & selectors.EVENT_WRITE
-                        and conn.sock in self._connections
-                    ):
-                        self._flush(conn)
+            for fd, events in poll():
+                handler = handlers.get(fd)
+                if handler.__class__ is not _Connection:
+                    if handler is not None:  # None: closed earlier this round
+                        handler()
+                    continue
+                if events & _READABLE and not self._process(handler):
+                    continue
+                if events & select.POLLOUT:
+                    self._flush(handler)
         self._close_all(drain=not self._killed)
+
+    def _drain_wake(self) -> None:
+        try:
+            while self._wake_r.recv(4096):
+                pass
+        except OSError:
+            pass
 
     def _accept(self) -> None:
         while True:
             try:
                 sock, _ = self._listener.accept()
-            except (BlockingIOError, OSError):
+            except OSError:
                 return
             sock.setblocking(False)
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             conn = _Connection(sock)
             self._connections[sock] = conn
-            self._selector.register(sock, selectors.EVENT_READ, conn)
+            self._watch(conn.fd, conn)
 
-    def _read(self, conn: _Connection) -> None:
-        try:
-            chunk = conn.sock.recv(1 << 16)
-        except BlockingIOError:
-            return
-        except OSError:
-            self._close_connection(conn)
-            return
-        if not chunk:
-            self._close_connection(conn)
-            return
-        staged = conn.inbuf
-        if staged:
-            # a frame split across recvs is parsed once it is whole, so
-            # it is copied once, not once per recv
-            staged += chunk
-            if not _frame_complete(staged):
-                return
-            chunk = bytes(staged)
-            staged.clear()
-        if self._process(conn, chunk):
-            self._flush(conn)
+    def _process(self, conn: _Connection, data: Optional[bytes] = None) -> bool:
+        """Serve one readable connection in one body: read, execute
+        every complete frame, send the replies.
 
-    def _process(self, conn: _Connection, data: bytes) -> bool:
-        """Execute every complete frame in ``data``: the bytes one
-        ``recv`` returned, or the staged ones once their first frame is
-        whole.
+        One ``recv_into`` fills the server's read buffer and the frames
+        are walked over a copy of the bytes received; the drain on
+        ``stop()`` passes the staged bytes as ``data`` instead.  This is
+        the one request parser: per-op, :data:`OP_BATCH` and
+        :data:`OP_ADMIN` frames, and staged tails.  An offset walks the
+        bytes where they landed (each key and value is one slice); only
+        an incomplete tail is staged in ``conn.inbuf``, and a staged
+        frame is parsed once it is whole, so it is copied once, not once
+        per read.  Replies queue on ``conn.outbuf`` and go out with one
+        optimistic ``send``; only a short send reaches :meth:`_flush`.
 
         Returns False if the connection was closed (``conn`` must not
-        be touched again); replies are queued on ``conn.outbuf``.  An
-        offset walks ``data`` where it landed (each key and value is one
-        slice); only an incomplete tail is staged in ``conn.inbuf``.
+        be touched again).
         """
-        header_size = _HEADER.size
+        if data is None:
+            try:
+                n = conn.sock.recv_into(self._readview)
+            except BlockingIOError:
+                return True
+            except OSError:
+                self._close_connection(conn)
+                return False
+            if not n:
+                self._close_connection(conn)
+                return False
+            data = self._readview[:n].tobytes()
+            staged = conn.inbuf
+            if staged:
+                staged += data
+                if not _frame_complete(staged):
+                    return True
+                data = bytes(staged)
+                staged.clear()
         if conn.close_after_flush:
             return True
+        header_size = _HEADER.size
         unpack_from = _HEADER.unpack_from
         end = len(data)
         # Store calls go through the connector's class, whose methods look
@@ -852,6 +899,14 @@ class StoreServer:
             break
         if pos < end:
             conn.inbuf += data[pos:]
+        if out:
+            try:
+                sent = conn.sock.send(out)
+            except OSError:  # _flush sorts a full buffer from a dead peer
+                sent = 0
+            del out[:sent]
+            if out or conn.writing or conn.close_after_flush:
+                return self._flush(conn)
         return True
 
     # -- control plane -------------------------------------------------------
@@ -916,7 +971,10 @@ class StoreServer:
         conn.outbuf += _REPLY_HEAD.pack(REPLY_ERROR, len(payload))
         conn.outbuf += payload
 
-    def _flush(self, conn: _Connection) -> None:
+    def _flush(self, conn: _Connection) -> bool:
+        """Send queued replies until the socket would block, arming
+        ``POLLOUT`` if some are left and dropping it once none are.
+        Returns False if the connection was closed."""
         sock = conn.sock
         out = conn.outbuf
         while out:
@@ -926,31 +984,25 @@ class StoreServer:
                 break
             except OSError:
                 self._close_connection(conn)
-                return
+                return False
             if sent == 0:
                 break
             del out[:sent]
         if out:
             if not conn.writing:
-                self._selector.modify(
-                    sock, selectors.EVENT_READ | selectors.EVENT_WRITE, conn
-                )
-                conn.writing = True
+                self._interest(conn, _READ_WRITE)
         else:
             if conn.close_after_flush:
                 self._close_connection(conn)
-                return
+                return False
             if conn.writing:
-                self._selector.modify(sock, selectors.EVENT_READ, conn)
-                conn.writing = False
+                self._interest(conn, select.POLLIN)
+        return True
 
     def _close_connection(self, conn: _Connection) -> None:
         if self._connections.pop(conn.sock, None) is None:
             return
-        try:
-            self._selector.unregister(conn.sock)
-        except (KeyError, ValueError):
-            pass
+        self._unwatch(conn.fd)
         try:
             conn.sock.close()
         except OSError:
@@ -965,10 +1017,7 @@ class StoreServer:
         (``kill()``) SO_LINGER 0 resets each connection unanswered, so
         clients see the death at once instead of a clean FIN.
         """
-        try:
-            self._selector.unregister(self._listener)
-        except (KeyError, ValueError):
-            pass
+        self._unwatch(self._listener.fileno())
         self._listener.close()
         deadline = time.monotonic() + _DRAIN_DEADLINE_S
         for conn in list(self._connections.values()):
@@ -991,12 +1040,8 @@ class StoreServer:
         if self._replication is not None:
             self._replication.close()
             self._replication = None
-        try:
-            self._selector.unregister(self._wake_r)
-        except (KeyError, ValueError):
-            pass
+        self._unwatch(self._wake_r.fileno())
         self._wake_r.close()
-        self._selector.close()
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -1033,7 +1078,7 @@ class StoreServer:
         """Stop accepting, drain in-flight requests, then close the store.
 
         The loop thread finishes whatever operation it is executing
-        (ops run to completion between ``select()`` rounds), refuses
+        (ops run to completion between ``poll()`` rounds), refuses
         anything that arrived after the flag went up, flushes replies,
         and exits; only then -- with no thread left that could touch
         the store -- does ``store.close()`` run.
@@ -1109,8 +1154,8 @@ class RemoteStoreClient:
         self.flush_coalesced_ops = 0
         self.pipeline_flushes = 0
         self.aborted_windows = 0
-        #: reusable frame-assembly + reply buffers; the hot path
-        #: allocates nothing beyond a reply's body once these are warm
+        #: reusable batch-frame and reply buffers: a batch frame and
+        #: every reply land in these once they are warm
         self._framebuf = bytearray(4096)
         self._replyview = memoryview(bytearray(_REPLY_BUF_SIZE))
         self._connect()
@@ -1175,10 +1220,11 @@ class RemoteStoreClient:
             f"{text or 'unspecified server error'}"
         )
 
-    def _reply(self, sock: socket.socket) -> Tuple[int, bytes]:
-        """:func:`_read_reply`, counting its ``recv_into`` calls."""
+    def _reply(self, sock: socket.socket, n: Optional[int] = None) -> Tuple[int, bytes]:
+        """:func:`_read_reply` (continuing after a first ``recv_into``
+        of ``n`` bytes, if given), counting its ``recv_into`` calls."""
         try:
-            status, body, calls = _read_reply(sock, self._replyview)
+            status, body, calls = _read_reply(sock, self._replyview, n)
         except OSError as exc:
             raise self._transport_error(exc) from exc
         except _ProtocolViolation as exc:
@@ -1188,26 +1234,58 @@ class RemoteStoreClient:
 
     # -- protocol ----------------------------------------------------------
 
-    def _request_once(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
-        if tracing.active() is None:
-            return self._request_raw(opcode, key, value)
-        with tracing.span("remote.rpc", op=opcode):
-            return self._request_raw(opcode, key, value)
+    def _request(
+        self, opcode: int, key: bytes, value: bytes = b"", wrapped: bool = False
+    ) -> Optional[bytes]:
+        """One request in one body: frame it, ``sendall`` it,
+        ``recv_into`` the reply buffer and parse the reply where it
+        landed.
 
-    def _request_raw(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
+        The frame is the packed header, key and value joined into one
+        ``bytes``, as a pipelined burst is: on a 2-vCPU x86 container,
+        a loopback put/get loop pinned to one CPU measured that ~1 µs
+        per op cheaper than ``pack_into`` plus two slice stores into
+        the reusable frame buffer and a ``memoryview`` to send it.
+
+        A reply that is not exactly the bytes of the first receive (a
+        split header, a body still arriving or larger than the buffer,
+        bytes past its end) continues through :func:`_read_reply`.  With
+        a retry policy or an active tracer the request first goes
+        through their wrappers, which come back here ``wrapped``.
+        """
+        if not wrapped:
+            policy = self._retry_policy
+            if policy is not None:
+                return policy.call(
+                    self._attempt, self._request_once, opcode, key, value,
+                    retry_on=(RemoteStoreError,),
+                )
+            # the module global, not ``tracing.active()``: no frame per op
+            if tracing._tracer is not None:
+                return self._request_once(opcode, key, value)
         sock = self._sock
         if sock is None:
             raise self._not_connected()
-        need = _HEADER.size + len(key) + len(value)
-        _grow(self._framebuf, need)
-        _frame_op_into(self._framebuf, 0, opcode, key, value)
+        view = self._replyview
         try:
-            with memoryview(self._framebuf)[:need] as frame:
-                sock.sendall(frame)
+            sock.sendall(b"".join((_HEADER.pack(opcode, len(key), len(value)), key, value)))
+            self.send_calls += 1
+            n = sock.recv_into(view)
         except OSError as exc:
             raise self._transport_error(exc) from exc
-        self.send_calls += 1
-        status, body = self._reply(sock)
+        head = _REPLY_HEAD.size
+        if n >= head:
+            status, length = _REPLY_HEAD.unpack_from(view)
+            if n == head + length:
+                if status == REPLY_VALUE:
+                    self.recv_calls += 1
+                    return view[head:n].tobytes()
+                if not length and (status == REPLY_OK or status == REPLY_MISSING):
+                    self.recv_calls += 1
+                    return None
+        # an error reply, or one that is not exactly this first receive
+        status, body = self._reply(sock, n)
+        self.recv_calls += 1
         if status == REPLY_VALUE:
             return body
         if status == REPLY_ERROR:
@@ -1218,6 +1296,14 @@ class RemoteStoreClient:
             f"reply {status} with a {len(body)}-byte body to opcode {opcode}"
         )
 
+    def _request_once(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
+        with tracing.span("remote.rpc", op=opcode):
+            return self._request_raw(opcode, key, value)
+
+    def _request_raw(self, opcode: int, key: bytes, value: bytes) -> Optional[bytes]:
+        """:meth:`_request` without the retry and tracing wrappers."""
+        return self._request(opcode, key, value, True)
+
     def _attempt(self, once, *args):
         """One try under the retry policy: reconnect, then ``once(*args)``."""
         if self._sock is None:
@@ -1225,14 +1311,6 @@ class RemoteStoreClient:
             self.reconnects += 1
             tracing.instant("remote.reconnect", total=self.reconnects)
         return once(*args)
-
-    def _request(self, opcode: int, key: bytes, value: bytes = b"") -> Optional[bytes]:
-        if self._retry_policy is None:
-            return self._request_once(opcode, key, value)
-        return self._retry_policy.call(
-            self._attempt, self._request_once, opcode, key, value,
-            retry_on=(RemoteStoreError,),
-        )
 
     # -- batch frames --------------------------------------------------------
 
@@ -1566,8 +1644,10 @@ class _RemotePipeline(PipelineSession):
                  cause: Optional[BaseException] = None) -> None:
         """Transport failure: abort the window, re-queue every un-acked
         op, and -- under the client's retry policy -- reconnect and
-        re-send them.  Without a policy the pending ops stay staged and
-        the error propagates (an outer layer may reconnect and flush)."""
+        re-send them, the same steps and budget as a synchronous retry
+        (the policy's ``op_timeout_s`` bounds the re-send too).  Without
+        a policy the pending ops stay staged and the error propagates
+        (an outer layer may reconnect and flush)."""
         client = self._client
         client._drop_socket()
         pending = list(self._inflight)
@@ -1583,20 +1663,7 @@ class _RemotePipeline(PipelineSession):
         policy = client._retry_policy
         if policy is None:
             raise error from cause
-        last: Exception = error
-        for delay in policy.base_delays():
-            time.sleep(policy._jittered(delay))
-            try:
-                client._connect()
-            except RemoteStoreError as exc:
-                last = exc
-                continue
-            client.reconnects += 1
-            tracing.instant("remote.reconnect", total=client.reconnects)
-            try:
-                self._send_staged()
-            except RemoteStoreError as exc:
-                last = exc
-                continue
-            return
-        raise last from cause
+        policy.call(
+            client._attempt, self._send_staged,
+            retry_on=(RemoteStoreError,), failed=error,
+        )

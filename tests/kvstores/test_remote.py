@@ -1,6 +1,6 @@
 """Tests for external state management (store server + remote client)."""
 
-import selectors
+import select
 import socket
 import threading
 import time
@@ -139,17 +139,18 @@ class TestReplayerIntegration:
 
 
 class _ModifySpy:
-    """Records the event mask of every ``selector.modify`` the server
-    loop makes, then forwards the call."""
+    """Records the poll mask of every interest change the server loop
+    makes (all go through ``StoreServer._interest``), then forwards the
+    call."""
 
     def __init__(self, server):
         self.events = []
-        self._modify = server._selector.modify
-        server._selector.modify = self
+        self._interest = server._interest
+        server._interest = self
 
-    def __call__(self, fileobj, events, data=None):
+    def __call__(self, conn, events):
         self.events.append(events)
-        return self._modify(fileobj, events, data)
+        return self._interest(conn, events)
 
 
 def _recv_exact(sock, length):
@@ -170,8 +171,8 @@ def _wait_until(predicate, timeout=5.0):
 
 
 class TestInterestSet:
-    """The server touches a connection's selector interest only when it
-    changes: a reply flushed in full never re-arms ``EVENT_WRITE``."""
+    """The server touches a connection's poll interest only when it
+    changes: a reply flushed in full never re-arms ``POLLOUT``."""
 
     def test_fully_flushed_replies_leave_the_selector_alone(self):
         with StoreServer(InMemoryStore()) as server:
@@ -183,7 +184,7 @@ class TestInterestSet:
                 assert spy.events == []
 
     def test_backpressure_delivers_every_reply_in_order(self):
-        """A reader that stops reading forces ``EVENT_WRITE`` interest;
+        """A reader that stops reading forces ``POLLOUT`` interest;
         once it reads again every reply arrives, in request order, and
         the connection is back to read-only interest."""
         values = [bytes([i]) * (256 * 1024) for i in range(4)]
@@ -197,7 +198,7 @@ class TestInterestSet:
                 raw.connect(server.address)
                 raw.settimeout(5.0)
                 gets = 0
-                while not any(e & selectors.EVENT_WRITE for e in spy.events):
+                while not any(e & select.POLLOUT for e in spy.events):
                     assert gets < 200, "server never had to wait to write"
                     raw.sendall(_HEADER.pack(OP_GET, 4, 0) + b"big%d" % (gets % 4))
                     gets += 1
@@ -208,12 +209,9 @@ class TestInterestSet:
                     )
                     assert (status, length) == (REPLY_VALUE, len(values[i % 4]))
                     assert _recv_exact(raw, length) == values[i % 4]
-                (conn_sock,) = list(server._connections)
-                _wait_until(
-                    lambda: server._selector.get_key(conn_sock).events
-                    == selectors.EVENT_READ
-                )
-                assert spy.events[-1] == selectors.EVENT_READ
+                (conn,) = list(server._connections.values())
+                _wait_until(lambda: not conn.writing)
+                assert spy.events[-1] == select.POLLIN
                 # the connection keeps serving
                 raw.sendall(_HEADER.pack(OP_GET, 4, 0) + b"big1")
                 head = _recv_exact(raw, _REPLY_HEAD.size)
