@@ -57,16 +57,14 @@ def env_block() -> dict:
 def one_cpu_note(detail: str) -> str:
     """The honest-measurement caveat, with a bench-specific tail.
 
-    Containers here typically expose one CPU: client, server threads,
-    and stores time-slice a single core under the GIL, so relative
-    orderings and mechanisms are meaningful while absolute numbers are
-    a single-core artifact.
+    Stamps the CPU count the run saw: client, server threads and
+    stores share those cores (and the GIL), so relative orderings and
+    mechanisms are meaningful while absolute numbers belong to the
+    machine that measured them.
     """
     return (
-        f"MEASURED ON {os.cpu_count()} CPU(S). Single-process numbers: "
-        f"{detail} Absolute figures are not comparable across machines "
-        f"and must be re-measured on a multi-core host before being "
-        f"quoted."
+        f"MEASURED ON {os.cpu_count()} CPU(S). {detail} Absolute figures "
+        f"are not comparable across machines."
     )
 
 

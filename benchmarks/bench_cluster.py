@@ -17,11 +17,11 @@ seeded primary kill mid-replay and reports the client-observed failover
 latency, recovery wall-clock, and the lost-ack window -- the robustness
 numbers the chaos harness exists to measure.
 
-**Read the caveat in the JSON before quoting numbers**: this container
-exposes ONE CPU, so servers, replicas, and the client time-slice a
-single core.  Ack-level *ordering* (none <= one <= all cost) and the
-failover-latency *mechanism* are meaningful; absolute throughput is a
-single-core artifact and must be re-measured on a multi-core host.
+**Read the caveat in the JSON before quoting numbers**: it stamps the
+CPU count the run saw; servers, replicas and the client share those
+cores in one process.  Ack-level *ordering* (none <= one <= all cost)
+and the failover-latency *mechanism* are meaningful; absolute
+throughput belongs to the machine that measured it.
 
 Writes ``BENCH_cluster.json`` next to the repo root.
 

@@ -1,7 +1,7 @@
 """Distributed cluster mode: partitioned + replicated store serving.
 
 Composes the remote layer's pieces (the ``select.poll``-loop
-:class:`~repro.kvstores.remote.StoreServer`, protocol v2 ``OP_BATCH``,
+:class:`~repro.kvstores.remote.StoreServer`, the ``OP_BATCH`` frame,
 the crc32 partitioner shared with ``shard_trace``) into a real cluster:
 
 * :class:`ClusterConfig` -- partitions x replication factor x ack level

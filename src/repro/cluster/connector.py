@@ -6,9 +6,11 @@ replayer and evaluator already speak, against N server chains:
 * **Routing** -- ``crc32(key) % partitions``, byte-identical to
   ``shard_trace``'s partitioner, so a trace sharded for offline replay
   and a live cluster agree on key placement.
-* **Batching** -- ``multi_get`` / ``apply_batch`` split per partition
-  and cost one round trip per *touched* partition, reassembled in
-  request order.
+* **Fan-out** -- ``multi_get``, ``apply_batch`` and a pipelined
+  window all run one scatter-gather (:meth:`ClusterConnector._fan_out`):
+  one :data:`~repro.kvstores.remote.OP_BATCH` frame per *touched*
+  partition, every frame sent before any reply is read, replies
+  returned in request order.  A failed partition replays alone.
 * **Chains** -- the connector owns the partition map.  It pushes each
   chain's replication links to the servers over the admin channel
   (node *i* forwards to node *i+1*); the ack level decides which links
@@ -28,12 +30,12 @@ from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 from zlib import crc32
 
 from ..faults.retry import RetryPolicy
-from ..kvstores.api import OP_GET, OP_MERGE, OP_PUT, BatchOp
+from ..kvstores.api import OP_GET, OP_PUT, BatchOp
 from ..kvstores.connectors import PipelineSession
 from ..kvstores.remote import (
     _BATCH_ALL_OK,
     REPLY_ERROR,
-    REPLY_MISSING,
+    REPLY_OK,
     REPLY_VALUE,
     RemoteStoreClient,
     RemoteStoreError,
@@ -43,6 +45,7 @@ from ..obs import tracing
 from .manager import StoreCluster
 
 _COPY_BATCH = 256  # ops per apply_batch frame during snapshot copy
+_OK = (REPLY_OK, b"")  # a write member's reply
 
 
 class ClusterConnector:
@@ -330,129 +333,64 @@ class ClusterConnector:
 
     # -- scatter-gather fan-out ---------------------------------------------
 
-    def _scatter(
-        self, frames: Dict[int, List[BatchOp]]
-    ) -> Dict[int, Optional[RemoteStoreClient]]:
-        """Issue every touched partition's :data:`OP_BATCH` frame before
-        any reply is read: the partitions' servers then process their
-        sub-batches concurrently and a k-partition batch costs ~1 RTT
-        instead of k.  A partition whose send fails maps to None -- its
-        gather falls back to the sequential :meth:`_on_primary` replay,
-        which repairs the chain and retries only that sub-batch."""
-        sent: Dict[int, Optional[RemoteStoreClient]] = {}
-        for partition, items in frames.items():
+    def _fan_out(self, items: Sequence[BatchOp]) -> List[Tuple[int, bytes]]:
+        """Run ``items`` on their partitions' primaries; returns each
+        item's ``(status, data)`` in request order.
+
+        Every touched partition's :data:`OP_BATCH` frame is sent before
+        any reply is read, so the servers work concurrently and k
+        partitions cost ~1 RTT, not k.  Every reply is read before any
+        replay, so no connection is left holding an unread reply.  A
+        partition whose send or receive failed, or whose reply rejected
+        a member, is then replayed alone through :meth:`_on_primary`
+        (repair, retry, raise after the budget); the other partitions'
+        replies stand.  A replayed write sub-batch is at-least-once,
+        exactly like a retried synchronous op.
+        """
+        groups: Dict[int, List[int]] = {}
+        for index, item in enumerate(items):
+            groups.setdefault(self._partition(item[1]), []).append(index)
+        subs = {
+            partition: [items[i] for i in indices]
+            for partition, indices in groups.items()
+        }
+        sent: Dict[int, RemoteStoreClient] = {}
+        for partition, sub in subs.items():
             try:
                 client = self._client(self._chains[partition][0])
-                client.batch_send(items)
+                client.batch_send(sub)
             except RemoteStoreError:
-                sent[partition] = None
-                continue
-            tracing.instant(
-                "cluster.scatter", partition=partition, n=len(items)
-            )
+                continue  # replayed below
+            tracing.instant("cluster.scatter", partition=partition, n=len(sub))
             sent[partition] = client
-        return sent
-
-    def _gather_get(
-        self,
-        partition: int,
-        scattered: Dict[int, Optional[RemoteStoreClient]],
-        subset: List[bytes],
-    ) -> List[Optional[bytes]]:
-        """Collect one scattered partition's get replies; any failure
-        (transport death, store error) replays only this partition's
-        sub-batch under the repair loop."""
-        client = scattered.get(partition)
-        if client is not None:
+        replies: Dict[int, List[Tuple[int, bytes]]] = {}
+        for partition, client in sent.items():
+            sub = subs[partition]
             try:
-                replies = client.batch_recv(len(subset))
+                reply = client.batch_recv(len(sub))
+                tracing.instant("cluster.gather", partition=partition, n=len(sub))
+                replies[partition] = _member_replies(client, reply, len(sub))
             except RemoteStoreError:
-                pass  # replay below: _on_primary repairs and retries
-            else:
-                tracing.instant(
-                    "cluster.gather", partition=partition, n=len(subset)
-                )
-                values: Optional[List[Optional[bytes]]] = []
-                for status, data in replies:
-                    if status == REPLY_VALUE:
-                        values.append(data)
-                    elif status == REPLY_MISSING:
-                        values.append(None)
-                    else:  # store-level error: replay the sub-batch
-                        values = None
-                        break
-                if values is not None:
-                    return values
-        return self._on_primary(partition, lambda c, s=subset: c.multi_get(s))
-
-    def _gather_write(
-        self,
-        partition: int,
-        scattered: Dict[int, Optional[RemoteStoreClient]],
-        group: List[BatchOp],
-    ) -> None:
-        """Collect one scattered partition's write acks (see
-        :meth:`_gather_get` for the failure contract; a replayed write
-        sub-batch is at-least-once, exactly like a retried sync op)."""
-        client = scattered.get(partition)
-        if client is not None:
-            try:
-                replies = client.batch_recv(len(group))
-            except RemoteStoreError:
-                pass
-            else:
-                tracing.instant(
-                    "cluster.gather", partition=partition, n=len(group)
-                )
-                if replies is _BATCH_ALL_OK or all(
-                    status != REPLY_ERROR for status, _ in replies
-                ):
-                    return
-        self._on_primary(partition, lambda c, g=group: c.apply_batch(g))
-
-    def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
-        if not keys:
-            return []
-        groups: Dict[int, List[int]] = {}
-        for index, key in enumerate(keys):
-            groups.setdefault(self._partition(key), []).append(index)
-        out: List[Optional[bytes]] = [None] * len(keys)
-        if len(groups) == 1:
-            ((partition, indices),) = groups.items()
-            subset = [keys[i] for i in indices]
-            values = self._on_primary(
-                partition, lambda c, s=subset: c.multi_get(s)
-            )
-            for index, value in zip(indices, values):
-                out[index] = value
-            return out
-        scattered = self._scatter(
-            {
-                partition: [(OP_GET, keys[i], b"") for i in indices]
-                for partition, indices in groups.items()
-            }
-        )
+                pass  # replayed below
+        out: List[Tuple[int, bytes]] = [_OK] * len(items)  # every slot is set below
         for partition, indices in groups.items():
-            subset = [keys[i] for i in indices]
-            values = self._gather_get(partition, scattered, subset)
-            for index, value in zip(indices, values):
-                out[index] = value
+            if partition not in replies:
+                sub = subs[partition]
+                replies[partition] = self._on_primary(
+                    partition,
+                    lambda c, s=sub: _member_replies(c, c._batch_request(s), len(s)),
+                )
+            for index, reply in zip(indices, replies[partition]):
+                out[index] = reply
         return out
 
+    def multi_get(self, keys: Sequence[bytes]) -> List[Optional[bytes]]:
+        replies = self._fan_out([(OP_GET, key, b"") for key in keys])
+        return [data if status == REPLY_VALUE else None for status, data in replies]
+
     def apply_batch(self, ops: Sequence[BatchOp]) -> None:
-        if not ops:
-            return
         _require_writes(ops)
-        groups: Dict[int, List[BatchOp]] = {}
-        for op in ops:
-            groups.setdefault(self._partition(op[1]), []).append(op)
-        if len(groups) == 1:
-            ((partition, group),) = groups.items()
-            self._on_primary(partition, lambda c, g=group: c.apply_batch(g))
-            return
-        scattered = self._scatter(groups)
-        for partition, group in groups.items():
-            self._gather_write(partition, scattered, group)
+        self._fan_out(ops)
 
     def pipeline(self, depth: int, on_complete) -> "_ClusterPipeline":
         """Open a pipelined session: submitted ops accumulate into a
@@ -481,18 +419,12 @@ class _ClusterPipeline(PipelineSession):
     """Windowed scatter-gather over a :class:`ClusterConnector`.
 
     Submitted ops accumulate until the window holds ``depth`` of them,
-    then flush as ONE fan-out: the window is split per partition, every
-    touched partition's :data:`~repro.kvstores.remote.OP_BATCH` frame
-    is sent before any reply is read, and replies are gathered in
-    scatter order -- so a full window costs ~1 RTT regardless of how
-    many partitions it touches.  Completion timestamps are taken at
-    gather, so histogram latency includes window queueing time.
-
-    Failover mid-gather repairs only the failed partition's chain and
-    replays only its sub-batch (per-op, under the connector's
-    :meth:`~ClusterConnector._on_primary` budget); the other
-    partitions' replies are unaffected.  Replayed writes are
-    at-least-once, exactly like a retried synchronous op.
+    then flush as ONE :meth:`~ClusterConnector._fan_out`, so a full
+    window costs ~1 RTT however many partitions it touches.  Every op
+    completes, in submit order, at one clock read taken after the
+    fan-out returns, so histogram latency includes window queueing
+    time.  A partition that fails mid-gather is repaired and its
+    sub-batch replayed alone (see :meth:`~ClusterConnector._fan_out`).
     """
 
     def __init__(
@@ -500,8 +432,9 @@ class _ClusterPipeline(PipelineSession):
     ) -> None:
         super().__init__(connector, depth, on_complete)
         self._conn = connector
-        #: (opcode, key, value, arrival_ns) awaiting the next fan-out
-        self._staged: List[Tuple[int, bytes, bytes, int]] = []
+        #: ops awaiting the next fan-out, and their arrival stamps
+        self._staged: List[BatchOp] = []
+        self._arrivals: List[int] = []
 
     @property
     def pending(self) -> int:
@@ -509,98 +442,52 @@ class _ClusterPipeline(PipelineSession):
 
     def submit(self, opcode: int, key: bytes, value: bytes,
                arrival_ns: int) -> None:
-        self._staged.append((opcode, key, value, arrival_ns))
+        self._staged.append((opcode, key, value))
+        self._arrivals.append(arrival_ns)
         if len(self._staged) >= self.depth:
             self.flush()
 
     def flush(self) -> None:
         if not self._staged:
             return
-        window = self._staged
-        self._staged = []
+        window, arrivals = self._staged, self._arrivals
+        self._staged, self._arrivals = [], []
         if tracing.active() is None:
-            self._flush_window(window)
+            self._flush_window(window, arrivals)
             return
         with tracing.span("remote.pipeline_flush", n=len(window)):
-            self._flush_window(window)
+            self._flush_window(window, arrivals)
 
-    def _flush_window(self, window: List[Tuple[int, bytes, bytes, int]]) -> None:
+    def _flush_window(self, window: List[BatchOp], arrivals: List[int]) -> None:
         conn = self._conn
         conn.inflight_depth = len(window)
-        groups: Dict[int, List[Tuple[int, bytes, bytes, int]]] = {}
-        for item in window:
-            groups.setdefault(conn._partition(item[1]), []).append(item)
-        scattered = conn._scatter(
-            {
-                partition: [(op, key, value) for op, key, value, _ in items]
-                for partition, items in groups.items()
-            }
-        )
-        for partition, items in groups.items():
-            self._gather_window(partition, scattered, items)
+        replies = conn._fan_out(window)
+        now = time.perf_counter_ns()
+        on_complete = self._on_complete
+        for (opcode, _key, _value), arrival, (status, data) in zip(
+            window, arrivals, replies
+        ):
+            on_complete(opcode, arrival, now, data if status == REPLY_VALUE else None)
         conn.pipeline_flushes += 1
         conn.flush_coalesced_ops += len(window)
         conn.inflight_depth = 0
         self.flushes += 1
         self.coalesced_ops += len(window)
 
-    def _gather_window(
-        self,
-        partition: int,
-        scattered: Dict[int, Optional[RemoteStoreClient]],
-        items: List[Tuple[int, bytes, bytes, int]],
-    ) -> None:
-        client = scattered.get(partition)
-        replies = None
-        if client is not None:
-            try:
-                replies = client.batch_recv(len(items))
-            except RemoteStoreError:
-                replies = None
-            else:
-                tracing.instant(
-                    "cluster.gather", partition=partition, n=len(items)
-                )
-        completed = False
-        if replies is not None:
-            now = time.perf_counter_ns()
-            if replies is _BATCH_ALL_OK:
-                for opcode, _key, _value, arrival in items:
-                    self._on_complete(opcode, arrival, now, None)
-                completed = True
-            elif all(status != REPLY_ERROR for status, _ in replies):
-                for (status, data), (opcode, _key, _value, arrival) in zip(
-                    replies, items
-                ):
-                    value = data if status == REPLY_VALUE else None
-                    self._on_complete(opcode, arrival, now, value)
-                completed = True
-        if not completed:
-            # transport death or a store-level rejection:
-            # repair + per-op replay of ONLY this partition's sub-batch
-            self._replay_members(partition, items)
-
-    def _replay_members(
-        self, partition: int, items: List[Tuple[int, bytes, bytes, int]]
-    ) -> None:
-        conn = self._conn
-        for opcode, key, value, arrival in items:
-            if opcode == OP_GET:
-                reply = conn._on_primary(partition, lambda c, k=key: c.get(k))
-            elif opcode == OP_PUT:
-                conn._on_primary(
-                    partition, lambda c, k=key, v=value: c.put(k, v)
-                )
-                reply = None
-            elif opcode == OP_MERGE:
-                conn._on_primary(
-                    partition, lambda c, k=key, v=value: c.merge(k, v)
-                )
-                reply = None
-            else:
-                conn._on_primary(partition, lambda c, k=key: c.delete(k))
-                reply = None
-            self._on_complete(opcode, arrival, time.perf_counter_ns(), reply)
-
     def drain(self) -> None:
         self.flush()
+
+
+def _member_replies(
+    client: RemoteStoreClient, replies: List[Tuple[int, bytes]], count: int
+) -> List[Tuple[int, bytes]]:
+    """One partition's per-member ``(status, data)``: the
+    :data:`_BATCH_ALL_OK` sentinel (tested by identity: it is an empty
+    list) becomes ``count`` OKs, and a rejected member raises the
+    client's server error."""
+    if replies is _BATCH_ALL_OK:
+        return [_OK] * count
+    for status, data in replies:
+        if status == REPLY_ERROR:
+            raise client._server_error(data)
+    return replies

@@ -444,8 +444,8 @@ class _ReplicationLink:
         #: (send monotonic, op count) per in-flight async frame
         self._pending: "deque" = deque()
         self._inbuf = bytearray()
-        #: reusable frame-assembly and ack buffers: forwarding a write
-        #: allocates nothing once these are warm
+        #: reusable batch-frame and ack buffers: a forwarded batch and
+        #: every ack land in these once they are warm
         self._framebuf = bytearray(4096)
         self._ackview = memoryview(bytearray(_REPLY_BUF_SIZE))
         try:
@@ -465,16 +465,17 @@ class _ReplicationLink:
     # -- forwarding ----------------------------------------------------------
 
     def forward(self, opcode: int, key: bytes, value: bytes) -> None:
-        need = _HEADER.size + len(key) + len(value)
-        _grow(self._framebuf, need)
-        _frame_op_into(self._framebuf, 0, opcode, key, value)
-        self._transmit(need, 1)
+        # one joined ``bytes``, as the client's ``_request`` frames an op
+        self._transmit(
+            b"".join((_HEADER.pack(opcode, len(key), len(value)), key, value)), 1
+        )
 
     def forward_batch(self, items: Sequence[Tuple[int, bytes, bytes]]) -> None:
         need = _frame_batch_into(self._framebuf, items)
-        self._transmit(need, len(items))
+        with memoryview(self._framebuf)[:need] as frame:
+            self._transmit(frame, len(items))
 
-    def _transmit(self, length: int, ops: int) -> None:
+    def _transmit(self, frame, ops: int) -> None:
         if self.broken:
             if self.sync:
                 raise _ReplicationError(
@@ -484,8 +485,7 @@ class _ReplicationLink:
             return
         began = time.monotonic()
         try:
-            with memoryview(self._framebuf)[:length] as frame:
-                self._sock.sendall(frame)
+            self._sock.sendall(frame)
         except OSError as exc:
             self._fail(ops, exc)
             return  # _fail raised already when sync
@@ -538,17 +538,17 @@ class _ReplicationLink:
     def drain(self) -> None:
         """Consume acks the downstream piped back; loop-thread only."""
         try:
-            chunk = self._sock.recv(1 << 16)
+            n = self._sock.recv_into(self._ackview)
         except BlockingIOError:
             return
         except OSError as exc:
             self._fail(self.pending_ops(), exc)
             return
-        if not chunk:
+        if not n:
             self._fail(self.pending_ops(), ConnectionError("replica closed"))
             return
         buf = self._inbuf
-        buf += chunk
+        buf += self._ackview[:n]
         head_size = _REPLY_HEAD.size
         end = len(buf)
         pos = 0
